@@ -17,8 +17,8 @@ from .metrics import (CalibrationReport, DetectionReport, aupr, auroc, ece,
 from .model import (LogitDecomposition, MlpModel, decompose, forward,
                     forward_traced, init_model, load_checkpoint, save_checkpoint)
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train
-from .scores import (ScoreConfig, ScoredExample, energy_score, gradnorm_score,
-                     msp_score, odin_score, read_scores, score_batch, write_scores)
+from .scores import (ScoreConfig, ScoredExample, read_scores, score_batch,
+                     write_scores)
 from .tensor import GradTape, Matrix2D, matmul, row_l2_norm, rowwise_softmax
 
 __version__ = "0.1.0"

@@ -15,13 +15,13 @@ import numpy as np
 
 from . import harness
 from .errors import AllSeedsDiverged, ConfigError, DataError
-from .harness import (config_hash, derive_seed, emit_histogram_data,
+from .harness import (_scored, config_hash, derive_seed, emit_histogram_data,
                       histogram_csv, load_config, realize_data, run_calibration,
                       run_experiment, sweep_tau)
 from .metrics import detection_report, detection_report_csv
 from .model import forward, init_model, load_checkpoint, save_checkpoint
 from .optimizer import telemetry_csv, train
-from .scores import read_scores, score_batch, write_scores, ScoredExample
+from .scores import read_scores, score_batch, write_scores
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -98,16 +98,15 @@ def _cmd_score(args) -> int:
     import os
     os.makedirs(cfg.output_dir, exist_ok=True)
     model, _ = load_checkpoint(args.checkpoint)
+    stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     for seed in cfg.seeds:
         bundle = realize_data(cfg, seed)
         for score_cfg in cfg.scores:
             id_scores = score_batch(model, bundle.test.features, score_cfg)
             for tag, ood_ds in bundle.ood_sets:
                 ood_scores = score_batch(model, ood_ds.features, score_cfg)
-                scored = ([ScoredExample(float(s), "ID") for s in id_scores]
-                          + [ScoredExample(float(s), "OOD") for s in ood_scores])
-                path = f"{cfg.output_dir}/scores_{score_cfg.name}_{tag}_{seed}.txt"
-                write_scores(path, scored)
+                path = f"{cfg.output_dir}/scores_{stem}_{score_cfg.name}_{tag}_{seed}.txt"
+                write_scores(path, _scored(id_scores, ood_scores))
                 if not args.quiet:
                     print(f"wrote {path}")
     return 0

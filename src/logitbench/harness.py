@@ -23,8 +23,8 @@ from .data import (LabeledDataset, OodDataset, corrupt_labels, gen_blobs,
                    gen_ood, load_delimited, split)
 from .errors import AllSeedsDiverged, ConfigError, DataError, DivergedError
 from .losses import LOGIT_NORM, LossConfig, logitnorm_values
-from .metrics import (CalibrationReport, DetectionReport, detection_report,
-                      ece, fit_temperature)
+from .metrics import (CalibrationReport, DetectionReport, check_tpr_target,
+                      detection_report, ece, fit_temperature)
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, telemetry_csv, train
 from .scores import (ScoreConfig, ScoredExample, score_batch, write_scores)
@@ -77,8 +77,7 @@ class MetricsConfig:
     ece_bins: int = 15
 
     def __post_init__(self):
-        if not 0.0 < self.tpr_target < 1.0:
-            raise ConfigError(f"tpr_target must be in (0, 1), got {self.tpr_target}")
+        check_tpr_target(self.tpr_target, ConfigError)
         if self.ece_bins < 1:
             raise ConfigError(f"ece_bins must be >= 1, got {self.ece_bins}")
 

@@ -39,6 +39,12 @@ class CalibrationReport:
     fitted_T: Optional[float] = None
 
 
+def check_tpr_target(tpr_target: float, error: type[Exception] = DataError) -> None:
+    """Raise `error` unless tpr_target lies in (0, 1]."""
+    if not 0.0 < tpr_target <= 1.0:
+        raise error(f"tpr_target must be in (0, 1], got {tpr_target}")
+
+
 def _split_scores(scored: Sequence[ScoredExample]) -> tuple[np.ndarray, np.ndarray]:
     id_scores = np.array([ex.score for ex in scored if ex.origin == "ID"])
     ood_scores = np.array([ex.score for ex in scored if ex.origin == "OOD"])
@@ -47,65 +53,58 @@ def _split_scores(scored: Sequence[ScoredExample]) -> tuple[np.ndarray, np.ndarr
     return id_scores, ood_scores
 
 
-def fpr_at_tpr(scored: Sequence[ScoredExample], tpr_target: float = 0.95) -> float:
-    """OOD fraction admitted at the largest threshold that keeps at least
-    tpr_target of the ID examples (score >= threshold counts as ID)."""
-    if not 0.0 < tpr_target <= 1.0:
-        raise DataError(f"tpr_target must be in (0, 1], got {tpr_target}")
-    id_scores, ood_scores = _split_scores(scored)
+def _fpr_at_tpr(id_scores: np.ndarray, ood_scores: np.ndarray, tpr_target: float) -> float:
     need = math.ceil(tpr_target * len(id_scores))
     threshold = np.sort(id_scores)[::-1][need - 1]
     return float((ood_scores >= threshold).mean())
 
 
-def auroc(scored: Sequence[ScoredExample]) -> float:
-    """P(random ID score > random OOD score), ties counted half
-    (Mann-Whitney U via average ranks)."""
-    id_scores, ood_scores = _split_scores(scored)
+def _auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     n, m = len(id_scores), len(ood_scores)
     ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
     u = ranks[:n].sum() - n * (n + 1) / 2.0
     return float(u / (n * m))
 
 
-def aupr(scored: Sequence[ScoredExample]) -> float:
-    """Area under precision-recall (ID positive), descending-score sweep
-    with step interpolation; tied scores enter together."""
-    id_scores, ood_scores = _split_scores(scored)
-    n_id = len(id_scores)
-    labels = np.concatenate([np.ones(n_id, dtype=bool),
-                             np.zeros(len(ood_scores), dtype=bool)])
+def _aupr(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     values = np.concatenate([id_scores, ood_scores])
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    labels = labels[order]
-    area = 0.0
-    tp = 0
-    taken = 0
-    prev_recall = 0.0
-    i = 0
-    total = len(values)
-    while i < total:
-        j = i
-        while j < total and values[j] == values[i]:
-            j += 1
-        tp += int(labels[i:j].sum())
-        taken += j - i
-        recall = tp / n_id
-        precision = tp / taken
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(area)
+    # Each tied group enters the sweep at once: evaluate at the group ends.
+    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
+    tp = np.cumsum(order < len(id_scores))[ends]
+    recall = tp / len(id_scores)
+    precision = tp / (ends + 1)
+    return float((np.diff(recall, prepend=0.0) * precision).sum())
+
+
+def fpr_at_tpr(scored: Sequence[ScoredExample], tpr_target: float = 0.95) -> float:
+    """OOD fraction admitted at the largest threshold that keeps at least
+    tpr_target of the ID examples (score >= threshold counts as ID)."""
+    check_tpr_target(tpr_target)
+    return _fpr_at_tpr(*_split_scores(scored), tpr_target)
+
+
+def auroc(scored: Sequence[ScoredExample]) -> float:
+    """P(random ID score > random OOD score), ties counted half
+    (Mann-Whitney U via average ranks)."""
+    return _auroc(*_split_scores(scored))
+
+
+def aupr(scored: Sequence[ScoredExample]) -> float:
+    """Area under precision-recall (ID positive), descending-score sweep
+    with step interpolation; tied scores enter together."""
+    return _aupr(*_split_scores(scored))
 
 
 def detection_report(scored: Sequence[ScoredExample],
                      tpr_target: float = 0.95) -> DetectionReport:
+    check_tpr_target(tpr_target)
     id_scores, ood_scores = _split_scores(scored)
     return DetectionReport(
-        fpr_at_95_tpr=fpr_at_tpr(scored, tpr_target),
-        auroc=auroc(scored),
-        aupr=aupr(scored),
+        fpr_at_95_tpr=_fpr_at_tpr(id_scores, ood_scores, tpr_target),
+        auroc=_auroc(id_scores, ood_scores),
+        aupr=_aupr(id_scores, ood_scores),
         n_id=len(id_scores),
         n_ood=len(ood_scores),
     )

@@ -68,22 +68,30 @@ def init_model(layer_dims, seed: int) -> MlpModel:
 
 def forward(model: MlpModel, x: Matrix2D) -> Matrix2D:
     """Plain forward pass, no tape."""
+    return forward_layers(model, x)[1]
+
+
+def forward_layers(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], Matrix2D]:
+    """Plain forward pass that also returns the input to every layer: x,
+    then each relu output, so the last entry is the penultimate activation."""
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
+    inputs = []
     h = x.data
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        inputs.append(h)
         h = h @ w.data + b.data
         if i < last:
             h = np.maximum(h, 0.0)
-    return Matrix2D(h)
+    return inputs, Matrix2D(h)
 
 
 def forward_traced(model: MlpModel, x: Matrix2D, *, input_grad: bool = False) -> ForwardTrace:
     """Forward pass recorded on a fresh tape.
 
     Input gradients are opt-in: the input leaf only participates in the
-    backward sweep when input_grad is set (ODIN needs it, training does not).
+    backward sweep when input_grad is set (training does not need them).
     """
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")

@@ -7,17 +7,24 @@ ODIN:     temperature-scaled MSP after a small input perturbation toward
 Energy:   T * logsumexp(f / T), the negated free energy.
 GradNorm: L1 norm of the last-layer weight gradient of the cross-entropy
           between softmax(f / T) and the uniform distribution.
+
+`score_batch` scores all rows of a batch at once. Rows are independent, so
+ODIN's input gradient for every row comes from one explicit backward pass,
+and GradNorm's last-layer gradient is the outer product of the penultimate
+activation h and (softmax(f / T) - 1/k) / T, whose L1 norm factorises into
+||h||_1 * ||softmax(f / T) - 1/k||_1 / T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import MlpModel, forward, forward_traced
-from .tensor import Matrix2D, rowwise_softmax
+from .model import MlpModel, forward, forward_layers
+from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
 MSP = "msp"
 ODIN = "odin"
@@ -55,73 +62,46 @@ class ScoredExample:
     def __post_init__(self):
         if self.origin not in ("ID", "OOD"):
             raise DataError(f"origin must be ID or OOD, got {self.origin!r}")
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise DataError(f"score must be finite, got {self.score}")
 
 
-def _as_row(x) -> Matrix2D:
-    if isinstance(x, Matrix2D):
-        return x
-    return Matrix2D(np.asarray(x, dtype=np.float64).reshape(1, -1))
-
-
-def msp_score(model: MlpModel, x) -> float:
-    logits = forward(model, _as_row(x))
-    return float(rowwise_softmax(logits)[0].max())
-
-
-def odin_score(model: MlpModel, x, T: float = 1000.0, eps: float = 0.0014) -> float:
-    """Perturb the input to increase the temperature-scaled max softmax,
-    then score the perturbed input with temperature-scaled MSP."""
-    if T <= 0:
-        raise ConfigError(f"T must be positive, got {T}")
-    x = _as_row(x)
-    if eps > 0.0:
-        trace = forward_traced(model, x, input_grad=True)
-        scaled = trace.tape.scale(trace.logits, 1.0 / T)
-        pred = np.array([int(np.argmax(trace.logits.value[0]))])
-        # CE to the predicted class is -log S_pred, so stepping against its
-        # gradient increases the max softmax.
-        nll = trace.tape.softmax_cross_entropy(scaled, pred)
-        trace.tape.backward(nll)
-        grad = trace.tape.grad(trace.input)
-        x = Matrix2D(x.data - eps * np.sign(grad))
-    logits = forward(model, x)
-    return float(rowwise_softmax(logits.data / T)[0].max())
-
-
-def energy_score(model: MlpModel, x, T: float = 1.0) -> float:
-    if T <= 0:
-        raise ConfigError(f"T must be positive, got {T}")
-    logits = forward(model, _as_row(x)).data[0] / T
-    m = logits.max()
-    return float(T * (m + np.log(np.exp(logits - m).sum())))
-
-
-def gradnorm_score(model: MlpModel, x, T: float = 1.0) -> float:
-    if T <= 0:
-        raise ConfigError(f"T must be positive, got {T}")
-    trace = forward_traced(model, _as_row(x))
-    scaled = trace.tape.scale(trace.logits, 1.0 / T)
-    loss = trace.tape.uniform_cross_entropy(scaled)
-    trace.tape.backward(loss)
-    return float(np.abs(trace.tape.grad(trace.weights[-1])).sum())
-
-
-def score_one(model: MlpModel, x, cfg: ScoreConfig) -> float:
-    if cfg.kind == MSP:
-        return msp_score(model, x)
-    if cfg.kind == ODIN:
-        return odin_score(model, x, cfg.odin_T, cfg.odin_eps)
-    if cfg.kind == ENERGY:
-        return energy_score(model, x, cfg.energy_T)
-    return gradnorm_score(model, x, cfg.gradnorm_T)
+def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Matrix2D:
+    """Step every row against the sign of its input gradient of the
+    cross-entropy between softmax(f / T) and the predicted class; that
+    cross-entropy is -log S_pred, so the step raises the max softmax."""
+    inputs, logits = forward_layers(model, features)
+    f = logits.data
+    grad = np.exp(log_softmax(f * (1.0 / T)))
+    grad[np.arange(f.shape[0]), f.argmax(axis=1)] -= 1.0
+    grad *= 1.0 / T
+    # A relu output is positive exactly where its pre-activation is, so the
+    # layer inputs give the relu masks.
+    for w, h in zip(model.weights[:0:-1], inputs[:0:-1]):
+        grad = (grad @ w.data.T) * (h > 0.0)
+    grad = grad @ model.weights[0].data.T
+    return Matrix2D(features.data - eps * np.sign(grad))
 
 
 def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.ndarray:
-    """Score every row; examples are independent, looped for simplicity."""
-    return np.array([score_one(model, features.data[i:i + 1], cfg)
-                     for i in range(features.rows)])
+    """Score every row of `features` under `cfg`; one value per row."""
+    if cfg.kind == MSP:
+        return rowwise_softmax(forward(model, features)).max(axis=1)
+    if cfg.kind == ODIN:
+        T = cfg.odin_T
+        if cfg.odin_eps > 0.0:
+            features = _odin_input(model, features, T, cfg.odin_eps)
+        return rowwise_softmax(forward(model, features).data / T).max(axis=1)
+    if cfg.kind == ENERGY:
+        T = cfg.energy_T
+        f = forward(model, features).data / T
+        m = f.max(axis=1)
+        return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
+    T = cfg.gradnorm_T
+    inputs, logits = forward_layers(model, features)
+    k = logits.cols
+    probs = np.exp(log_softmax(logits.data * (1.0 / T)))
+    return np.abs(inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / k).sum(axis=1) / T
 
 
 # Score dump interchange: one "<origin>,<decimal>" record per line.

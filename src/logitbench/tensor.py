@@ -2,7 +2,7 @@
 
 The tape records matrix-level operations (matmul, bias add, relu, fused
 softmax cross-entropy, row norms, scaling) -- enough to train an MLP and to
-take gradients with respect to inputs, which the ODIN detector needs.
+take gradients with respect to its inputs.
 """
 
 from __future__ import annotations

@@ -44,12 +44,26 @@ def test_train_then_score_then_eval(tmp_path, capsys):
 
     assert main(["score", "--config", str(cfg_path), "--quiet",
                  "--checkpoint", str(ckpt)]) == 0
-    dump = out / "scores_msp_uniform_box_0.txt"
+    dump = out / "scores_checkpoint_cross_entropy_0_msp_uniform_box_0.txt"
     assert dump.exists()
 
     assert main(["eval", "--scores", str(dump)]) == 0
     text = capsys.readouterr().out
     assert text.startswith("name,fpr_at_95_tpr,auroc,aupr,n_id,n_ood")
+
+
+def test_score_two_checkpoints_into_one_directory(tmp_path):
+    cfg_path = write_config(tmp_path, losses=[{"kind": "cross_entropy"},
+                                              {"kind": "logit_norm"}])
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--quiet"]) == 0
+    dumps = []
+    for loss in ("cross_entropy", "logit_norm"):
+        assert main(["score", "--config", str(cfg_path), "--quiet", "--checkpoint",
+                     str(out / f"checkpoint_{loss}_0.txt")]) == 0
+        dumps.append(out / f"scores_checkpoint_{loss}_0_msp_uniform_box_0.txt")
+    assert all(d.exists() for d in dumps)
+    assert dumps[0].read_text() != dumps[1].read_text()
 
 
 def test_bench_subcommand(tmp_path):

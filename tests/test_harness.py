@@ -13,7 +13,7 @@ from logitbench.harness import (DataConfig, ExperimentConfig, SeedData,
                                 derive_seed, desk_config, emit_histogram_data,
                                 histogram_csv, load_config, realize_data,
                                 run_calibration, run_experiment, sweep_tau)
-from logitbench.scores import ScoredExample
+from logitbench.scores import ScoredExample, read_scores
 
 
 def tiny_raw(**overrides):
@@ -80,6 +80,27 @@ def test_config_dims_must_match_data():
         config_from_dict(tiny_raw(layer_dims=[5, 8, 3]))
     with pytest.raises(ConfigError, match="inconsistent"):
         config_from_dict(tiny_raw(layer_dims=[4, 8, 2]))
+
+
+def test_config_tpr_target_range():
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ConfigError, match="tpr_target"):
+            config_from_dict(tiny_raw(metrics={"tpr_target": bad, "ece_bins": 15}))
+
+
+def test_config_full_tpr_target_uses_min_id_threshold(tmp_path):
+    raw = tiny_raw(metrics={"tpr_target": 1.0, "ece_bins": 15}, seeds=[0],
+                   output_dir=str(tmp_path))
+    cfg = config_from_dict(raw)
+    assert cfg.metrics.tpr_target == 1.0
+    result = run_experiment(cfg)
+    assert result.seed_rows
+    for r in result.seed_rows:
+        dump = read_scores(tmp_path / f"scores_{r.loss_name}_{r.score_name}_"
+                                      f"{r.ood_dataset_tag}_{r.seed}.txt")
+        min_id = min(ex.score for ex in dump if ex.origin == "ID")
+        ood = [ex.score for ex in dump if ex.origin == "OOD"]
+        assert r.fpr95 == sum(v >= min_id for v in ood) / len(ood)
 
 
 def test_config_hash_sensitive_to_content():

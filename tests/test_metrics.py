@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logitbench.errors import DataError
@@ -160,6 +160,42 @@ def test_metrics_match_brute_force(data):
     assert fpr_at_tpr(s, 0.95) == pytest.approx(brute_fpr(id_scores, ood_scores), abs=1e-12)
     assert auroc(s) == pytest.approx(brute_auroc(id_scores, ood_scores), abs=1e-12)
     assert aupr(s) == pytest.approx(brute_aupr(id_scores, ood_scores), abs=1e-12)
+
+
+def tied_scores(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    if shape == "quantized":    # a few levels, ties everywhere
+        return rng.integers(0, 3, size) / 2.0
+    if shape == "all_tied":
+        return np.full(size, 0.75)
+    # "saturated", like cross-entropy MSP: a block at exactly 1.0 beside
+    # values one or two ulps below it
+    return rng.choice([1.0, 1.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 0.5], size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(["quantized", "all_tied", "saturated"]),
+       n=st.integers(1, 40), m=st.integers(1, 40),
+       rng_seed=st.integers(0, 2**31 - 1),
+       tpr_target=st.sampled_from([0.5, 0.95, 1.0]))
+@example(shape="saturated", n=1, m=7, rng_seed=0, tpr_target=0.95)
+@example(shape="all_tied", n=1, m=1, rng_seed=0, tpr_target=1.0)
+def test_metrics_match_brute_force_on_heavy_ties(shape, n, m, rng_seed, tpr_target):
+    rng = np.random.default_rng(rng_seed)
+    id_scores = tied_scores(shape, n, rng)
+    ood_scores = tied_scores(shape, m, rng)
+    s = scored(id_scores, ood_scores)
+    assert fpr_at_tpr(s, tpr_target) == pytest.approx(
+        brute_fpr(id_scores, ood_scores, tpr_target), abs=1e-12)
+    assert auroc(s) == pytest.approx(brute_auroc(id_scores, ood_scores), abs=1e-12)
+    assert aupr(s) == pytest.approx(brute_aupr(id_scores, ood_scores), abs=1e-12)
+
+
+def test_fpr_at_full_tpr_uses_min_id_threshold():
+    # At 100% TPR every ID score must pass, so the threshold is the minimum
+    # ID score (1.0) and OOD scores >= 1.0 are admitted: 2 of 4.
+    s = scored([3.0, 1.0, 2.0], [1.0, 0.5, 4.0, 0.9])
+    assert fpr_at_tpr(s, 1.0) == 0.5
+    assert detection_report(s, 1.0).fpr_at_95_tpr == 0.5
 
 
 @settings(max_examples=30, deadline=None)

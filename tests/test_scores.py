@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from logitbench.data import gen_blobs, gen_ood
 from logitbench.errors import ConfigError, DataError
-from logitbench.model import MlpModel, forward, init_model
-from logitbench.scores import (GRADNORM, MSP, ScoreConfig, ScoredExample,
-                               energy_score, gradnorm_score, msp_score,
-                               odin_score, read_scores, score_batch,
-                               score_one, write_scores)
-from logitbench.tensor import Matrix2D
+from logitbench.losses import LossConfig
+from logitbench.model import MlpModel, forward, forward_traced, init_model
+from logitbench.optimizer import OptimConfig, train
+from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_KINDS,
+                               ScoreConfig, ScoredExample, read_scores,
+                               score_batch, write_scores)
+from logitbench.tensor import Matrix2D, rowwise_softmax
 
 
 def identity_model(k: int) -> MlpModel:
@@ -26,6 +28,12 @@ def identity_model(k: int) -> MlpModel:
 @pytest.fixture
 def small_model():
     return init_model((4, 8, 3), seed=11)
+
+
+def score_row(model, x, **cfg) -> float:
+    """One-row score_batch call."""
+    row = Matrix2D(np.asarray(x, dtype=np.float64)[None])
+    return float(score_batch(model, row, ScoreConfig(**cfg))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -55,20 +63,20 @@ def test_scored_example_validation():
 
 def test_msp_uniform_logits():
     model = identity_model(4)
-    assert msp_score(model, [0.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25, abs=1e-12)
+    assert score_row(model, [0.0, 0.0, 0.0, 0.0], kind=MSP) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_msp_range(small_model):
     rng = np.random.default_rng(0)
     for _ in range(20):
-        s = msp_score(small_model, rng.normal(size=4))
+        s = score_row(small_model, rng.normal(size=4), kind=MSP)
         assert 1.0 / 3.0 <= s <= 1.0
 
 
 def test_msp_known_two_class():
     model = identity_model(2)
     # softmax(2, 1) = (0.7311, 0.2689)
-    assert msp_score(model, [2.0, 1.0]) == pytest.approx(
+    assert score_row(model, [2.0, 1.0], kind=MSP) == pytest.approx(
         1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
 
 
@@ -80,16 +88,17 @@ def test_odin_reduces_to_msp_at_unit_temperature(small_model):
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.normal(size=4)
-        assert abs(odin_score(small_model, x, T=1.0, eps=0.0)
-                   - msp_score(small_model, x)) <= 1e-12
+        assert abs(score_row(small_model, x, kind=ODIN, odin_T=1.0, odin_eps=0.0)
+                   - score_row(small_model, x, kind=MSP)) <= 1e-12
 
 
 def test_odin_temperature_flattens():
     model = identity_model(3)
     x = [3.0, 0.0, 0.0]
     # Dividing logits by a huge temperature pushes the max softmax toward 1/k.
-    assert odin_score(model, x, T=1000.0, eps=0.0) < msp_score(model, x)
-    assert odin_score(model, x, T=1000.0, eps=0.0) == pytest.approx(1 / 3, abs=1e-3)
+    flat = score_row(model, x, kind=ODIN, odin_T=1000.0, odin_eps=0.0)
+    assert flat < score_row(model, x, kind=MSP)
+    assert flat == pytest.approx(1 / 3, abs=1e-3)
 
 
 def test_odin_perturbation_increases_confidence(small_model):
@@ -99,14 +108,14 @@ def test_odin_perturbation_increases_confidence(small_model):
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.normal(size=4)
-        with_eps = odin_score(small_model, x, T=1.0, eps=1e-4)
-        without = odin_score(small_model, x, T=1.0, eps=0.0)
+        with_eps = score_row(small_model, x, kind=ODIN, odin_T=1.0, odin_eps=1e-4)
+        without = score_row(small_model, x, kind=ODIN, odin_T=1.0, odin_eps=0.0)
         assert with_eps >= without - 1e-12
 
 
 def test_odin_validation(small_model):
     with pytest.raises(ConfigError):
-        odin_score(small_model, [0.0] * 4, T=0.0)
+        score_row(small_model, [0.0] * 4, kind=ODIN, odin_T=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,27 +125,27 @@ def test_odin_validation(small_model):
 def test_energy_uniform_logits():
     model = identity_model(2)
     # logsumexp(0, 0) = log 2
-    assert energy_score(model, [0.0, 0.0]) == pytest.approx(math.log(2.0), abs=1e-12)
+    assert score_row(model, [0.0, 0.0], kind=ENERGY) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_energy_hand_value():
     model = identity_model(3)
     # logsumexp(3, 1, 1) = ln(e^3 + 2e)
     expected = math.log(math.exp(3.0) + 2.0 * math.e)
-    assert energy_score(model, [3.0, 1.0, 1.0]) == pytest.approx(expected, abs=1e-12)
+    assert score_row(model, [3.0, 1.0, 1.0], kind=ENERGY) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(3.2395, abs=1e-4)
 
 
 def test_energy_temperature_scaling():
     model = identity_model(2)
     # T * logsumexp(f/T): at T=2 with logits (2, 0) -> 2 * log(e + 1)
-    assert energy_score(model, [2.0, 0.0], T=2.0) == pytest.approx(
+    assert score_row(model, [2.0, 0.0], kind=ENERGY, energy_T=2.0) == pytest.approx(
         2.0 * math.log(math.e + 1.0), abs=1e-12)
 
 
 def test_energy_overflow_safe():
     model = identity_model(2)
-    s = energy_score(model, [1000.0, 0.0])
+    s = score_row(model, [1000.0, 0.0], kind=ENERGY)
     assert np.isfinite(s) and s == pytest.approx(1000.0, abs=1e-9)
 
 
@@ -149,13 +158,13 @@ def test_gradnorm_uniform_softmax_is_zero(small_model):
     # the uniform target.  The zero input through zero biases... does not
     # guarantee uniform logits in general, so build it explicitly.
     model = identity_model(3)
-    assert gradnorm_score(model, [0.0, 0.0, 0.0]) <= 1e-8
+    assert score_row(model, [0.0, 0.0, 0.0], kind=GRADNORM) <= 1e-8
 
 
 def test_gradnorm_nonnegative(small_model):
     rng = np.random.default_rng(3)
     for _ in range(10):
-        assert gradnorm_score(small_model, rng.normal(size=4)) >= 0.0
+        assert score_row(small_model, rng.normal(size=4), kind=GRADNORM) >= 0.0
 
 
 def test_gradnorm_feature_scaling_oracle():
@@ -175,31 +184,101 @@ def test_gradnorm_feature_scaling_oracle():
     # Single-row batch: gradient of the uniform cross-entropy w.r.t. the
     # last weight matrix is outer(x, p - 1/k).
     expected = np.abs(np.outer(x, p - 1.0 / k)).sum()
-    assert gradnorm_score(model, x) == pytest.approx(expected, rel=1e-10)
+    assert score_row(model, x, kind=GRADNORM) == pytest.approx(expected, rel=1e-10)
 
 
 def test_gradnorm_validation(small_model):
     with pytest.raises(ConfigError):
-        gradnorm_score(small_model, [0.0] * 4, T=-1.0)
+        score_row(small_model, [0.0] * 4, kind=GRADNORM, gradnorm_T=-1.0)
 
 
 # ---------------------------------------------------------------------------
-# dispatch and batching
+# batch scoring against the per-row tape oracle
+#
+# The oracle scores one row at a time through a fresh gradient tape, the way
+# detectors were first written.  The batch path rounds differently (one n x d
+# product instead of n 1 x d products, the closed-form GradNorm), so the two
+# agree to a tolerance rather than bit for bit.
 
 
-def test_score_one_dispatch(small_model):
-    x = np.array([0.5, -0.5, 1.0, 0.0])
-    assert score_one(small_model, x, ScoreConfig(kind="msp")) == msp_score(small_model, x)
-    assert score_one(small_model, x, ScoreConfig(kind="energy")) == energy_score(small_model, x)
+def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
+    x = Matrix2D(x.reshape(1, -1))
+    if cfg.kind == MSP:
+        return float(rowwise_softmax(forward(model, x))[0].max())
+    if cfg.kind == ODIN:
+        T = cfg.odin_T
+        if cfg.odin_eps > 0.0:
+            trace = forward_traced(model, x, input_grad=True)
+            scaled = trace.tape.scale(trace.logits, 1.0 / T)
+            pred = np.array([int(np.argmax(trace.logits.value[0]))])
+            nll = trace.tape.softmax_cross_entropy(scaled, pred)
+            trace.tape.backward(nll)
+            grad = trace.tape.grad(trace.input)
+            x = Matrix2D(x.data - cfg.odin_eps * np.sign(grad))
+        return float(rowwise_softmax(forward(model, x).data / T)[0].max())
+    if cfg.kind == ENERGY:
+        T = cfg.energy_T
+        logits = forward(model, x).data[0] / T
+        m = logits.max()
+        return float(T * (m + np.log(np.exp(logits - m).sum())))
+    trace = forward_traced(model, x)
+    scaled = trace.tape.scale(trace.logits, 1.0 / cfg.gradnorm_T)
+    trace.tape.backward(trace.tape.uniform_cross_entropy(scaled))
+    return float(np.abs(trace.tape.grad(trace.weights[-1])).sum())
 
 
-def test_score_batch_matches_loop(small_model):
-    rng = np.random.default_rng(5)
-    feats = Matrix2D(rng.normal(size=(6, 4)))
-    cfg = ScoreConfig(kind="msp")
-    batch = score_batch(small_model, feats, cfg)
-    singles = [score_one(small_model, feats.data[i:i + 1], cfg) for i in range(6)]
-    assert np.array_equal(batch, np.array(singles))
+def oracle_rows() -> np.ndarray:
+    """200 ID rows and 100 OOD rows."""
+    id_rows = gen_blobs(k=4, d=6, n_per_class=50, cluster_spread=1.0,
+                        cluster_radius=3.0, seed=4).features.data
+    ood_rows = gen_ood("uniform_box", 6, 100, {"half_width": 6.0}, seed=5).features.data
+    return np.concatenate([id_rows, ood_rows])
+
+
+@pytest.fixture(scope="module")
+def trained_models():
+    """A few epochs under each loss, a high-norm copy of the cross-entropy
+    model (every weight x3), and a copy of the logit-norm model whose last
+    bias is lowered by its median Energy score, so that Energy scores
+    straddle 0 and the ones nearest 0 are held by the absolute tolerance."""
+    train_ds = gen_blobs(k=4, d=6, n_per_class=60, cluster_spread=1.0,
+                         cluster_radius=3.0, seed=1)
+    optim = OptimConfig(lr0=0.1, epochs=5, batch_size=32, lr_drops=(), seed=2)
+    models = {}
+    for kind in ("cross_entropy", "logit_norm", "logit_penalty"):
+        models[kind], _ = train(init_model((6, 16, 16, 4), seed=3), train_ds,
+                                LossConfig(kind=kind), optim)
+    ce = models["cross_entropy"]
+    models["high_norm"] = MlpModel(ce.layer_dims,
+                                   tuple(Matrix2D(3.0 * w.data) for w in ce.weights),
+                                   ce.biases)
+    ln = models["logit_norm"]
+    energies = np.sort(score_batch(ln, Matrix2D(oracle_rows()), ScoreConfig(kind=ENERGY)))
+    shift = energies[len(energies) // 2]
+    models["energy_near_zero"] = MlpModel(
+        ln.layer_dims, ln.weights, (*ln.biases[:-1], Matrix2D(ln.biases[-1].data - shift)))
+    return models
+
+
+def test_score_batch_matches_oracle(trained_models):
+    rows = oracle_rows()
+    cfgs = [ScoreConfig(kind=kind) for kind in SCORE_KINDS] + [
+        ScoreConfig(kind=ENERGY, energy_T=2.0),
+        ScoreConfig(kind=GRADNORM, gradnorm_T=2.0)]
+    for name, model in trained_models.items():
+        for cfg in cfgs:
+            batch = score_batch(model, Matrix2D(rows), cfg)
+            oracle = np.array([oracle_score(model, row, cfg) for row in rows])
+            np.testing.assert_allclose(batch, oracle, rtol=1e-12, atol=1e-12,
+                                       err_msg=f"{name}/{cfg.kind}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_logits_raise_data_error():
+    model = MlpModel((2, 2), (Matrix2D(1e300 * np.eye(2)),), (Matrix2D.zeros(1, 2),))
+    for kind in SCORE_KINDS:
+        with pytest.raises(DataError):
+            score_batch(model, Matrix2D([[1e10, 0.0]]), ScoreConfig(kind=kind))
 
 
 def test_all_scores_finite(small_model):
