@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: train, score, eval, bench, sweep-tau, calibrate, report.
-Exit codes: 0 success, 1 config error, 2 data error, 3 divergence in all seeds.
+Exit codes: 0 success, 1 config error, 2 data error, 3 divergence (every
+seed for bench and sweep-tau, any run for train and calibrate).
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import sys
 import numpy as np
 
 from . import harness
-from .errors import AllSeedsDiverged, ConfigError, DataError
+from .errors import AllSeedsDiverged, ConfigError, DataError, DivergedError
 from .harness import (_scored, config_hash, derive_seed, emit_histogram_data,
                       histogram_csv, load_config, realize_data, run_calibration,
                       run_experiment, sweep_tau)
-from .metrics import detection_report, detection_report_csv
+from .metrics import check_tpr_target, detection_report, detection_report_csv
 from .model import forward, init_model, load_checkpoint, save_checkpoint
 from .optimizer import telemetry_csv, train
 from .scores import read_scores, score_batch, write_scores
@@ -113,6 +114,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    check_tpr_target(args.tpr_target, ConfigError)
     scored = read_scores(args.scores)
     report = detection_report(scored, args.tpr_target)
     text = detection_report_csv({args.scores: report})
@@ -189,6 +191,9 @@ def main(argv=None) -> int:
         return 2
     except AllSeedsDiverged as exc:
         print(f"all seeds diverged: {exc}", file=sys.stderr)
+        return 3
+    except DivergedError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 3
 
 

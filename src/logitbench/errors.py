@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the workbench.
 
 Exit-code mapping for the CLI lives in cli.py: ConfigError -> 1,
-DataError -> 2, AllSeedsDiverged -> 3.
+DataError -> 2, AllSeedsDiverged and DivergedError -> 3.
 """
 
 
@@ -22,7 +22,7 @@ class ContractError(RuntimeError):
 
 
 class DivergedError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, parameter or logit."""
 
     def __init__(self, epoch: int, step: int):
         super().__init__(f"non-finite loss at epoch {epoch}, step {step}")

@@ -1,5 +1,6 @@
-"""Training objectives: cross-entropy, logit-norm, and logit-penalty losses,
-plus the analytic lower bound of the logit-norm loss.
+"""Training objectives: cross-entropy, logit-norm, and logit-penalty losses
+with their closed-form logit gradients, plus the analytic lower bound of the
+logit-norm loss.
 
 The logit-norm loss is cross-entropy applied to f / (tau * (||f|| + eps));
 the gradient flows through the norm as well as the direction. The
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .tensor import GradTape, TapeNode, log_softmax
+from .errors import ConfigError, DataError, ShapeError
+from .tensor import log_softmax
 
 CROSS_ENTROPY = "cross_entropy"
 LOGIT_NORM = "logit_norm"
@@ -50,39 +51,56 @@ class LossConfig:
         return self.kind
 
 
-def cross_entropy(tape: GradTape, logits: TapeNode, labels: np.ndarray) -> TapeNode:
-    """Mean fused softmax cross-entropy (traced)."""
-    return tape.softmax_cross_entropy(logits, labels)
+def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy against integer labels, and its gradient
+    (softmax - onehot) / n."""
+    n, k = logits.shape
+    if labels.shape != (n,):
+        raise ShapeError(f"labels shape {labels.shape} for {n} rows")
+    if labels.min() < 0 or labels.max() >= k:
+        raise DataError(f"labels out of range [0, {k})")
+    logp = log_softmax(logits)
+    rows = np.arange(n)
+    loss = -logp[rows, labels].mean()
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    grad *= 1.0 / n
+    return float(loss), grad
 
 
-def logitnorm_loss(tape: GradTape, logits: TapeNode, labels: np.ndarray,
-                   tau: float = DEFAULT_TAU, stability_eps: float = DEFAULT_EPS) -> TapeNode:
-    """Cross-entropy on logits normalized to norm 1/tau (traced)."""
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    norms = tape.row_l2_norm(logits)
-    denom = tape.add_scalar(tape.scale(norms, tau), tau * stability_eps)
-    normalized = tape.div_by_col(logits, denom)
-    return tape.softmax_cross_entropy(normalized, labels)
+def _norm_backward(grad_norms: np.ndarray, logits: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Pull a (rows, 1) gradient on the row norms back to the logits; a zero
+    row gets a zero subgradient."""
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return grad_norms * logits / safe * (norms > 0.0)
 
 
-def logit_penalty_loss(tape: GradTape, logits: TapeNode, labels: np.ndarray,
-                       lam: float = DEFAULT_LAMBDA) -> TapeNode:
-    """Cross-entropy plus lambda times the mean row L2 norm (traced)."""
-    if lam < 0:
-        raise ConfigError(f"lambda must be nonnegative, got {lam}")
-    ce = tape.softmax_cross_entropy(logits, labels)
-    penalty = tape.scale(tape.mean_all(tape.row_l2_norm(logits)), lam)
-    return tape.add(ce, penalty)
+def loss_and_grad(logits: np.ndarray, labels: np.ndarray,
+                  cfg: LossConfig) -> tuple[float, np.ndarray]:
+    """The mean loss over the rows of `logits` and its gradient dL/dlogits.
 
+    Logit-norm is cross-entropy on f / d with d = tau * (||f|| + eps); its
+    gradient is g / d plus the path through the norm,
+    -tau * sum(g * f) / d^2 * f / ||f||, where g is the cross-entropy
+    gradient at f / d. Logit-penalty adds lam / n * f / ||f|| per row.
 
-def apply_loss(tape: GradTape, logits: TapeNode, labels: np.ndarray,
-               cfg: LossConfig) -> TapeNode:
+    Every expression repeats the reference tape's operations in the tape's
+    order (tests/tape_oracle.py), so training gives bitwise the same weights;
+    test_gradients_match_tape_oracle_bitwise holds that in place.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
     if cfg.kind == CROSS_ENTROPY:
-        return cross_entropy(tape, logits, labels)
+        return _softmax_cross_entropy(logits, labels)
+    norms = np.linalg.norm(logits, axis=1, keepdims=True)
     if cfg.kind == LOGIT_NORM:
-        return logitnorm_loss(tape, logits, labels, cfg.tau, cfg.stability_eps)
-    return logit_penalty_loss(tape, logits, labels, cfg.lam)
+        denom = norms * cfg.tau + cfg.tau * cfg.stability_eps
+        loss, grad = _softmax_cross_entropy(logits / denom, labels)
+        grad_denom = -(grad * logits).sum(axis=1, keepdims=True) / denom ** 2
+        return loss, grad / denom + _norm_backward(grad_denom * cfg.tau, logits, norms)
+    ce, grad = _softmax_cross_entropy(logits, labels)
+    loss = ce + float(norms.mean() * cfg.lam)
+    grad_norms = np.full(norms.shape, cfg.lam / norms.size)
+    return loss, _norm_backward(grad_norms, logits, norms) + grad
 
 
 def logitnorm_lower_bound(k: int, tau: float) -> float:

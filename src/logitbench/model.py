@@ -1,15 +1,15 @@
-"""Fully-connected classifier: init, forward (traced or plain), logit
+"""Fully-connected relu classifier: init, forward and backward passes, logit
 magnitude/direction decomposition, and a decimal text checkpoint format."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import GradTape, Matrix2D, TapeNode
+from .tensor import Matrix2D
 
 ACTIVATION = "relu"
 
@@ -37,18 +37,6 @@ class LogitDecomposition:
     degenerate: bool = False
 
 
-@dataclass
-class ForwardTrace:
-    """Handles into a traced forward pass, for reading gradients back out."""
-
-    tape: GradTape
-    input: TapeNode
-    weights: list[TapeNode]
-    biases: list[TapeNode]
-    penultimate: TapeNode
-    logits: TapeNode
-
-
 def init_model(layer_dims, seed: int) -> MlpModel:
     """He-style fan-in scaled uniform weights, zero biases, deterministic in seed."""
     dims = tuple(int(d) for d in layer_dims)
@@ -67,58 +55,70 @@ def init_model(layer_dims, seed: int) -> MlpModel:
 
 
 def forward(model: MlpModel, x: Matrix2D) -> Matrix2D:
-    """Plain forward pass, no tape."""
+    """Plain forward pass."""
     return forward_layers(model, x)[1]
 
 
 def forward_layers(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], Matrix2D]:
-    """Plain forward pass that also returns the input to every layer: x,
-    then each relu output, so the last entry is the penultimate activation."""
+    """Forward pass that also returns the input to every layer: x, then each
+    relu output, so the last entry is the penultimate activation."""
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
+    inputs, logits = forward_arrays([w.data for w in model.weights],
+                                    [b.data for b in model.biases], x.data)
+    return inputs, Matrix2D(logits)
+
+
+def forward_arrays(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+                   x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """`forward_layers` on raw arrays, with no shape or finiteness checks."""
     inputs = []
-    h = x.data
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    h = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(h)
-        h = h @ w.data + b.data
+        h = h @ w
+        h += b
         if i < last:
-            h = np.maximum(h, 0.0)
-    return inputs, Matrix2D(h)
+            np.maximum(h, 0.0, out=h)
+    return inputs, h
 
 
-def forward_traced(model: MlpModel, x: Matrix2D, *, input_grad: bool = False) -> ForwardTrace:
-    """Forward pass recorded on a fresh tape.
-
-    Input gradients are opt-in: the input leaf only participates in the
-    backward sweep when input_grad is set (training does not need them).
-    """
-    if x.cols != model.input_dim:
-        raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
-    tape = GradTape()
-    x_node = tape.leaf(x, requires_grad=input_grad)
-    w_nodes = [tape.leaf(w) for w in model.weights]
-    b_nodes = [tape.leaf(b) for b in model.biases]
-    h = x_node
-    last = len(w_nodes) - 1
-    for i, (w, b) in enumerate(zip(w_nodes, b_nodes)):
-        penultimate = h
-        h = tape.add_row(tape.matmul(h, w), b)
-        if i < last:
-            h = tape.relu(h)
-    return ForwardTrace(tape, x_node, w_nodes, b_nodes, penultimate, h)
+def backward(weights: Sequence[np.ndarray], inputs: Sequence[np.ndarray],
+             grad: np.ndarray, *, params: bool = True, input_grad: bool = False
+             ) -> tuple[list[np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
+    """Reverse pass of the relu MLP from `grad` = dL/dlogits, given the layer
+    inputs from `forward_arrays`. Returns the weight and bias gradients
+    (empty lists unless `params`) and dL/dx (None unless `input_grad`)."""
+    grad_w: list[np.ndarray] = []
+    grad_b: list[np.ndarray] = []
+    for i in range(len(weights) - 1, -1, -1):
+        if params:
+            grad_b.insert(0, grad.sum(axis=0, keepdims=True))
+            grad_w.insert(0, inputs[i].T @ grad)
+        if i > 0 or input_grad:
+            grad = grad @ weights[i].T
+        if i > 0:
+            # A relu output is positive exactly where its pre-activation is,
+            # so the layer input gives the relu mask.
+            grad *= inputs[i] > 0.0
+    return grad_w, grad_b, grad if input_grad else None
 
 
 def decompose(logits_row: np.ndarray) -> LogitDecomposition:
     """Split a logit vector into magnitude and unit direction.
 
-    The zero vector is flagged degenerate with a zero direction.
+    The zero vector is flagged degenerate with a zero direction. The vector
+    is scaled by its largest entry first, so squaring tiny entries cannot
+    underflow the norm.
     """
     v = np.asarray(logits_row, dtype=np.float64).reshape(-1)
-    mag = float(np.linalg.norm(v))
-    if mag == 0.0:
+    scale = float(np.abs(v).max()) if v.size else 0.0
+    if scale == 0.0:
         return LogitDecomposition(0.0, np.zeros_like(v), degenerate=True)
-    return LogitDecomposition(mag, v / mag)
+    unit = v / scale
+    norm = float(np.linalg.norm(unit))
+    return LogitDecomposition(scale * norm, unit / norm)
 
 
 def predict(model: MlpModel, x: Matrix2D) -> np.ndarray:
@@ -150,26 +150,37 @@ def save_checkpoint(model: MlpModel, path, config_hash: str = "") -> None:
 
 
 def load_checkpoint(path) -> tuple[MlpModel, str]:
-    """Returns (model, config_hash)."""
+    """Returns (model, config_hash); malformed content raises DataError."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "logitbench-checkpoint v1":
         raise DataError(f"{path}: not a logitbench checkpoint")
-    config_hash = lines[1].split(" ", 1)[1] if " " in lines[1] else ""
-    activation = lines[2].split(" ", 1)[1]
-    dims = tuple(int(t) for t in lines[3].split()[1:])
-    weights: list[Optional[Matrix2D]] = [None] * (len(dims) - 1)
-    biases: list[Optional[Matrix2D]] = [None] * (len(dims) - 1)
-    for line in lines[4:]:
-        kind, idx, rest = line.split(" ", 2)
-        i = int(idx)
-        vals = np.array([float(t) for t in rest.split()])
-        if kind == "weight":
-            weights[i] = Matrix2D(vals.reshape(dims[i], dims[i + 1]))
-        elif kind == "bias":
-            biases[i] = Matrix2D(vals.reshape(1, dims[i + 1]))
-        else:
-            raise DataError(f"{path}: unknown checkpoint field {kind!r}")
+    if len(lines) < 4:
+        raise DataError(f"{path}: truncated checkpoint header")
+    config_hash = lines[1].partition(" ")[2]
+    activation = lines[2].partition(" ")[2]
+    if activation != ACTIVATION:
+        raise DataError(f"{path}: unsupported activation {activation!r}, expected {ACTIVATION!r}")
+    try:
+        dims = tuple(int(t) for t in lines[3].split()[1:])
+        if len(dims) < 2 or any(d <= 0 for d in dims):
+            raise DataError(f"layer dims must be at least two positive sizes, got {dims}")
+        weights: list[Optional[Matrix2D]] = [None] * (len(dims) - 1)
+        biases: list[Optional[Matrix2D]] = [None] * (len(dims) - 1)
+        for line in lines[4:]:
+            kind, idx, rest = line.split(" ", 2)
+            i = int(idx)
+            if not 0 <= i < len(weights):
+                raise DataError(f"layer index {i} outside [0, {len(weights)})")
+            vals = np.array([float(t) for t in rest.split()])
+            if kind == "weight":
+                weights[i] = Matrix2D(vals.reshape(dims[i], dims[i + 1]))
+            elif kind == "bias":
+                biases[i] = Matrix2D(vals.reshape(1, dims[i + 1]))
+            else:
+                raise DataError(f"unknown checkpoint field {kind!r}")
+    except ValueError as exc:  # DataError included
+        raise DataError(f"{path}: {exc}") from None
     if any(w is None for w in weights) or any(b is None for b in biases):
         raise DataError(f"{path}: incomplete checkpoint")
     model = MlpModel(dims, tuple(weights), tuple(biases), activation)

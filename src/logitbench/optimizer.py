@@ -4,6 +4,7 @@ drops, with per-epoch logit-norm telemetry."""
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -11,8 +12,8 @@ import numpy as np
 
 from .data import LabeledDataset, OodDataset
 from .errors import ConfigError, ContractError, DataError, DivergedError
-from .losses import LossConfig, apply_loss
-from .model import MlpModel, forward, forward_traced
+from .losses import LossConfig, loss_and_grad
+from .model import MlpModel, backward, forward, forward_arrays
 from .tensor import Matrix2D, row_l2_norm
 
 
@@ -67,13 +68,23 @@ def _mean_norm(model: MlpModel, features: Matrix2D) -> float:
     return float(row_l2_norm(forward(model, features)).mean())
 
 
+def _with_params(model: MlpModel, weights: list[np.ndarray],
+                 biases: list[np.ndarray]) -> MlpModel:
+    """An immutable model holding copies of the working parameters."""
+    return MlpModel(model.layer_dims,
+                    tuple(Matrix2D(w.copy()) for w in weights),
+                    tuple(Matrix2D(b.copy()) for b in biases),
+                    model.activation)
+
+
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
           optim_cfg: OptimConfig, probe_ood: Optional[OodDataset] = None
           ) -> tuple[MlpModel, list[EpochTelemetry]]:
     """Train and return (new model, one telemetry record per epoch).
 
     Deterministic in optim_cfg.seed; raises DivergedError on a non-finite
-    loss. Weight decay is applied to weights only, never biases.
+    loss or parameter. Weight decay is applied to weights only, never biases.
+    Parameters, velocities and gradients are plain arrays updated in place.
     """
     if dataset.dim != model.input_dim or dataset.k != model.num_classes:
         raise ConfigError(
@@ -84,9 +95,12 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
     biases = [b.data.copy() for b in model.biases]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
+    momentum = optim_cfg.momentum
+    decay = optim_cfg.weight_decay
     x_all = dataset.features.data
     y_all = dataset.labels
     n = dataset.n
+    current = model
     telemetry: list[EpochTelemetry] = []
 
     for epoch in range(optim_cfg.epochs):
@@ -94,40 +108,33 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
         order = rng.permutation(n)
         loss_sum = 0.0
         loss_batches = 0
-        for start in range(0, n, optim_cfg.batch_size):
+        for step, start in enumerate(range(0, n, optim_cfg.batch_size)):
             batch = order[start:start + optim_cfg.batch_size]
-            current = MlpModel(model.layer_dims,
-                               tuple(Matrix2D(w) for w in weights),
-                               tuple(Matrix2D(b) for b in biases),
-                               model.activation)
-            trace = forward_traced(current, Matrix2D(x_all[batch]))
-            loss = apply_loss(trace.tape, trace.logits, y_all[batch], loss_cfg)
-            loss_val = loss.value.item()
-            if not np.isfinite(loss_val):
-                raise DivergedError(epoch, start // optim_cfg.batch_size)
-            loss_sum += loss_val
+            inputs, logits = forward_arrays(weights, biases, x_all[batch])
+            loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
+            if not math.isfinite(loss):
+                raise DivergedError(epoch, step)
+            loss_sum += loss
             loss_batches += 1
-            trace.tape.backward(loss)
             if lr == 0.0:
                 continue
-            for i in range(len(weights)):
-                gw = trace.tape.grad(trace.weights[i]) + optim_cfg.weight_decay * weights[i]
-                gb = trace.tape.grad(trace.biases[i])
-                vel_w[i] = optim_cfg.momentum * vel_w[i] + gw
-                vel_b[i] = optim_cfg.momentum * vel_b[i] + gb
-                weights[i] = weights[i] - lr * vel_w[i]
-                biases[i] = biases[i] - lr * vel_b[i]
-                if not (np.isfinite(weights[i]).all() and np.isfinite(biases[i]).all()):
-                    raise DivergedError(epoch, start // optim_cfg.batch_size)
+            grad_w, grad_b, _ = backward(weights, inputs, grad)
+            for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grad_w, grad_b):
+                gw += decay * w
+                vw *= momentum
+                vw += gw
+                vb *= momentum
+                vb += gb
+                w -= lr * vw
+                b -= lr * vb
+            if not all(np.isfinite(p).all() for p in (*weights, *biases)):
+                raise DivergedError(epoch, step)
 
-        snapshot = MlpModel(model.layer_dims,
-                            tuple(Matrix2D(w) for w in weights),
-                            tuple(Matrix2D(b) for b in biases),
-                            model.activation)
+        current = _with_params(model, weights, biases)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                logits = forward(snapshot, dataset.features)
-                ood_norm = (_mean_norm(snapshot, probe_ood.features)
+                logits = forward(current, dataset.features)
+                ood_norm = (_mean_norm(current, probe_ood.features)
                             if probe_ood is not None else None)
         except DataError:
             # Finite weights can still overflow the forward pass once the
@@ -142,11 +149,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
             mean_logit_norm_ood=ood_norm,
         ))
 
-    final = MlpModel(model.layer_dims,
-                     tuple(Matrix2D(w) for w in weights),
-                     tuple(Matrix2D(b) for b in biases),
-                     model.activation)
-    return final, telemetry
+    return current, telemetry
 
 
 def telemetry_csv(telemetry: list[EpochTelemetry]) -> str:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .model import MlpModel, forward, forward_layers
+from .model import MlpModel, backward, forward, forward_layers
 from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
 MSP = "msp"
@@ -75,11 +75,8 @@ def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Ma
     grad = np.exp(log_softmax(f * (1.0 / T)))
     grad[np.arange(f.shape[0]), f.argmax(axis=1)] -= 1.0
     grad *= 1.0 / T
-    # A relu output is positive exactly where its pre-activation is, so the
-    # layer inputs give the relu masks.
-    for w, h in zip(model.weights[:0:-1], inputs[:0:-1]):
-        grad = (grad @ w.data.T) * (h > 0.0)
-    grad = grad @ model.weights[0].data.T
+    _, _, grad = backward([w.data for w in model.weights], inputs, grad,
+                          params=False, input_grad=True)
     return Matrix2D(features.data - eps * np.sign(grad))
 
 

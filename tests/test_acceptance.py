@@ -17,13 +17,13 @@ import pytest
 
 from logitbench.data import gen_blobs
 from logitbench.harness import desk_config, run_calibration, run_experiment, sweep_tau
-from logitbench.losses import (LossConfig, apply_loss, logitnorm_lower_bound,
-                               logitnorm_values)
+from logitbench.losses import (LossConfig, logitnorm_lower_bound,
+                               logitnorm_values, loss_and_grad)
 from logitbench.metrics import (aupr, auroc, fit_temperature, fpr_at_tpr,
                                 nll_at_temperature)
-from logitbench.model import forward_traced, init_model
-from logitbench.scores import ScoredExample
-from logitbench.tensor import Matrix2D, rowwise_softmax
+from logitbench.model import backward, forward, forward_layers, init_model
+from logitbench.scores import GRADNORM, ScoreConfig, ScoredExample, score_batch
+from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
 
 from conftest import assert_grad_close, central_difference
 
@@ -61,8 +61,9 @@ def _panel_mean(result, loss, score, attr="fpr95_mean"):
 
 
 def test_criterion_1_gradients_match_finite_differences():
-    """100 random instances across every loss and both score-gradient paths
-    agree with central differences at relative 1e-4. Runtime < 10 s."""
+    """100 random instances across every loss gradient, the MLP input
+    gradient and the GradNorm score agree with central differences at
+    relative 1e-4. Runtime < 10 s."""
     started = time.time()
     rng = np.random.default_rng(20)
     loss_cfgs = [LossConfig("cross_entropy"),
@@ -78,22 +79,16 @@ def test_criterion_1_gradients_match_finite_differences():
         labels = rng.integers(0, k, n)
 
         def value(flat):
-            from logitbench.tensor import GradTape
-            tape = GradTape()
-            node = tape.leaf(Matrix2D(flat.reshape(n, k)), requires_grad=True)
-            return apply_loss(tape, node, labels, loss_cfg).value.item()
+            return loss_and_grad(flat.reshape(n, k), labels, loss_cfg)[0]
 
-        from logitbench.tensor import GradTape
-        tape = GradTape()
-        node = tape.leaf(Matrix2D(logits0), requires_grad=True)
-        loss = apply_loss(tape, node, labels, loss_cfg)
-        tape.backward(loss)
-        analytic = tape.grad(node).ravel()
+        analytic = loss_and_grad(logits0, labels, loss_cfg)[1].ravel()
         numeric = central_difference(value, logits0.ravel())
         assert_grad_close(analytic, numeric)
         checked += 1
 
-    # 20 instances: d(scaled NLL)/d(input), the ODIN perturbation path.
+    # 20 instances: d(scaled NLL)/d(input) through the shared MLP backward,
+    # the ODIN perturbation path.
+    nll = LossConfig("cross_entropy")
     for i in range(20):
         d, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         model = init_model((d, 6, k), seed=int(rng.integers(1 << 30)))
@@ -101,21 +96,20 @@ def test_criterion_1_gradients_match_finite_differences():
         label = np.array([int(rng.integers(0, k))])
 
         def value(flat):
-            trace = forward_traced(model, Matrix2D(flat.reshape(1, d)),
-                                   input_grad=True)
-            scaled = trace.tape.scale(trace.logits, 1.0 / 3.0)
-            return trace.tape.softmax_cross_entropy(scaled, label).value.item()
+            logits = forward(model, Matrix2D(flat.reshape(1, d))).data
+            return loss_and_grad(logits * (1.0 / 3.0), label, nll)[0]
 
-        trace = forward_traced(model, Matrix2D(x0), input_grad=True)
-        scaled = trace.tape.scale(trace.logits, 1.0 / 3.0)
-        nll = trace.tape.softmax_cross_entropy(scaled, label)
-        trace.tape.backward(nll)
-        analytic = trace.tape.grad(trace.input).ravel()
+        inputs, logits = forward_layers(model, Matrix2D(x0))
+        grad = loss_and_grad(logits.data * (1.0 / 3.0), label, nll)[1] * (1.0 / 3.0)
+        _, _, grad_x = backward([w.data for w in model.weights], inputs, grad,
+                                params=False, input_grad=True)
         numeric = central_difference(value, x0.ravel())
-        assert_grad_close(analytic, numeric)
+        assert_grad_close(grad_x.ravel(), numeric)
         checked += 1
 
-    # 20 instances: d(uniform CE)/d(last weights), the GradNorm path.
+    # 20 instances: the GradNorm score against the L1 norm of the
+    # central-difference gradient of the uniform cross-entropy with respect
+    # to the last-layer weights.
     for i in range(20):
         d, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         model = init_model((d, 5, k), seed=int(rng.integers(1 << 30)))
@@ -126,15 +120,11 @@ def test_criterion_1_gradients_match_finite_differences():
             w = Matrix2D(flat.reshape(w0.shape))
             patched = dataclasses.replace(
                 model, weights=model.weights[:-1] + (w,))
-            trace = forward_traced(patched, x)
-            return trace.tape.uniform_cross_entropy(trace.logits).value.item()
+            return -log_softmax(forward(patched, x).data).mean()
 
-        trace = forward_traced(model, x)
-        loss = trace.tape.uniform_cross_entropy(trace.logits)
-        trace.tape.backward(loss)
-        analytic = trace.tape.grad(trace.weights[-1]).ravel()
-        numeric = central_difference(value, w0.ravel())
-        assert_grad_close(analytic, numeric)
+        score = score_batch(model, x, ScoreConfig(GRADNORM))
+        numeric = np.abs(central_difference(value, w0.ravel())).sum()
+        assert_grad_close(score, np.array([numeric]))
         checked += 1
 
     elapsed = time.time() - started

@@ -141,6 +141,29 @@ def test_exit_code_all_diverged(tmp_path):
     assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train", "calibrate"])
+def test_exit_code_diverged_run(command, tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path,
+        optim={"lr0": 1e9, "momentum": 0.9, "weight_decay": 0.1,
+               "epochs": 20, "batch_size": 32, "lr_drops": []})
+    assert main([command, "--config", str(cfg_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: non-finite loss at epoch ")
+    assert err.count("\n") == 1
+
+
+def test_exit_code_tpr_target_out_of_range(tmp_path, capsys):
+    scores = tmp_path / "s.txt"
+    scores.write_text("ID,0.9\nOOD,0.1\n")
+    assert main(["eval", "--scores", str(scores), "--tpr-target", "1.5"]) == 1
+    assert capsys.readouterr().err.startswith("config error: tpr_target")
+    # The range is checked before the dump is read.
+    assert main(["eval", "--scores", str(tmp_path / "missing.txt"),
+                 "--tpr-target", "0"]) == 1
+
+
 def test_eval_writes_file(tmp_path):
     scores = tmp_path / "s.txt"
     scores.write_text("ID,0.9\nID,0.8\nOOD,0.1\n")

@@ -9,27 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logitbench.errors import ConfigError
-from logitbench.losses import (LossConfig, apply_loss, cross_entropy,
-                               cross_entropy_values, logit_penalty_loss,
-                               logitnorm_loss, logitnorm_lower_bound,
-                               logitnorm_values)
-from logitbench.tensor import GradTape
+from logitbench.losses import (CROSS_ENTROPY, LOGIT_NORM, LOGIT_PENALTY,
+                               LossConfig, cross_entropy_values, loss_and_grad,
+                               logitnorm_lower_bound, logitnorm_values)
 
 from conftest import assert_grad_close, central_difference
 
 
-def _eval_loss(fn, logits_val, labels, **kw):
-    tape = GradTape()
-    logits = tape.leaf(logits_val)
-    node = fn(tape, logits, labels, **kw)
-    return node.value.item()
-
-
-def _grad_loss(fn, logits_val, labels, **kw):
-    tape = GradTape()
-    logits = tape.leaf(logits_val)
-    tape.backward(fn(tape, logits, labels, **kw))
-    return tape.grad(logits)
+def _eval_loss(kind, logits_val, labels, **kw):
+    return loss_and_grad(logits_val, labels, LossConfig(kind, **kw))[0]
 
 
 # --------------------------------------------------------------------------
@@ -55,17 +43,17 @@ def test_config_validates_hyperparameters():
 # --------------------------------------------------------------------------
 
 def test_ce_uniform_two_class():
-    val = _eval_loss(cross_entropy, np.array([[0.0, 0.0]]), np.array([0]))
+    val = _eval_loss(CROSS_ENTROPY, np.array([[0.0, 0.0]]), np.array([0]))
     assert abs(val - math.log(2)) < 1e-12
 
 
 def test_ce_uniform_ten_class():
-    val = _eval_loss(cross_entropy, np.zeros((1, 10)), np.array([3]))
+    val = _eval_loss(CROSS_ENTROPY, np.zeros((1, 10)), np.array([3]))
     assert abs(val - math.log(10)) < 1e-12
 
 
 def test_ce_two_class_value():
-    val = _eval_loss(cross_entropy, np.array([[2.0, 1.0]]), np.array([0]))
+    val = _eval_loss(CROSS_ENTROPY, np.array([[2.0, 1.0]]), np.array([0]))
     expected = -math.log(math.exp(2) / (math.exp(2) + math.exp(1)))
     assert abs(val - expected) < 1e-12
     assert abs(val - 0.3133) < 5e-5
@@ -76,14 +64,14 @@ def test_ce_two_class_value():
 # --------------------------------------------------------------------------
 
 def test_logitnorm_two_class_value():
-    val = _eval_loss(logitnorm_loss, np.array([[1.0, 0.0]]), np.array([0]), tau=1.0)
+    val = _eval_loss(LOGIT_NORM, np.array([[1.0, 0.0]]), np.array([0]), tau=1.0)
     expected = -math.log(math.exp(1) / (math.exp(1) + 1))
     assert abs(val - expected) < 1e-6  # eps perturbs in the 7th decimal
 
 
 def test_logitnorm_constant_rows_give_uniform():
     for c in (0.5, -3.0, 100.0):
-        val = _eval_loss(logitnorm_loss, np.full((1, 10), c), np.array([4]), tau=0.04)
+        val = _eval_loss(LOGIT_NORM, np.full((1, 10), c), np.array([4]), tau=0.04)
         assert abs(val - math.log(10)) < 1e-9
 
 
@@ -94,9 +82,9 @@ def test_logitnorm_scale_invariance(s, rng):
     logits = rng.uniform(-3, 3, size=(5, 6))
     logits[np.linalg.norm(logits, axis=1) < 1.0] += 2.0  # keep ||f|| >= 1
     labels = rng.integers(0, 6, size=5)
-    base = _eval_loss(logitnorm_loss, logits, labels, tau=0.5,
+    base = _eval_loss(LOGIT_NORM, logits, labels, tau=0.5,
                       stability_eps=1e-13)
-    scaled = _eval_loss(logitnorm_loss, s * logits, labels, tau=0.5,
+    scaled = _eval_loss(LOGIT_NORM, s * logits, labels, tau=0.5,
                         stability_eps=1e-13)
     assert abs(base - scaled) < 1e-9
 
@@ -113,10 +101,8 @@ def test_logitnorm_effective_norm_is_inverse_tau(rng):
 
 
 def test_logitnorm_rejects_bad_tau():
-    tape = GradTape()
-    logits = tape.leaf(np.zeros((1, 3)))
     with pytest.raises(ConfigError):
-        logitnorm_loss(tape, logits, np.array([0]), tau=-1.0)
+        _eval_loss(LOGIT_NORM, np.zeros((1, 3)), np.array([0]), tau=-1.0)
 
 
 # --------------------------------------------------------------------------
@@ -126,18 +112,18 @@ def test_logitnorm_rejects_bad_tau():
 def test_penalty_reduces_to_ce_at_zero_lambda(rng):
     logits = rng.uniform(-2, 2, size=(4, 3))
     labels = rng.integers(0, 3, size=4)
-    assert abs(_eval_loss(logit_penalty_loss, logits, labels, lam=0.0)
-               - _eval_loss(cross_entropy, logits, labels)) < 1e-15
+    assert abs(_eval_loss(LOGIT_PENALTY, logits, labels, lam=0.0)
+               - _eval_loss(CROSS_ENTROPY, logits, labels)) < 1e-15
 
 
 def test_penalty_zero_norm_case():
-    val = _eval_loss(logit_penalty_loss, np.array([[0.0, 0.0]]), np.array([0]),
+    val = _eval_loss(LOGIT_PENALTY, np.array([[0.0, 0.0]]), np.array([0]),
                      lam=0.05)
     assert abs(val - math.log(2)) < 1e-12
 
 
 def test_penalty_hand_value():
-    val = _eval_loss(logit_penalty_loss, np.array([[3.0, 4.0]]), np.array([1]),
+    val = _eval_loss(LOGIT_PENALTY, np.array([[3.0, 4.0]]), np.array([1]),
                      lam=0.1)
     ce = -math.log(math.exp(4) / (math.exp(3) + math.exp(4)))
     assert abs(val - (ce + 0.5)) < 1e-12
@@ -197,15 +183,10 @@ def test_loss_gradients_match_finite_differences(kind, kw, seed):
     logits_val += np.sign(logits_val) * 0.5  # keep rows away from zero norm
     labels = rng.integers(0, 5, size=4)
     cfg = LossConfig(kind=kind, **kw)
-
-    tape = GradTape()
-    logits = tape.leaf(logits_val)
-    tape.backward(apply_loss(tape, logits, labels, cfg))
-    analytic = tape.grad(logits)
+    analytic = loss_and_grad(logits_val, labels, cfg)[1]
 
     def scalar_fn(arr):
-        t = GradTape()
-        return apply_loss(t, t.leaf(arr), labels, cfg).value.item()
+        return loss_and_grad(arr, labels, cfg)[0]
 
     assert_grad_close(analytic, central_difference(scalar_fn, logits_val))
 
@@ -214,6 +195,6 @@ def test_untraced_values_match_traced_mean(rng):
     logits = rng.uniform(-2, 2, size=(6, 4))
     labels = rng.integers(0, 4, size=6)
     assert abs(cross_entropy_values(logits, labels).mean()
-               - _eval_loss(cross_entropy, logits, labels)) < 1e-12
+               - _eval_loss(CROSS_ENTROPY, logits, labels)) < 1e-12
     assert abs(logitnorm_values(logits, labels, 0.1).mean()
-               - _eval_loss(logitnorm_loss, logits, labels, tau=0.1)) < 1e-12
+               - _eval_loss(LOGIT_NORM, logits, labels, tau=0.1)) < 1e-12

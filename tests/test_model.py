@@ -1,16 +1,19 @@
-"""Classifier init/forward, logit decomposition, scaling propositions,
-and checkpoint round trips."""
+"""Classifier init/forward/backward, logit decomposition, scaling
+propositions, and checkpoint round trips."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logitbench.errors import ConfigError, ShapeError
-from logitbench.model import (MlpModel, decompose, forward, forward_traced,
-                              init_model, load_checkpoint, predict,
-                              save_checkpoint)
+from logitbench.errors import ConfigError, DataError, ShapeError
+from logitbench.losses import LOSS_KINDS, LossConfig, loss_and_grad
+from logitbench.model import (MlpModel, backward, decompose, forward,
+                              forward_arrays, init_model, load_checkpoint,
+                              predict, save_checkpoint)
 from logitbench.tensor import Matrix2D, rowwise_softmax
+
+from tape_oracle import apply_loss, forward_traced
 
 
 def test_init_is_deterministic():
@@ -81,6 +84,39 @@ def test_traced_input_grad_flag():
     assert np.any(on.tape.grad(on.input) != 0.0)
 
 
+def test_gradients_match_tape_oracle_bitwise():
+    """The explicit loss gradients and MLP backward repeat the tape's numpy
+    operations in the tape's order, so every weight and bias gradient of
+    every loss is bitwise equal to the tape's. Zero-bias batches include an
+    all-zero input row, whose logit row is exactly zero."""
+    rng = np.random.default_rng(31)
+    zero_rows = 0
+    for trial in range(4):
+        model = init_model((6, 16, 12, 4), seed=trial)
+        if trial % 2:
+            model = MlpModel(model.layer_dims, model.weights, tuple(
+                Matrix2D(rng.uniform(-0.5, 0.5, b.shape)) for b in model.biases))
+        x = rng.standard_normal((37, 6))
+        if trial % 2 == 0:
+            x[5] = 0.0
+        labels = rng.integers(0, 4, 37)
+        weights = [w.data for w in model.weights]
+        inputs, logits = forward_arrays(weights, [b.data for b in model.biases], x)
+        zero_rows += int(np.sum(~logits.any(axis=1)))
+        for kind in LOSS_KINDS:
+            cfg = LossConfig(kind, tau=0.12, lam=0.05)
+            loss, grad = loss_and_grad(logits, labels, cfg)
+            grad_w, grad_b, _ = backward(weights, inputs, grad)
+            trace = forward_traced(model, Matrix2D(x))
+            node = apply_loss(trace.tape, trace.logits, labels, cfg)
+            trace.tape.backward(node)
+            assert loss == node.value.item()
+            for i in range(len(weights)):
+                assert np.array_equal(grad_w[i], trace.tape.grad(trace.weights[i]))
+                assert np.array_equal(grad_b[i], trace.tape.grad(trace.biases[i]))
+    assert zero_rows == 2
+
+
 # --------------------------------------------------------------------------
 # Decomposition
 # --------------------------------------------------------------------------
@@ -106,6 +142,7 @@ def test_decompose_negative_diagonal():
 
 
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=10))
+@example([0.0, 1.686484326538787e-160])  # squaring it underflows the norm
 def test_decompose_reconstructs(row):
     v = np.array(row)
     d = decompose(v)
@@ -164,6 +201,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not a checkpoint\n")
-    from logitbench.errors import DataError
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def _corrupt_checkpoint(tmp_path, old: str, new: str):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(init_model((4, 3, 2), seed=1), path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+def test_checkpoint_truncated_weight_line_is_data_error(tmp_path):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(init_model((4, 3, 2), seed=1), path)
+    lines = path.read_text().splitlines()
+    lines[4] = " ".join(lines[4].split()[:12])  # 10 of the 12 weight values
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="reshape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_integer_layer_dims_is_data_error(tmp_path):
+    path = _corrupt_checkpoint(tmp_path, "layer_dims 4 3 2", "layer_dims 4 3.5 2")
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_relu_activation(tmp_path):
+    path = _corrupt_checkpoint(tmp_path, "activation relu", "activation tanh")
+    with pytest.raises(DataError, match="activation"):
         load_checkpoint(path)

@@ -11,6 +11,8 @@ from logitbench.model import forward, init_model
 from logitbench.optimizer import OptimConfig, lr_at, telemetry_csv, train
 from logitbench.tensor import Matrix2D
 
+from tape_oracle import apply_loss, forward_traced
+
 
 def easy_dataset(seed=0):
     return gen_blobs(k=2, d=4, n_per_class=100, cluster_spread=0.3,
@@ -116,9 +118,7 @@ def test_momentum_zero_matches_plain_sgd():
                       batch_size=ds.n, lr_drops=())
     trained, _ = train(model, ds, LossConfig("cross_entropy"), cfg)
 
-    # Reference step computed with the same tape machinery.
-    from logitbench.model import forward_traced
-    from logitbench.losses import apply_loss
+    # Reference step computed with the reference tape.
     trace = forward_traced(model, ds.features)
     loss = apply_loss(trace.tape, trace.logits, ds.labels, LossConfig("cross_entropy"))
     trace.tape.backward(loss)

@@ -8,12 +8,14 @@ import pytest
 from logitbench.data import gen_blobs, gen_ood
 from logitbench.errors import ConfigError, DataError
 from logitbench.losses import LossConfig
-from logitbench.model import MlpModel, forward, forward_traced, init_model
+from logitbench.model import MlpModel, forward, init_model
 from logitbench.optimizer import OptimConfig, train
 from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_KINDS,
                                ScoreConfig, ScoredExample, read_scores,
                                score_batch, write_scores)
 from logitbench.tensor import Matrix2D, rowwise_softmax
+
+from tape_oracle import forward_traced
 
 
 def identity_model(k: int) -> MlpModel:
@@ -195,8 +197,8 @@ def test_gradnorm_validation(small_model):
 # ---------------------------------------------------------------------------
 # batch scoring against the per-row tape oracle
 #
-# The oracle scores one row at a time through a fresh gradient tape, the way
-# detectors were first written.  The batch path rounds differently (one n x d
+# The oracle scores one row at a time through a fresh reference tape
+# (tests/tape_oracle.py), the way detectors were first written.  The batch path rounds differently (one n x d
 # product instead of n 1 x d products, the closed-form GradNorm), so the two
 # agree to a tolerance rather than bit for bit.
 

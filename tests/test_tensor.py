@@ -1,4 +1,5 @@
-"""Matrix container, stable softmax, and reverse-mode tape gradients."""
+"""Matrix container, stable softmax, the explicit loss and MLP gradients,
+and the reference gradient tape kept in tests/tape_oracle.py."""
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logitbench.errors import ContractError, DataError, ShapeError
-from logitbench.tensor import (GradTape, Matrix2D, log_softmax, matmul,
-                               row_l2_norm, rowwise_softmax)
+from logitbench.losses import LossConfig, loss_and_grad
+from logitbench.model import backward, forward_arrays
+from logitbench.tensor import (Matrix2D, log_softmax, matmul, row_l2_norm,
+                               rowwise_softmax)
 
 from conftest import assert_grad_close, central_difference
+from tape_oracle import GradTape
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +113,7 @@ def test_log_softmax_matches_log_of_softmax():
 
 
 # --------------------------------------------------------------------------
-# Tape: structure and simple exact gradients
+# Tape oracle: structure and simple exact gradients
 # --------------------------------------------------------------------------
 
 def test_tape_parents_precede_children():
@@ -158,34 +162,6 @@ def test_leaf_without_requires_grad_gets_zero_grad():
     assert tape.grad(w).shape == (3, 2)
 
 
-def test_zero_row_norm_subgradient_is_zero():
-    tape = GradTape()
-    x = tape.leaf(np.zeros((2, 3)))
-    tape.backward(tape.sum_all(tape.row_l2_norm(x)))
-    assert np.array_equal(tape.grad(x), np.zeros((2, 3)))
-
-
-def test_softmax_ce_label_out_of_range():
-    tape = GradTape()
-    logits = tape.leaf(np.zeros((2, 3)))
-    with pytest.raises(DataError):
-        tape.softmax_cross_entropy(logits, np.array([0, 3]))
-    with pytest.raises(DataError):
-        tape.softmax_cross_entropy(logits, np.array([-1, 0]))
-
-
-def test_softmax_ce_gradient_closed_form():
-    logits_val = np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -0.4]])
-    labels = np.array([2, 0])
-    tape = GradTape()
-    logits = tape.leaf(logits_val)
-    tape.backward(tape.softmax_cross_entropy(logits, labels))
-    probs = rowwise_softmax(logits_val)
-    expected = probs.copy()
-    expected[np.arange(2), labels] -= 1.0
-    assert np.allclose(tape.grad(logits), expected / 2.0, atol=1e-12)
-
-
 def test_uniform_ce_gradient_closed_form():
     logits_val = np.array([[2.0, -1.0, 0.0]])
     tape = GradTape()
@@ -195,38 +171,59 @@ def test_uniform_ce_gradient_closed_form():
     assert np.allclose(tape.grad(logits), expected, atol=1e-12)
 
 
+# --------------------------------------------------------------------------
+# Explicit gradients: exact cases
+# --------------------------------------------------------------------------
+
+def test_zero_row_norm_subgradient_is_zero():
+    zeros = np.zeros((2, 3))
+    labels = np.array([0, 2])
+    ce_grad = loss_and_grad(zeros, labels, LossConfig("cross_entropy"))[1]
+    penalty = LossConfig("logit_penalty", lam=0.5)
+    assert np.array_equal(loss_and_grad(zeros, labels, penalty)[1], ce_grad)
+    norm = LossConfig("logit_norm", tau=0.5)
+    assert np.array_equal(loss_and_grad(zeros, labels, norm)[1],
+                          ce_grad / (norm.tau * norm.stability_eps))
+
+
+def test_softmax_ce_label_out_of_range():
+    cfg = LossConfig("cross_entropy")
+    with pytest.raises(DataError):
+        loss_and_grad(np.zeros((2, 3)), np.array([0, 3]), cfg)
+    with pytest.raises(DataError):
+        loss_and_grad(np.zeros((2, 3)), np.array([-1, 0]), cfg)
+
+
+def test_softmax_ce_gradient_closed_form():
+    logits_val = np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -0.4]])
+    labels = np.array([2, 0])
+    grad = loss_and_grad(logits_val, labels, LossConfig("cross_entropy"))[1]
+    probs = rowwise_softmax(logits_val)
+    expected = probs.copy()
+    expected[np.arange(2), labels] -= 1.0
+    assert np.allclose(grad, expected / 2.0, atol=1e-12)
+
+
 def test_backward_is_deterministic():
     rng = np.random.default_rng(7)
     x_val = rng.standard_normal((3, 4))
-    w_val = rng.standard_normal((4, 2))
+    weights = [rng.standard_normal((4, 5)), rng.standard_normal((5, 2))]
+    biases = [np.zeros((1, 5)), np.zeros((1, 2))]
     grads = []
     for _ in range(2):
-        tape = GradTape()
-        x = tape.leaf(x_val)
-        w = tape.leaf(w_val)
-        loss = tape.softmax_cross_entropy(tape.matmul(x, w), np.array([0, 1, 1]))
-        tape.backward(loss)
-        grads.append((tape.grad(x).copy(), tape.grad(w).copy()))
-    assert np.array_equal(grads[0][0], grads[1][0])
-    assert np.array_equal(grads[0][1], grads[1][1])
+        inputs, logits = forward_arrays(weights, biases, x_val)
+        _, grad = loss_and_grad(logits, np.array([0, 1, 1]), LossConfig("cross_entropy"))
+        grad_w, grad_b, grad_x = backward(weights, inputs, grad, input_grad=True)
+        grads.append([*grad_w, *grad_b, grad_x])
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
 
 # --------------------------------------------------------------------------
-# Tape: finite-difference checks, op by op
+# Explicit gradients: finite-difference checks
 # --------------------------------------------------------------------------
 
-def _fd_check_op(build, x_val, rel=1e-4):
-    """build(tape, leaf) must return a scalar node; checks grad wrt the leaf."""
-    tape = GradTape()
-    x = tape.leaf(x_val)
-    tape.backward(build(tape, x))
-    analytic = tape.grad(x)
-
-    def scalar_fn(arr):
-        t = GradTape()
-        return build(t, t.leaf(arr)).value.item()
-
-    assert_grad_close(analytic, central_difference(scalar_fn, x_val), rel=rel)
+def _mlp_scalar(weights, biases, x, reduce):
+    return reduce(forward_arrays(weights, biases, x)[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -234,25 +231,40 @@ def test_fd_matmul_chain(seed, rng):
     local = np.random.default_rng(seed)
     x_val = local.uniform(-2, 2, size=(3, 4))
     w_val = local.uniform(-2, 2, size=(4, 5))
-    _fd_check_op(lambda t, x: t.mean_all(t.matmul(x, t.leaf(w_val))), x_val)
+    b_val = np.zeros((1, 5))
+    upstream = np.full((3, 5), 1.0 / 15)
+    grad_w, _, grad_x = backward([w_val], [x_val], upstream, input_grad=True)
+    assert_grad_close(grad_x, central_difference(
+        lambda x: _mlp_scalar([w_val], [b_val], x, np.mean), x_val))
+    assert_grad_close(grad_w[0], central_difference(
+        lambda w: _mlp_scalar([w], [b_val], x_val, np.mean), w_val))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fd_relu(seed):
     local = np.random.default_rng(100 + seed)
-    # Keep entries away from the kink so central differences are valid.
+    # An identity first layer makes x the pre-activation; keep its entries
+    # away from the kink so central differences are valid.
     x_val = local.uniform(-2, 2, size=(4, 3))
     x_val[np.abs(x_val) < 1e-3] += 0.01
-    _fd_check_op(lambda t, x: t.mean_all(t.relu(x)), x_val)
+    weights = [np.eye(3), local.uniform(-1, 1, size=(3, 2))]
+    biases = [np.zeros((1, 3)), np.zeros((1, 2))]
+    inputs, _ = forward_arrays(weights, biases, x_val)
+    _, _, grad_x = backward(weights, inputs, np.full((4, 2), 1.0 / 8),
+                            params=False, input_grad=True)
+    assert_grad_close(grad_x, central_difference(
+        lambda x: _mlp_scalar(weights, biases, x, np.mean), x_val))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fd_add_row_and_scale(seed):
     local = np.random.default_rng(200 + seed)
     x_val = local.uniform(-2, 2, size=(3, 4))
+    w_val = local.uniform(-1, 1, size=(4, 4))
     b_val = local.uniform(-1, 1, size=(1, 4))
-    _fd_check_op(
-        lambda t, x: t.sum_all(t.scale(t.add_row(x, t.leaf(b_val)), 0.3)), x_val)
+    _, grad_b, _ = backward([w_val], [x_val], np.full((3, 4), 0.3))
+    assert_grad_close(grad_b[0], central_difference(
+        lambda b: _mlp_scalar([w_val], [b], x_val, lambda f: 0.3 * f.sum()), b_val))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -260,10 +272,11 @@ def test_fd_row_norm_and_div(seed):
     local = np.random.default_rng(300 + seed)
     x_val = local.uniform(0.5, 2.0, size=(3, 4)) * np.sign(
         local.standard_normal((3, 4)))
-    def build(t, x):
-        n = t.add_scalar(t.row_l2_norm(x), 1e-7)
-        return t.mean_all(t.div_by_col(x, n))
-    _fd_check_op(build, x_val)
+    labels = local.integers(0, 4, size=3)
+    cfg = LossConfig("logit_norm", tau=1.0)
+    analytic = loss_and_grad(x_val, labels, cfg)[1]
+    assert_grad_close(analytic, central_difference(
+        lambda x: loss_and_grad(x, labels, cfg)[0], x_val))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -271,14 +284,29 @@ def test_fd_softmax_ce(seed):
     local = np.random.default_rng(400 + seed)
     x_val = local.uniform(-2, 2, size=(5, 4))
     labels = local.integers(0, 4, size=5)
-    _fd_check_op(lambda t, x: t.softmax_cross_entropy(x, labels), x_val)
+    cfg = LossConfig("cross_entropy")
+    analytic = loss_and_grad(x_val, labels, cfg)[1]
+    assert_grad_close(analytic, central_difference(
+        lambda x: loss_and_grad(x, labels, cfg)[0], x_val))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fd_uniform_ce(seed):
+    # The GradNorm objective: cross-entropy between softmax(f) and the
+    # uniform distribution, pulled back to the last-layer weights.
     local = np.random.default_rng(500 + seed)
     x_val = local.uniform(-2, 2, size=(4, 6))
-    _fd_check_op(lambda t, x: t.uniform_cross_entropy(x), x_val)
+    weights = [local.uniform(-1, 1, size=(6, 5)), local.uniform(-1, 1, size=(5, 3))]
+    biases = [local.uniform(-1, 1, size=(1, 5)), np.zeros((1, 3))]
+
+    def uniform_ce(f):
+        return -log_softmax(f).mean(axis=1).mean()
+
+    inputs, logits = forward_arrays(weights, biases, x_val)
+    upstream = (rowwise_softmax(logits) - 1.0 / 3) / 4
+    grad_w, _, _ = backward(weights, inputs, upstream)
+    assert_grad_close(grad_w[-1], central_difference(
+        lambda w: _mlp_scalar([weights[0], w], biases, x_val, uniform_ce), weights[-1]))
 
 
 def test_fd_bias_gradient():
@@ -286,17 +314,8 @@ def test_fd_bias_gradient():
     x_val = local.uniform(-2, 2, size=(4, 3))
     b_val = local.uniform(-1, 1, size=(1, 3))
     labels = np.array([0, 2, 1, 1])
-
-    tape = GradTape()
-    b = tape.leaf(b_val)
-    x = tape.leaf(x_val, requires_grad=False)
-    tape.backward(tape.softmax_cross_entropy(tape.add_row(x, b), labels))
-    analytic = tape.grad(b)
-
-    def scalar_fn(arr):
-        t = GradTape()
-        bb = t.leaf(arr)
-        return t.softmax_cross_entropy(
-            t.add_row(t.leaf(x_val, requires_grad=False), bb), labels).value.item()
-
-    assert_grad_close(analytic, central_difference(scalar_fn, b_val))
+    cfg = LossConfig("cross_entropy")
+    inputs, logits = forward_arrays([np.eye(3)], [b_val], x_val)
+    _, grad_b, _ = backward([np.eye(3)], inputs, loss_and_grad(logits, labels, cfg)[1])
+    assert_grad_close(grad_b[0], central_difference(
+        lambda b: loss_and_grad(x_val @ np.eye(3) + b, labels, cfg)[0], b_val))
