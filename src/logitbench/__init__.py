@@ -13,11 +13,11 @@ from .harness import (BenchmarkRow, ExperimentConfig, config_from_dict,
 from .losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from .metrics import (CalibrationReport, DetectionReport, aupr, auroc, ece,
                       fit_temperature, fpr_at_tpr)
-from .model import (LogitDecomposition, MlpModel, backward, decompose, forward,
-                    init_model, load_checkpoint, save_checkpoint)
+from .model import (LogitDecomposition, MlpModel, decompose, forward,
+                    forward_traced, init_model, load_checkpoint, save_checkpoint)
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from .scores import (ScoreConfig, ScoredExample, read_scores, score_batch,
                      write_scores)
-from .tensor import Matrix2D, matmul, row_l2_norm, rowwise_softmax
+from .tensor import GradTape, Matrix2D, matmul, row_l2_norm, rowwise_softmax
 
 __version__ = "0.1.0"

@@ -1,5 +1,6 @@
-"""Fully-connected relu classifier: init, forward and backward passes, logit
-magnitude/direction decomposition, and a decimal text checkpoint format."""
+"""Fully-connected relu classifier: init, forward passes that return the
+gradient tape of their backward pass, logit magnitude/direction
+decomposition, and a decimal text checkpoint format."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import Matrix2D
+from .tensor import GradTape, Matrix2D
 
 ACTIVATION = "relu"
 
@@ -19,7 +20,6 @@ class MlpModel:
     layer_dims: tuple[int, ...]
     weights: tuple[Matrix2D, ...]   # weights[l] has shape (dims[l], dims[l+1])
     biases: tuple[Matrix2D, ...]    # row vectors (1, dims[l+1])
-    activation: str = ACTIVATION
 
     @property
     def input_dim(self) -> int:
@@ -59,19 +59,27 @@ def forward(model: MlpModel, x: Matrix2D) -> Matrix2D:
     return forward_layers(model, x)[1]
 
 
-def forward_layers(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], Matrix2D]:
-    """Forward pass that also returns the input to every layer: x, then each
-    relu output, so the last entry is the penultimate activation."""
+def forward_layers(model: MlpModel, x: Matrix2D) -> tuple[GradTape, Matrix2D]:
+    """Forward pass that also returns its tape, whose `inputs` hold x and
+    then each relu output, so the last entry is the penultimate activation."""
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
-    inputs, logits = forward_arrays([w.data for w in model.weights],
-                                    [b.data for b in model.biases], x.data)
-    return inputs, Matrix2D(logits)
+    tape, logits = _forward([w.data for w in model.weights],
+                            [b.data for b in model.biases], x.data)
+    return tape, Matrix2D(logits)
 
 
-def forward_arrays(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-                   x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """`forward_layers` on raw arrays, with no shape or finiteness checks."""
+def forward_traced(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+                   x: np.ndarray) -> tuple[GradTape, np.ndarray]:
+    """The training forward pass: `forward_layers` on raw arrays, with no
+    shape or finiteness checks. It is a name of its own, apart from
+    `forward_layers`, so that a profiler hooked on it times training steps
+    only, not the epoch-end telemetry forward."""
+    return _forward(weights, biases, x)
+
+
+def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+             x: np.ndarray) -> tuple[GradTape, np.ndarray]:
     inputs = []
     h = x
     last = len(weights) - 1
@@ -81,28 +89,7 @@ def forward_arrays(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
-    return inputs, h
-
-
-def backward(weights: Sequence[np.ndarray], inputs: Sequence[np.ndarray],
-             grad: np.ndarray, *, params: bool = True, input_grad: bool = False
-             ) -> tuple[list[np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
-    """Reverse pass of the relu MLP from `grad` = dL/dlogits, given the layer
-    inputs from `forward_arrays`. Returns the weight and bias gradients
-    (empty lists unless `params`) and dL/dx (None unless `input_grad`)."""
-    grad_w: list[np.ndarray] = []
-    grad_b: list[np.ndarray] = []
-    for i in range(len(weights) - 1, -1, -1):
-        if params:
-            grad_b.insert(0, grad.sum(axis=0, keepdims=True))
-            grad_w.insert(0, inputs[i].T @ grad)
-        if i > 0 or input_grad:
-            grad = grad @ weights[i].T
-        if i > 0:
-            # A relu output is positive exactly where its pre-activation is,
-            # so the layer input gives the relu mask.
-            grad *= inputs[i] > 0.0
-    return grad_w, grad_b, grad if input_grad else None
+    return GradTape(weights, inputs), h
 
 
 def decompose(logits_row: np.ndarray) -> LogitDecomposition:
@@ -139,7 +126,7 @@ def save_checkpoint(model: MlpModel, path, config_hash: str = "") -> None:
     lines = [
         "logitbench-checkpoint v1",
         f"config_hash {config_hash}",
-        f"activation {model.activation}",
+        f"activation {ACTIVATION}",
         "layer_dims " + " ".join(str(d) for d in model.layer_dims),
     ]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -183,5 +170,4 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
         raise DataError(f"{path}: {exc}") from None
     if any(w is None for w in weights) or any(b is None for b in biases):
         raise DataError(f"{path}: incomplete checkpoint")
-    model = MlpModel(dims, tuple(weights), tuple(biases), activation)
-    return model, config_hash
+    return MlpModel(dims, tuple(weights), tuple(biases)), config_hash

@@ -13,7 +13,7 @@ import numpy as np
 from .data import LabeledDataset, OodDataset
 from .errors import ConfigError, ContractError, DataError, DivergedError
 from .losses import LossConfig, loss_and_grad
-from .model import MlpModel, backward, forward, forward_arrays
+from .model import MlpModel, forward, forward_traced
 from .tensor import Matrix2D, row_l2_norm
 
 
@@ -73,8 +73,7 @@ def _with_params(model: MlpModel, weights: list[np.ndarray],
     """An immutable model holding copies of the working parameters."""
     return MlpModel(model.layer_dims,
                     tuple(Matrix2D(w.copy()) for w in weights),
-                    tuple(Matrix2D(b.copy()) for b in biases),
-                    model.activation)
+                    tuple(Matrix2D(b.copy()) for b in biases))
 
 
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
@@ -110,7 +109,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
         loss_batches = 0
         for step, start in enumerate(range(0, n, optim_cfg.batch_size)):
             batch = order[start:start + optim_cfg.batch_size]
-            inputs, logits = forward_arrays(weights, biases, x_all[batch])
+            tape, logits = forward_traced(weights, biases, x_all[batch])
             loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
             if not math.isfinite(loss):
                 raise DivergedError(epoch, step)
@@ -118,7 +117,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
             loss_batches += 1
             if lr == 0.0:
                 continue
-            grad_w, grad_b, _ = backward(weights, inputs, grad)
+            grad_w, grad_b, _ = tape.backward(grad)
             for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grad_w, grad_b):
                 gw += decay * w
                 vw *= momentum

@@ -1,9 +1,10 @@
-"""Dense 64-bit matrices and the row-wise softmax and norm helpers."""
+"""Dense 64-bit matrices, the row-wise softmax and norm helpers, and the
+gradient tape of a relu MLP's forward pass."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +48,34 @@ class Matrix2D:
 
     def row(self, i: int) -> np.ndarray:
         return self.data[i]
+
+
+@dataclass(frozen=True)
+class GradTape:
+    """What a forward pass of a relu MLP keeps for its backward pass: the
+    weight of every layer and its input (x, then each relu output)."""
+
+    weights: Sequence[np.ndarray]
+    inputs: Sequence[np.ndarray]
+
+    def backward(self, grad: np.ndarray, *, params: bool = True, input_grad: bool = False
+                 ) -> tuple[list[np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
+        """Reverse pass from `grad` = dL/dlogits. Returns the weight and bias
+        gradients (empty lists unless `params`) and dL/dx (None unless
+        `input_grad`)."""
+        grad_w: list[np.ndarray] = []
+        grad_b: list[np.ndarray] = []
+        for i in range(len(self.weights) - 1, -1, -1):
+            if params:
+                grad_b.insert(0, grad.sum(axis=0, keepdims=True))
+                grad_w.insert(0, self.inputs[i].T @ grad)
+            if i > 0 or input_grad:
+                grad = grad @ self.weights[i].T
+            if i > 0:
+                # A relu output is positive exactly where its pre-activation
+                # is, so the layer input gives the relu mask.
+                grad *= self.inputs[i] > 0.0
+        return grad_w, grad_b, grad if input_grad else None
 
 
 def matmul(a: Matrix2D, b: Matrix2D) -> Matrix2D:

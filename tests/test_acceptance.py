@@ -21,7 +21,7 @@ from logitbench.losses import (LossConfig, logitnorm_lower_bound,
                                logitnorm_values, loss_and_grad)
 from logitbench.metrics import (aupr, auroc, fit_temperature, fpr_at_tpr,
                                 nll_at_temperature)
-from logitbench.model import backward, forward, forward_layers, init_model
+from logitbench.model import forward, forward_layers, init_model
 from logitbench.scores import GRADNORM, ScoreConfig, ScoredExample, score_batch
 from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
 
@@ -99,10 +99,9 @@ def test_criterion_1_gradients_match_finite_differences():
             logits = forward(model, Matrix2D(flat.reshape(1, d))).data
             return loss_and_grad(logits * (1.0 / 3.0), label, nll)[0]
 
-        inputs, logits = forward_layers(model, Matrix2D(x0))
+        tape, logits = forward_layers(model, Matrix2D(x0))
         grad = loss_and_grad(logits.data * (1.0 / 3.0), label, nll)[1] * (1.0 / 3.0)
-        _, _, grad_x = backward([w.data for w in model.weights], inputs, grad,
-                                params=False, input_grad=True)
+        _, _, grad_x = tape.backward(grad, params=False, input_grad=True)
         numeric = central_difference(value, x0.ravel())
         assert_grad_close(grad_x.ravel(), numeric)
         checked += 1

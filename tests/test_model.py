@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LOSS_KINDS, LossConfig, loss_and_grad
-from logitbench.model import (MlpModel, backward, decompose, forward,
-                              forward_arrays, init_model, load_checkpoint,
-                              predict, save_checkpoint)
+from logitbench.model import (MlpModel, decompose, forward, forward_traced,
+                              init_model, load_checkpoint, predict,
+                              save_checkpoint)
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
-from tape_oracle import apply_loss, forward_traced
+import tape_oracle
+from tape_oracle import apply_loss
 
 
 def test_init_is_deterministic():
@@ -69,19 +70,20 @@ def test_forward_rejects_wrong_width():
 def test_traced_forward_matches_plain():
     m = init_model((4, 8, 3), seed=11)
     x = Matrix2D(np.random.default_rng(1).standard_normal((6, 4)))
-    trace = forward_traced(m, x)
-    assert np.allclose(trace.logits.value, forward(m, x).data, atol=1e-15)
+    tape, logits = forward_traced([w.data for w in m.weights], [b.data for b in m.biases], x.data)
+    assert np.array_equal(logits, forward(m, x).data)
+    assert tape.inputs[0] is x.data and len(tape.inputs) == 2
 
 
 def test_traced_input_grad_flag():
     m = init_model((3, 5, 2), seed=2)
-    x = Matrix2D(np.random.default_rng(2).standard_normal((1, 3)))
-    off = forward_traced(m, x)
-    off.tape.backward(off.tape.mean_all(off.logits))
-    assert np.array_equal(off.tape.grad(off.input), np.zeros((1, 3)))
-    on = forward_traced(m, x, input_grad=True)
-    on.tape.backward(on.tape.mean_all(on.logits))
-    assert np.any(on.tape.grad(on.input) != 0.0)
+    x = np.random.default_rng(2).standard_normal((1, 3))
+    tape, logits = forward_traced([w.data for w in m.weights], [b.data for b in m.biases], x)
+    upstream = np.full_like(logits, 0.5)
+    grad_w, grad_b, off = tape.backward(upstream)
+    assert off is None and len(grad_w) == len(grad_b) == 2
+    grad_w, grad_b, on = tape.backward(upstream, params=False, input_grad=True)
+    assert grad_w == grad_b == [] and on.shape == (1, 3) and np.any(on != 0.0)
 
 
 def test_gradients_match_tape_oracle_bitwise():
@@ -101,13 +103,13 @@ def test_gradients_match_tape_oracle_bitwise():
             x[5] = 0.0
         labels = rng.integers(0, 4, 37)
         weights = [w.data for w in model.weights]
-        inputs, logits = forward_arrays(weights, [b.data for b in model.biases], x)
+        tape, logits = forward_traced(weights, [b.data for b in model.biases], x)
         zero_rows += int(np.sum(~logits.any(axis=1)))
         for kind in LOSS_KINDS:
             cfg = LossConfig(kind, tau=0.12, lam=0.05)
             loss, grad = loss_and_grad(logits, labels, cfg)
-            grad_w, grad_b, _ = backward(weights, inputs, grad)
-            trace = forward_traced(model, Matrix2D(x))
+            grad_w, grad_b, _ = tape.backward(grad)
+            trace = tape_oracle.forward_traced(model, Matrix2D(x))
             node = apply_loss(trace.tape, trace.logits, labels, cfg)
             trace.tape.backward(node)
             assert loss == node.value.item()

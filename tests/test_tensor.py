@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from logitbench.errors import ContractError, DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
-from logitbench.model import backward, forward_arrays
-from logitbench.tensor import (Matrix2D, log_softmax, matmul, row_l2_norm,
-                               rowwise_softmax)
+from logitbench.model import forward_traced
+from logitbench.tensor import (GradTape, Matrix2D, log_softmax, matmul,
+                               row_l2_norm, rowwise_softmax)
 
 from conftest import assert_grad_close, central_difference
-from tape_oracle import GradTape
+from tape_oracle import GradTape as OracleTape
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def test_log_softmax_matches_log_of_softmax():
 # --------------------------------------------------------------------------
 
 def test_tape_parents_precede_children():
-    tape = GradTape()
+    tape = OracleTape()
     x = tape.leaf(np.ones((2, 3)))
     w = tape.leaf(np.ones((3, 2)))
     h = tape.matmul(x, w)
@@ -129,7 +129,7 @@ def test_tape_parents_precede_children():
 
 
 def test_backward_rejects_non_scalar():
-    tape = GradTape()
+    tape = OracleTape()
     x = tape.leaf(np.ones((2, 2)))
     y = tape.relu(x)
     with pytest.raises(ContractError):
@@ -137,7 +137,7 @@ def test_backward_rejects_non_scalar():
 
 
 def test_grad_of_sum_is_ones():
-    tape = GradTape()
+    tape = OracleTape()
     x = tape.leaf(np.array([[1.0, -2.0], [0.5, 3.0]]))
     tape.backward(tape.sum_all(x))
     assert np.array_equal(tape.grad(x), np.ones((2, 2)))
@@ -145,7 +145,7 @@ def test_grad_of_sum_is_ones():
 
 def test_grad_of_half_squared_norm_is_identity():
     # loss = 0.5 * ||x||^2 built as 0.5 * (row_l2_norm(x) @ row_l2_norm(x))
-    tape = GradTape()
+    tape = OracleTape()
     x = tape.leaf(np.array([[3.0, 4.0]]))
     n = tape.row_l2_norm(x)
     loss = tape.scale(tape.matmul(n, n), 0.5)
@@ -154,7 +154,7 @@ def test_grad_of_half_squared_norm_is_identity():
 
 
 def test_leaf_without_requires_grad_gets_zero_grad():
-    tape = GradTape()
+    tape = OracleTape()
     x = tape.leaf(np.ones((1, 3)), requires_grad=False)
     w = tape.leaf(np.ones((3, 2)))
     tape.backward(tape.sum_all(tape.matmul(x, w)))
@@ -164,7 +164,7 @@ def test_leaf_without_requires_grad_gets_zero_grad():
 
 def test_uniform_ce_gradient_closed_form():
     logits_val = np.array([[2.0, -1.0, 0.0]])
-    tape = GradTape()
+    tape = OracleTape()
     logits = tape.leaf(logits_val)
     tape.backward(tape.uniform_cross_entropy(logits))
     expected = rowwise_softmax(logits_val) - 1.0 / 3.0
@@ -211,9 +211,9 @@ def test_backward_is_deterministic():
     biases = [np.zeros((1, 5)), np.zeros((1, 2))]
     grads = []
     for _ in range(2):
-        inputs, logits = forward_arrays(weights, biases, x_val)
+        tape, logits = forward_traced(weights, biases, x_val)
         _, grad = loss_and_grad(logits, np.array([0, 1, 1]), LossConfig("cross_entropy"))
-        grad_w, grad_b, grad_x = backward(weights, inputs, grad, input_grad=True)
+        grad_w, grad_b, grad_x = tape.backward(grad, input_grad=True)
         grads.append([*grad_w, *grad_b, grad_x])
     assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
@@ -223,7 +223,7 @@ def test_backward_is_deterministic():
 # --------------------------------------------------------------------------
 
 def _mlp_scalar(weights, biases, x, reduce):
-    return reduce(forward_arrays(weights, biases, x)[1])
+    return reduce(forward_traced(weights, biases, x)[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -233,7 +233,7 @@ def test_fd_matmul_chain(seed, rng):
     w_val = local.uniform(-2, 2, size=(4, 5))
     b_val = np.zeros((1, 5))
     upstream = np.full((3, 5), 1.0 / 15)
-    grad_w, _, grad_x = backward([w_val], [x_val], upstream, input_grad=True)
+    grad_w, _, grad_x = GradTape([w_val], [x_val]).backward(upstream, input_grad=True)
     assert_grad_close(grad_x, central_difference(
         lambda x: _mlp_scalar([w_val], [b_val], x, np.mean), x_val))
     assert_grad_close(grad_w[0], central_difference(
@@ -249,9 +249,8 @@ def test_fd_relu(seed):
     x_val[np.abs(x_val) < 1e-3] += 0.01
     weights = [np.eye(3), local.uniform(-1, 1, size=(3, 2))]
     biases = [np.zeros((1, 3)), np.zeros((1, 2))]
-    inputs, _ = forward_arrays(weights, biases, x_val)
-    _, _, grad_x = backward(weights, inputs, np.full((4, 2), 1.0 / 8),
-                            params=False, input_grad=True)
+    tape, _ = forward_traced(weights, biases, x_val)
+    _, _, grad_x = tape.backward(np.full((4, 2), 1.0 / 8), params=False, input_grad=True)
     assert_grad_close(grad_x, central_difference(
         lambda x: _mlp_scalar(weights, biases, x, np.mean), x_val))
 
@@ -262,7 +261,7 @@ def test_fd_add_row_and_scale(seed):
     x_val = local.uniform(-2, 2, size=(3, 4))
     w_val = local.uniform(-1, 1, size=(4, 4))
     b_val = local.uniform(-1, 1, size=(1, 4))
-    _, grad_b, _ = backward([w_val], [x_val], np.full((3, 4), 0.3))
+    _, grad_b, _ = GradTape([w_val], [x_val]).backward(np.full((3, 4), 0.3))
     assert_grad_close(grad_b[0], central_difference(
         lambda b: _mlp_scalar([w_val], [b], x_val, lambda f: 0.3 * f.sum()), b_val))
 
@@ -302,9 +301,9 @@ def test_fd_uniform_ce(seed):
     def uniform_ce(f):
         return -log_softmax(f).mean(axis=1).mean()
 
-    inputs, logits = forward_arrays(weights, biases, x_val)
+    tape, logits = forward_traced(weights, biases, x_val)
     upstream = (rowwise_softmax(logits) - 1.0 / 3) / 4
-    grad_w, _, _ = backward(weights, inputs, upstream)
+    grad_w, _, _ = tape.backward(upstream)
     assert_grad_close(grad_w[-1], central_difference(
         lambda w: _mlp_scalar([weights[0], w], biases, x_val, uniform_ce), weights[-1]))
 
@@ -315,7 +314,7 @@ def test_fd_bias_gradient():
     b_val = local.uniform(-1, 1, size=(1, 3))
     labels = np.array([0, 2, 1, 1])
     cfg = LossConfig("cross_entropy")
-    inputs, logits = forward_arrays([np.eye(3)], [b_val], x_val)
-    _, grad_b, _ = backward([np.eye(3)], inputs, loss_and_grad(logits, labels, cfg)[1])
+    tape, logits = forward_traced([np.eye(3)], [b_val], x_val)
+    _, grad_b, _ = tape.backward(loss_and_grad(logits, labels, cfg)[1])
     assert_grad_close(grad_b[0], central_difference(
         lambda b: loss_and_grad(x_val @ np.eye(3) + b, labels, cfg)[0], b_val))
