@@ -1,28 +1,25 @@
 """Command-line entry point.
 
 Subcommands: train, score, eval, bench, sweep-tau, calibrate, report.
-Exit codes: 0 success, 1 config error, 2 data error, 3 divergence (every
-seed for bench and sweep-tau, any run for train and calibrate).
+Exit codes: 0 success, 1 config error, 2 data error, 3 every training cell
+diverged. A training command (train, bench, sweep-tau, calibrate) skips a
+diverged cell and lists it in warnings.txt, and on stderr unless --quiet.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import os
 import sys
 
-import numpy as np
-
-from . import harness
-from .errors import AllSeedsDiverged, ConfigError, DataError, DivergedError
-from .harness import (_scored, config_hash, derive_seed, emit_histogram_data,
+from .errors import AllSeedsDiverged, ConfigError, DataError
+from .harness import (ExperimentConfig, dump_scores, emit_histogram_data,
                       histogram_csv, load_config, realize_data, run_calibration,
-                      run_experiment, sweep_tau)
+                      run_experiment, sweep_tau, trained_cells)
 from .metrics import check_tpr_target, detection_report, detection_report_csv
-from .model import forward, init_model, load_checkpoint, save_checkpoint
-from .optimizer import telemetry_csv, train
-from .scores import read_scores, score_batch, write_scores
+from .model import load_checkpoint
+from .scores import read_scores
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -64,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> harness.ExperimentConfig:
+def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seeds=(args.seed,))
@@ -73,57 +70,51 @@ def _load(args) -> harness.ExperimentConfig:
     return cfg
 
 
+def _echo_warnings(args, cfg) -> int:
+    """Print the run's warnings.txt to stderr unless --quiet; exit code 0."""
+    path = os.path.join(cfg.output_dir, "warnings.txt")
+    if not args.quiet and os.path.exists(path):
+        with open(path) as fh:
+            sys.stderr.write("".join(f"WARNING: {line}" for line in fh))
+    return 0
+
+
 def _cmd_train(args) -> int:
     cfg = _load(args)
-    import os
     os.makedirs(cfg.output_dir, exist_ok=True)
-    chash = config_hash(cfg)
-    for seed in cfg.seeds:
-        bundle = realize_data(cfg, seed)
-        for loss_cfg in cfg.losses:
-            model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
-            optim = dataclasses.replace(cfg.optim, seed=derive_seed(seed, "sgd"))
-            model, history = train(model0, bundle.train, loss_cfg, optim,
-                                   probe_ood=bundle.validation_ood)
-            base = f"{loss_cfg.name}_{seed}"
-            save_checkpoint(model, f"{cfg.output_dir}/checkpoint_{base}.txt", chash)
-            with open(f"{cfg.output_dir}/telemetry_{base}.csv", "w") as fh:
-                fh.write(telemetry_csv(history))
-            if not args.quiet:
-                print(f"trained {base}: final acc {history[-1].train_acc:.4f}")
-    return 0
+    for seed, _, lname, _, history in trained_cells(cfg, cfg.output_dir, []):
+        if not args.quiet:
+            print(f"trained {lname}_{seed}: final acc {history[-1].train_acc:.4f}")
+    return _echo_warnings(args, cfg)
 
 
 def _cmd_score(args) -> int:
     cfg = _load(args)
-    import os
     os.makedirs(cfg.output_dir, exist_ok=True)
     model, _ = load_checkpoint(args.checkpoint)
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     for seed in cfg.seeds:
         bundle = realize_data(cfg, seed)
-        for score_cfg in cfg.scores:
-            id_scores = score_batch(model, bundle.test.features, score_cfg)
-            for tag, ood_ds in bundle.ood_sets:
-                ood_scores = score_batch(model, ood_ds.features, score_cfg)
-                path = f"{cfg.output_dir}/scores_{stem}_{score_cfg.name}_{tag}_{seed}.txt"
-                write_scores(path, _scored(id_scores, ood_scores))
-                if not args.quiet:
-                    print(f"wrote {path}")
+        for sname, tag, _ in dump_scores(cfg, model, bundle, cfg.output_dir, stem, seed):
+            if not args.quiet:
+                print(f"wrote scores_{stem}_{sname}_{tag}_{seed}.txt")
+    return 0
+
+
+def _emit(path, text: str) -> int:
+    """Write text to path, or to stdout without one; exit code 0."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
 def _cmd_eval(args) -> int:
     check_tpr_target(args.tpr_target, ConfigError)
-    scored = read_scores(args.scores)
-    report = detection_report(scored, args.tpr_target)
-    text = detection_report_csv({args.scores: report})
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    report = detection_report(read_scores(args.scores), args.tpr_target)
+    return _emit(args.out, detection_report_csv({args.scores: report}))
 
 
 def _cmd_bench(args) -> int:
@@ -131,9 +122,7 @@ def _cmd_bench(args) -> int:
     result = run_experiment(cfg, quiet=args.quiet)
     if not args.quiet:
         print(f"wrote {len(result.rows)} benchmark rows to {cfg.output_dir}/bench.csv")
-        for w in result.warnings:
-            print(f"WARNING: {w}", file=sys.stderr)
-    return 0
+    return _echo_warnings(args, cfg)
 
 
 def _cmd_sweep_tau(args) -> int:
@@ -144,7 +133,7 @@ def _cmd_sweep_tau(args) -> int:
         for r in rows:
             print(f"tau={r.tau:g} val_fpr95={r.val_fpr95_mean:.4f}")
         print(f"selected tau={selected:g}")
-    return 0
+    return _echo_warnings(args, cfg)
 
 
 def _cmd_calibrate(args) -> int:
@@ -154,18 +143,12 @@ def _cmd_calibrate(args) -> int:
         for r in rows:
             print(f"{r.loss_name}: T={r.fitted_T:.4f} "
                   f"ECE {r.pre.ece:.4f} -> {r.post.ece:.4f}")
-    return 0
+    return _echo_warnings(args, cfg)
 
 
 def _cmd_report(args) -> int:
     scored = read_scores(args.scores)
-    text = histogram_csv(emit_histogram_data(scored, args.bins))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args.out, histogram_csv(emit_histogram_data(scored, args.bins)))
 
 
 COMMANDS = {
@@ -191,9 +174,6 @@ def main(argv=None) -> int:
         return 2
     except AllSeedsDiverged as exc:
         print(f"all seeds diverged: {exc}", file=sys.stderr)
-        return 3
-    except DivergedError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the workbench.
 
 Exit-code mapping for the CLI lives in cli.py: ConfigError -> 1,
-DataError -> 2, AllSeedsDiverged and DivergedError -> 3.
+DataError -> 2, AllSeedsDiverged -> 3; harness.train_cell catches DivergedError.
 """
 
 

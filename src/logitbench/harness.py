@@ -11,24 +11,24 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (LabeledDataset, OodDataset, corrupt_labels, gen_blobs,
-                   gen_ood, load_delimited, split)
+from .data import (OOD_KINDS, LabeledDataset, OodDataset, corrupt_labels,
+                   gen_blobs, gen_ood, load_delimited, split)
 from .errors import AllSeedsDiverged, ConfigError, DataError, DivergedError
-from .losses import LOGIT_NORM, LossConfig, logitnorm_values
-from .metrics import (CalibrationReport, DetectionReport, check_tpr_target,
-                      detection_report, ece, fit_temperature)
+from .losses import LOGIT_NORM, LossConfig
+from .metrics import (CalibrationReport, check_tpr_target, detection_report,
+                      ece, fit_temperature)
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, telemetry_csv, train
-from .scores import (ScoreConfig, ScoredExample, score_batch, write_scores)
-from .tensor import Matrix2D, row_l2_norm, rowwise_softmax
+from .scores import ScoreConfig, ScoredExample, score_batch, write_scores
+from .tensor import row_l2_norm, rowwise_softmax
 
 
 # --------------------------------------------------------------------------
@@ -65,6 +65,12 @@ class OodSetConfig:
     kind: str
     m: int = 2000
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in OOD_KINDS:
+            raise ConfigError(f"unknown OOD kind {self.kind!r}, expected one of {OOD_KINDS}")
+        if self.m < 1:
+            raise ConfigError(f"OOD set {self.kind!r} needs m >= 1, got {self.m}")
 
     @property
     def tag(self) -> str:
@@ -103,22 +109,20 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"layer_dims {self.layer_dims} inconsistent with data "
                     f"(d={self.data.d}, k={self.data.k})")
+        tags = [oc.tag for oc in self.ood_panel]
+        if len(set(tags)) != len(tags):
+            raise ConfigError(f"ood_panel kinds must be distinct, got {tags}")
 
 
 def _strict(cls, payload: dict, context: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - fields
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     return payload
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    allowed = {"data", "layer_dims", "losses", "optim", "scores",
-               "ood_panel", "validation_ood", "metrics", "seeds", "output_dir"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
+    _strict(ExperimentConfig, raw, "config")
     missing = {"layer_dims", "seeds"} - set(raw)
     if missing:
         raise ConfigError(f"config: missing keys {sorted(missing)}")
@@ -301,7 +305,6 @@ class ExperimentResult:
     rows: list[BenchmarkRow]
     seed_rows: list[SeedRow]
     telemetry: dict[tuple[str, int], list[EpochTelemetry]]
-    models: dict[tuple[str, int], MlpModel]
     final_norms: dict[tuple[str, int], dict[str, float]]
     warnings: list[str]
     hash: str
@@ -317,11 +320,80 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
+def _csv(header: str, lines) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
+               loss_cfg: LossConfig, warnings: list[str],
+               probe_ood: Optional[OodDataset] = None
+               ) -> Optional[tuple[MlpModel, list[EpochTelemetry]]]:
+    """Train one (loss, seed) cell from the seed's init and SGD streams.
+    Returns (model, telemetry), or None after a warning if it diverged."""
+    model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
+    try:
+        return train(model0, bundle.train, loss_cfg, cfg.optim,
+                     derive_seed(seed, "sgd"), probe_ood=probe_ood)
+    except DivergedError as exc:
+        tau = f" tau={loss_cfg.tau}" if loss_cfg.kind == LOGIT_NORM else ""
+        warnings.append(f"loss={loss_cfg.name}{tau} seed={seed}: diverged ({exc})")
+        return None
+
+
+def trained_cells(cfg: ExperimentConfig, out: str, warnings: list[str]):
+    """Train every (seed, loss) cell, write its telemetry and checkpoint
+    under out and yield (seed, data, loss name, model, telemetry). Diverged
+    cells are skipped and, after the last cell, recorded (_record_warnings)."""
+    chash = config_hash(cfg)
+    trained = False
+    for seed in cfg.seeds:
+        bundle = realize_data(cfg, seed)
+        for loss_cfg in cfg.losses:
+            cell = train_cell(cfg, bundle, seed, loss_cfg, warnings,
+                              probe_ood=bundle.validation_ood)
+            if cell is None:
+                continue
+            model, history = cell
+            base = f"{loss_cfg.name}_{seed}"
+            _write(os.path.join(out, f"telemetry_{base}.csv"), telemetry_csv(history))
+            save_checkpoint(model, os.path.join(out, f"checkpoint_{base}.txt"), chash)
+            trained = True
+            yield seed, bundle, loss_cfg.name, model, history
+    _record_warnings(out, warnings, trained)
+
+
+def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
+                out: str, stem: str, seed: int):
+    """Score the ID test set once per detector and each OOD set against it;
+    write each dump under out and yield (detector name, OOD tag, scored)."""
+    for score_cfg in cfg.scores:
+        id_scores = score_batch(model, bundle.test.features, score_cfg)
+        for tag, ood_ds in bundle.ood_sets:
+            scored = _scored(id_scores, score_batch(model, ood_ds.features, score_cfg))
+            write_scores(os.path.join(
+                out, f"scores_{stem}_{score_cfg.name}_{tag}_{seed}.txt"), scored)
+            yield score_cfg.name, tag, scored
+
+
+def _record_warnings(out: Optional[str], warnings: list[str], trained: bool) -> None:
+    """Write the diverged cells to out/warnings.txt (removing a stale one
+    when none diverged); raise AllSeedsDiverged if no cell trained."""
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, "warnings.txt")
+        if warnings:
+            _write(path, "\n".join(warnings) + "\n")
+        elif os.path.exists(path):
+            os.remove(path)
+    if not trained:
+        raise AllSeedsDiverged("; ".join(warnings))
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                   keep_models: bool = False, quiet: bool = True) -> ExperimentResult:
+                   quiet: bool = True) -> ExperimentResult:
     """Train / score / evaluate the full loss x score x OOD-set grid over all
-    seeds, writing every artifact under out_dir. Diverged seeds are recorded
-    and excluded; if every run diverges, AllSeedsDiverged is raised."""
+    seeds, writing every artifact under out_dir. Diverged cells are recorded
+    and excluded; if every cell diverges, AllSeedsDiverged is raised."""
     out = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(out, exist_ok=True)
     chash = config_hash(cfg)
@@ -331,88 +403,47 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     seed_rows: list[SeedRow] = []
     telemetry: dict[tuple[str, int], list[EpochTelemetry]] = {}
-    models: dict[tuple[str, int], MlpModel] = {}
     final_norms: dict[tuple[str, int], dict[str, float]] = {}
     warnings: list[str] = []
 
-    for seed in cfg.seeds:
-        bundle = realize_data(cfg, seed)
-        probe = bundle.validation_ood
-        for loss_cfg in cfg.losses:
-            lname = loss_cfg.name
-            model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
-            optim = dataclasses.replace(cfg.optim, seed=derive_seed(seed, "sgd"))
-            try:
-                model, history = train(model0, bundle.train, loss_cfg, optim,
-                                        probe_ood=probe)
-            except DivergedError as exc:
-                warnings.append(f"loss={lname} seed={seed}: diverged ({exc})")
-                continue
-            telemetry[(lname, seed)] = history
-            if keep_models:
-                models[(lname, seed)] = model
-            _write(os.path.join(out, f"telemetry_{lname}_{seed}.csv"),
-                   telemetry_csv(history))
-            save_checkpoint(model, os.path.join(out, f"checkpoint_{lname}_{seed}.txt"),
-                            chash)
+    for seed, bundle, lname, model, history in trained_cells(cfg, out, warnings):
+        telemetry[(lname, seed)] = history
+        test_logits = forward(model, bundle.test.features)
+        id_acc = float((np.argmax(test_logits.data, axis=1) == bundle.test.labels).mean())
+        norms = {"ID": float(row_l2_norm(test_logits).mean())}
+        for tag, ood_ds in bundle.ood_sets:
+            norms[tag] = float(row_l2_norm(forward(model, ood_ds.features)).mean())
+        final_norms[(lname, seed)] = norms
 
-            test_logits = forward(model, bundle.test.features)
-            id_acc = float((np.argmax(test_logits.data, axis=1)
-                            == bundle.test.labels).mean())
-            norms = {"ID": float(row_l2_norm(test_logits).mean())}
-            for tag, ood_ds in bundle.ood_sets:
-                norms[tag] = float(row_l2_norm(forward(model, ood_ds.features)).mean())
-            final_norms[(lname, seed)] = norms
-
-            for score_cfg in cfg.scores:
-                sname = score_cfg.name
-                id_scores = score_batch(model, bundle.test.features, score_cfg)
-                for tag, ood_ds in bundle.ood_sets:
-                    ood_scores = score_batch(model, ood_ds.features, score_cfg)
-                    scored = _scored(id_scores, ood_scores)
-                    write_scores(os.path.join(
-                        out, f"scores_{lname}_{sname}_{tag}_{seed}.txt"), scored)
-                    report = detection_report(scored, cfg.metrics.tpr_target)
-                    seed_rows.append(SeedRow(lname, sname, tag, seed,
-                                             report.fpr_at_95_tpr, report.auroc,
-                                             report.aupr, id_acc))
-                if not quiet:
-                    print(f"[seed {seed}] {lname}/{sname} done")
-
-    if not telemetry:
-        raise AllSeedsDiverged("; ".join(warnings))
+        for sname, tag, scored in dump_scores(cfg, model, bundle, out, lname, seed):
+            report = detection_report(scored, cfg.metrics.tpr_target)
+            seed_rows.append(SeedRow(lname, sname, tag, seed, report.fpr_at_95_tpr,
+                                     report.auroc, report.aupr, id_acc))
+        if not quiet:
+            print(f"[seed {seed}] {lname} done")
 
     rows = aggregate_rows(cfg, seed_rows)
     _write(os.path.join(out, "bench.csv"), bench_csv(rows))
     _write(os.path.join(out, "bench_per_seed.csv"), seed_rows_csv(seed_rows))
-    if warnings:
-        _write(os.path.join(out, "warnings.txt"), "\n".join(warnings) + "\n")
-    return ExperimentResult(rows, seed_rows, telemetry, models, final_norms,
-                            warnings, chash)
+    return ExperimentResult(rows, seed_rows, telemetry, final_norms, warnings, chash)
 
 
 def aggregate_rows(cfg: ExperimentConfig, seed_rows: list[SeedRow]) -> list[BenchmarkRow]:
     rows = []
-    for loss_cfg in cfg.losses:
-        for score_cfg in cfg.scores:
-            for ood_cfg in cfg.ood_panel:
-                group = [r for r in seed_rows
-                         if r.loss_name == loss_cfg.name
-                         and r.score_name == score_cfg.name
-                         and r.ood_dataset_tag == ood_cfg.tag]
-                if not group:
-                    continue
-                def stat(attr):
-                    vals = np.array([getattr(r, attr) for r in group])
-                    return float(vals.mean()), float(vals.std())
-                fpr_m, fpr_s = stat("fpr95")
-                roc_m, roc_s = stat("auroc")
-                pr_m, pr_s = stat("aupr")
-                acc_m, acc_s = stat("id_accuracy")
-                rows.append(BenchmarkRow(
-                    loss_cfg.name, score_cfg.name, ood_cfg.tag,
-                    fpr_m, fpr_s, roc_m, roc_s, pr_m, pr_s, acc_m, acc_s,
-                    tuple(sorted(r.seed for r in group))))
+    for loss_cfg, score_cfg, ood_cfg in itertools.product(cfg.losses, cfg.scores,
+                                                          cfg.ood_panel):
+        group = [r for r in seed_rows
+                 if r.loss_name == loss_cfg.name
+                 and r.score_name == score_cfg.name
+                 and r.ood_dataset_tag == ood_cfg.tag]
+        if not group:
+            continue
+        stats = []
+        for attr in ("fpr95", "auroc", "aupr", "id_accuracy"):
+            vals = np.array([getattr(r, attr) for r in group])
+            stats += [float(vals.mean()), float(vals.std())]
+        rows.append(BenchmarkRow(loss_cfg.name, score_cfg.name, ood_cfg.tag, *stats,
+                                 tuple(sorted(r.seed for r in group))))
     return rows
 
 
@@ -420,23 +451,18 @@ def bench_csv(rows: list[BenchmarkRow]) -> str:
     header = ("loss_name,score_name,ood_dataset_tag,fpr95_mean,fpr95_std,"
               "auroc_mean,auroc_std,aupr_mean,aupr_std,"
               "id_accuracy_mean,id_accuracy_std,seeds_used")
-    lines = [header]
-    for r in rows:
-        seeds = ";".join(str(s) for s in r.seeds_used)
-        lines.append(f"{r.loss_name},{r.score_name},{r.ood_dataset_tag},"
-                     f"{r.fpr95_mean:.17g},{r.fpr95_std:.17g},"
-                     f"{r.auroc_mean:.17g},{r.auroc_std:.17g},"
-                     f"{r.aupr_mean:.17g},{r.aupr_std:.17g},"
-                     f"{r.id_accuracy_mean:.17g},{r.id_accuracy_std:.17g},{seeds}")
-    return "\n".join(lines) + "\n"
+    return _csv(header, (f"{r.loss_name},{r.score_name},{r.ood_dataset_tag},"
+                         f"{r.fpr95_mean:.17g},{r.fpr95_std:.17g},"
+                         f"{r.auroc_mean:.17g},{r.auroc_std:.17g},"
+                         f"{r.aupr_mean:.17g},{r.aupr_std:.17g},"
+                         f"{r.id_accuracy_mean:.17g},{r.id_accuracy_std:.17g},"
+                         + ";".join(str(s) for s in r.seeds_used) for r in rows))
 
 
 def seed_rows_csv(rows: list[SeedRow]) -> str:
-    lines = ["loss_name,score_name,ood_dataset_tag,seed,fpr95,auroc,aupr,id_accuracy"]
-    for r in rows:
-        lines.append(f"{r.loss_name},{r.score_name},{r.ood_dataset_tag},{r.seed},"
-                     f"{r.fpr95:.17g},{r.auroc:.17g},{r.aupr:.17g},{r.id_accuracy:.17g}")
-    return "\n".join(lines) + "\n"
+    return _csv("loss_name,score_name,ood_dataset_tag,seed,fpr95,auroc,aupr,id_accuracy",
+                (f"{r.loss_name},{r.score_name},{r.ood_dataset_tag},{r.seed},{r.fpr95:.17g},"
+                 f"{r.auroc:.17g},{r.aupr:.17g},{r.id_accuracy:.17g}" for r in rows))
 
 
 # --------------------------------------------------------------------------
@@ -460,37 +486,32 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
     if any(t <= 0 for t in tau_grid):
         raise ConfigError(f"tau values must be positive, got {list(tau_grid)}")
     msp = ScoreConfig(kind="msp")
-    rows = []
-    for tau in sorted(tau_grid):
-        fprs, losses = [], []
-        for seed in cfg.seeds:
-            bundle = realize_data(cfg, seed)
-            model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
-            optim = dataclasses.replace(cfg.optim, seed=derive_seed(seed, "sgd"))
-            loss_cfg = LossConfig(kind=LOGIT_NORM, tau=tau)
-            try:
-                model, history = train(model0, bundle.train, loss_cfg, optim)
-            except DivergedError:
+    taus = sorted(set(tau_grid))
+    fprs: dict[float, list[float]] = {tau: [] for tau in taus}
+    losses: dict[float, list[float]] = {tau: [] for tau in taus}
+    warnings: list[str] = []
+    for seed in cfg.seeds:
+        bundle = realize_data(cfg, seed)
+        for tau in taus:
+            cell = train_cell(cfg, bundle, seed, LossConfig(kind=LOGIT_NORM, tau=tau),
+                              warnings)
+            if cell is None:
                 continue
+            model, history = cell
             id_scores = score_batch(model, bundle.test.features, msp)
             ood_scores = score_batch(model, bundle.validation_ood.features, msp)
-            fprs.append(detection_report(_scored(id_scores, ood_scores),
-                                         cfg.metrics.tpr_target).fpr_at_95_tpr)
-            losses.append(history[-1].train_loss)
-        if not fprs:
-            continue
-        rows.append(TauSweepRow(tau, float(np.mean(fprs)), float(np.mean(losses))))
-    if not rows:
-        raise AllSeedsDiverged("every tau/seed run diverged")
+            fprs[tau].append(detection_report(_scored(id_scores, ood_scores),
+                                              cfg.metrics.tpr_target).fpr_at_95_tpr)
+            losses[tau].append(history[-1].train_loss)
+    rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
+            for tau in taus if fprs[tau]]
+    _record_warnings(out_dir, warnings, bool(rows))
     best = min(rows, key=lambda r: (r.val_fpr95_mean, r.tau))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        lines = ["tau,val_fpr95_mean,final_train_loss_mean,selected"]
-        for r in rows:
-            sel = "1" if r.tau == best.tau else "0"
-            lines.append(f"{r.tau:.17g},{r.val_fpr95_mean:.17g},"
-                         f"{r.final_train_loss_mean:.17g},{sel}")
-        _write(os.path.join(out_dir, "sweep_tau.csv"), "\n".join(lines) + "\n")
+        _write(os.path.join(out_dir, "sweep_tau.csv"), _csv(
+            "tau,val_fpr95_mean,final_train_loss_mean,selected",
+            (f"{r.tau:.17g},{r.val_fpr95_mean:.17g},{r.final_train_loss_mean:.17g},"
+             f"{int(r.tau == best.tau)}" for r in rows)))
     return rows, best.tau
 
 
@@ -519,10 +540,8 @@ def emit_histogram_data(scored: Sequence[ScoredExample], bins: int
 
 
 def histogram_csv(rows: list[tuple[float, float, int, int]]) -> str:
-    lines = ["bin_left,bin_right,id_count,ood_count"]
-    for left, right, idc, oodc in rows:
-        lines.append(f"{left:.17g},{right:.17g},{idc},{oodc}")
-    return "\n".join(lines) + "\n"
+    return _csv("bin_left,bin_right,id_count,ood_count",
+                (f"{left:.17g},{right:.17g},{idc},{oodc}" for left, right, idc, oodc in rows))
 
 
 @dataclass(frozen=True)
@@ -543,26 +562,26 @@ def run_calibration(cfg: ExperimentConfig, out_dir: Optional[str] = None
     bundle = realize_data(cfg, seed)
     assert bundle.val is not None
     rows = []
+    warnings: list[str] = []
     for loss_cfg in cfg.losses:
-        model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
-        optim = dataclasses.replace(cfg.optim, seed=derive_seed(seed, "sgd"))
-        model, _ = train(model0, bundle.train, loss_cfg, optim)
+        cell = train_cell(cfg, bundle, seed, loss_cfg, warnings)
+        if cell is None:
+            continue
+        model, _ = cell
         val_logits = forward(model, bundle.val.features)
         fitted = fit_temperature(val_logits.data, bundle.val.labels)
         test_logits = forward(model, bundle.test.features).data
-        preds = np.argmax(test_logits, axis=1)
-        correct = preds == bundle.test.labels
+        correct = np.argmax(test_logits, axis=1) == bundle.test.labels
         conf_pre = rowwise_softmax(test_logits).max(axis=1)
         conf_post = rowwise_softmax(test_logits / fitted).max(axis=1)
         pre = ece(conf_pre, correct, cfg.metrics.ece_bins)
         post = dataclasses.replace(ece(conf_post, correct, cfg.metrics.ece_bins),
                                    fitted_T=fitted)
         rows.append(CalibrationRow(loss_cfg.name, fitted, pre, post))
+    _record_warnings(out_dir, warnings, bool(rows))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        lines = ["loss_name,fitted_T,ece_pre_ts,ece_post_ts"]
-        for r in rows:
-            lines.append(f"{r.loss_name},{r.fitted_T:.17g},"
-                         f"{r.pre.ece:.17g},{r.post.ece:.17g}")
-        _write(os.path.join(out_dir, "calibration.csv"), "\n".join(lines) + "\n")
+        _write(os.path.join(out_dir, "calibration.csv"), _csv(
+            "loss_name,fitted_T,ece_pre_ts,ece_post_ts",
+            (f"{r.loss_name},{r.fitted_T:.17g},{r.pre.ece:.17g},{r.post.ece:.17g}"
+             for r in rows)))
     return rows

@@ -25,7 +25,6 @@ class OptimConfig:
     epochs: int = 200
     batch_size: int = 128
     lr_drops: tuple[tuple[int, float], ...] = ((80, 0.1), (140, 0.1))
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr0 < 0:
@@ -77,11 +76,11 @@ def _with_params(model: MlpModel, weights: list[np.ndarray],
 
 
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
-          optim_cfg: OptimConfig, probe_ood: Optional[OodDataset] = None
+          optim_cfg: OptimConfig, seed: int, probe_ood: Optional[OodDataset] = None
           ) -> tuple[MlpModel, list[EpochTelemetry]]:
     """Train and return (new model, one telemetry record per epoch).
 
-    Deterministic in optim_cfg.seed; raises DivergedError on a non-finite
+    Deterministic in seed, which drives the minibatch order; raises DivergedError on a non-finite
     loss or parameter. Weight decay is applied to weights only, never biases.
     Parameters, velocities and gradients are plain arrays updated in place.
     """
@@ -89,7 +88,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
         raise ConfigError(
             f"dataset (d={dataset.dim}, k={dataset.k}) does not match model "
             f"(d={model.input_dim}, k={model.num_classes})")
-    rng = np.random.default_rng(optim_cfg.seed)
+    rng = np.random.default_rng(seed)
     weights = [w.data.copy() for w in model.weights]
     biases = [b.data.copy() for b in model.biases]
     vel_w = [np.zeros_like(w) for w in weights]

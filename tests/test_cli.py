@@ -150,8 +150,99 @@ def test_exit_code_diverged_run(command, tmp_path, capsys):
                "epochs": 20, "batch_size": 32, "lr_drops": []})
     assert main([command, "--config", str(cfg_path), "--quiet"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("training diverged: non-finite loss at epoch ")
+    assert err.startswith("all seeds diverged: loss=cross_entropy seed=0: diverged "
+                          "(non-finite loss at epoch ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_all_diverged_sweep_tau(tmp_path, capsys):
+    cfg_path = write_config(
+        tmp_path,
+        optim={"lr0": 1e9, "momentum": 0.9, "weight_decay": 0.1,
+               "epochs": 20, "batch_size": 32, "lr_drops": []})
+    assert main(["sweep-tau", "--config", str(cfg_path), "--quiet",
+                 "--tau-grid", "0.1,1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("all seeds diverged: loss=logit_norm tau=0.1 seed=0: diverged ")
+    assert err.count("\n") == 1
+
+
+def test_exit_code_bad_ood_set(tmp_path):
+    cfg_path = write_config(tmp_path, ood_panel=[{"kind": "uniform_box", "m": 0}])
+    assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# one divergence rule for every training command
+
+
+# lr0 = 1e9 without weight decay: cross-entropy diverges at epoch 12, while
+# logit-norm, which only sees the logit direction, trains through.
+PARTIAL = {"losses": [{"kind": "cross_entropy"}, {"kind": "logit_norm", "tau": 0.1}],
+           "optim": {"lr0": 1e9, "momentum": 0.9, "weight_decay": 0.0,
+                     "epochs": 20, "batch_size": 32, "lr_drops": []}}
+
+
+def _logit_norm_output(out, command):
+    if command == "bench":
+        return "logit_norm,msp,uniform_box," in (out / "bench.csv").read_text()
+    if command == "train":
+        return (out / "checkpoint_logit_norm_0.txt").exists()
+    if command == "calibrate":
+        return "\nlogit_norm," in (out / "calibration.csv").read_text()
+    return (out / "sweep_tau.csv").read_text().count("\n") == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["bench", "train", "calibrate"])
+def test_partly_diverged_run_keeps_what_trained(command, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, **PARTIAL)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path)]) == 0
+    assert _logit_norm_output(out, command)
+    warning = "loss=cross_entropy seed=0: diverged (non-finite loss at epoch 12, step 2)\n"
+    assert (out / "warnings.txt").read_text() == warning
+    assert capsys.readouterr().err == "WARNING: " + warning
+    assert main([command, "--config", str(cfg_path), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_partly_diverged_sweep_keeps_what_trained(tmp_path, capsys):
+    # sweep-tau trains logit-norm only, which survives the config above ...
+    cfg_path = write_config(tmp_path, **PARTIAL)
+    out = tmp_path / "out"
+    assert main(["sweep-tau", "--config", str(cfg_path), "--tau-grid", "0.1"]) == 0
+    assert _logit_norm_output(out, "sweep-tau")
+    assert not (out / "warnings.txt").exists()
+    # ... but not weight decay that grows the weights by ~300x a step: they
+    # overflow in the last epoch for a small tau, whose larger logit
+    # gradient pushes them further, and stay finite for a large one.
+    partial = dict(PARTIAL, optim=dict(PARTIAL["optim"], weight_decay=3e-7))
+    cfg_path = write_config(tmp_path, **partial)
+    assert main(["sweep-tau", "--config", str(cfg_path), "--tau-grid", "0.01,100"]) == 0
+    lines = (out / "sweep_tau.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["100"]
+    warning = "loss=logit_norm tau=0.01 seed=0: diverged (non-finite loss at epoch 19, step 2)\n"
+    assert (out / "warnings.txt").read_text() == warning
+    assert capsys.readouterr().err == "WARNING: " + warning
+
+
+def test_train_and_bench_write_the_same_cells(tmp_path):
+    cfg_path = write_config(tmp_path, losses=PARTIAL["losses"], seeds=[0, 1])
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--quiet"]) == 0
+    trained = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(trained) == sorted(f"{kind}_{loss}_{seed}.{ext}"
+                                     for kind, ext in (("checkpoint", "txt"),
+                                                       ("telemetry", "csv"))
+                                     for loss in ("cross_entropy", "logit_norm")
+                                     for seed in (0, 1))
+    for p in out.iterdir():
+        p.unlink()
+    assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 0
+    assert {name: (out / name).read_bytes() for name in trained} == trained
 
 
 def test_exit_code_tpr_target_out_of_range(tmp_path, capsys):

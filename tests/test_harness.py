@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from logitbench import harness
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
 from logitbench.harness import (DataConfig, ExperimentConfig, SeedData,
                                 config_from_dict, config_hash, config_to_dict,
@@ -67,6 +68,32 @@ def test_config_requires_seeds_and_dims():
         config_from_dict({"layer_dims": [4, 3]})
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict(tiny_raw(seeds=[]))
+
+
+def test_config_rejects_optim_seed():
+    # The SGD seed is derived from the run seed; the config has no say in it.
+    raw = tiny_raw()
+    raw["optim"]["seed"] = 12345
+    with pytest.raises(ConfigError, match="unknown keys"):
+        config_from_dict(raw)
+
+
+def test_config_rejects_duplicate_ood_kinds():
+    panel = [{"kind": "gaussian_noise", "m": 50, "params": {"std": 0.5}},
+             {"kind": "gaussian_noise", "m": 50, "params": {"std": 2.0}}]
+    with pytest.raises(ConfigError, match="distinct"):
+        config_from_dict(tiny_raw(ood_panel=panel))
+
+
+@pytest.mark.parametrize("entry, match", [
+    ({"kind": "speckle"}, "unknown OOD kind"),
+    ({"kind": "uniform_box", "m": 0}, "m >= 1"),
+])
+def test_config_validates_ood_sets(entry, match):
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(tiny_raw(ood_panel=[entry]))
+    with pytest.raises(ConfigError, match=match):
+        config_from_dict(tiny_raw(validation_ood=entry))
 
 
 def test_config_lambda_alias():
@@ -266,6 +293,21 @@ def test_run_experiment_all_diverged(tmp_path):
         run_experiment(cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_experiment_partly_diverged(tmp_path):
+    raw = tiny_raw(output_dir=str(tmp_path), seeds=[0])
+    raw["optim"].update(lr0=1e9, weight_decay=0.0, epochs=20, lr_drops=[])
+    result = run_experiment(config_from_dict(raw))
+    assert result.warnings == ["loss=cross_entropy seed=0: diverged "
+                               "(non-finite loss at epoch 12, step 2)"]
+    assert list(result.telemetry) == [("logit_norm", 0)]
+    assert {r.loss_name for r in result.rows} == {"logit_norm"}
+    assert (tmp_path / "warnings.txt").exists()
+    # A clean rerun into the same directory leaves no stale warnings.
+    run_experiment(config_from_dict(tiny_raw(output_dir=str(tmp_path), seeds=[0])))
+    assert not (tmp_path / "warnings.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # tau sweep
 
@@ -286,6 +328,16 @@ def test_sweep_tau_selects_argmin(tmp_path):
     rows, selected = sweep_tau(cfg, [0.05, 0.1])
     best = min(rows, key=lambda r: (r.val_fpr95_mean, r.tau))
     assert selected == best.tau
+
+
+def test_sweep_tau_realizes_each_seed_once(monkeypatch):
+    calls = []
+    real = harness.realize_data
+    monkeypatch.setattr(harness, "realize_data",
+                        lambda cfg, seed: calls.append(seed) or real(cfg, seed))
+    rows, _ = sweep_tau(config_from_dict(tiny_raw()), [0.05, 0.1, 0.5])
+    assert calls == [0, 1]
+    assert [r.tau for r in rows] == [0.05, 0.1, 0.5]
 
 
 def test_sweep_tau_validation():

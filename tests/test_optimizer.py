@@ -21,9 +21,12 @@ def easy_dataset(seed=0):
 
 def small_optim(**overrides):
     base = dict(lr0=0.1, momentum=0.9, weight_decay=5e-4, epochs=10,
-                batch_size=32, lr_drops=((4, 0.1), (7, 0.1)), seed=3)
+                batch_size=32, lr_drops=((4, 0.1), (7, 0.1)))
     base.update(overrides)
     return OptimConfig(**base)
+
+
+SGD_SEED = 3
 
 
 # ---------------------------------------------------------------------------
@@ -71,14 +74,14 @@ def test_train_rejects_mismatched_model():
     ds = easy_dataset()
     model = init_model((3, 8, 2), seed=0)  # wrong input dim
     with pytest.raises(ConfigError):
-        train(model, ds, LossConfig("cross_entropy"), small_optim())
+        train(model, ds, LossConfig("cross_entropy"), small_optim(), SGD_SEED)
 
 
 def test_train_learns_separable_problem():
     ds = easy_dataset()
     model = init_model((4, 16, 2), seed=1)
     trained, history = train(model, ds, LossConfig("cross_entropy"),
-                             small_optim(epochs=50, lr_drops=((30, 0.1),)))
+                             small_optim(epochs=50, lr_drops=((30, 0.1),)), SGD_SEED)
     assert history[-1].train_acc >= 0.99
     assert history[-1].train_loss < history[0].train_loss
 
@@ -88,7 +91,7 @@ def test_train_zero_lr_freezes_parameters():
     model = init_model((4, 8, 2), seed=2)
     trained, history = train(model, ds, LossConfig("cross_entropy"),
                              small_optim(lr0=0.0, epochs=3, batch_size=ds.n,
-                                         lr_drops=()))
+                                         lr_drops=()), SGD_SEED)
     for w0, w1 in zip(model.weights, trained.weights):
         assert np.array_equal(w0.data, w1.data)
     # telemetry still recorded, with a flat loss curve
@@ -102,7 +105,7 @@ def test_train_is_deterministic():
     for _ in range(2):
         model = init_model((4, 8, 2), seed=5)
         trained, history = train(model, ds, LossConfig("cross_entropy"),
-                                 small_optim(epochs=5, lr_drops=()))
+                                 small_optim(epochs=5, lr_drops=()), SGD_SEED)
         runs.append((trained, telemetry_csv(history)))
     assert runs[0][1] == runs[1][1]
     for w0, w1 in zip(runs[0][0].weights, runs[1][0].weights):
@@ -116,7 +119,7 @@ def test_momentum_zero_matches_plain_sgd():
     model = init_model((4, 8, 2), seed=6)
     cfg = small_optim(momentum=0.0, weight_decay=0.0, epochs=1,
                       batch_size=ds.n, lr_drops=())
-    trained, _ = train(model, ds, LossConfig("cross_entropy"), cfg)
+    trained, _ = train(model, ds, LossConfig("cross_entropy"), cfg, SGD_SEED)
 
     # Reference step computed with the reference tape.
     trace = forward_traced(model, ds.features)
@@ -136,9 +139,9 @@ def test_weight_decay_shrinks_weights_only():
     ds = LabeledDataset(feats, labels, 2, "noise")
     model = init_model((4, 8, 2), seed=7)
     heavy, _ = train(model, ds, LossConfig("cross_entropy"),
-                     small_optim(weight_decay=0.05, epochs=20, lr_drops=()))
+                     small_optim(weight_decay=0.05, epochs=20, lr_drops=()), SGD_SEED)
     free, _ = train(model, ds, LossConfig("cross_entropy"),
-                    small_optim(weight_decay=0.0, epochs=20, lr_drops=()))
+                    small_optim(weight_decay=0.0, epochs=20, lr_drops=()), SGD_SEED)
     heavy_norm = sum(np.linalg.norm(w.data) for w in heavy.weights)
     free_norm = sum(np.linalg.norm(w.data) for w in free.weights)
     assert heavy_norm < free_norm
@@ -150,7 +153,7 @@ def test_divergence_raises():
     model = init_model((4, 8, 2), seed=8)
     with pytest.raises(DivergedError):
         train(model, ds, LossConfig("cross_entropy"),
-              small_optim(lr0=1e6, momentum=0.99, epochs=5, lr_drops=()))
+              small_optim(lr0=1e6, momentum=0.99, epochs=5, lr_drops=()), SGD_SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +165,7 @@ def test_telemetry_records_ood_probe():
     ood = gen_ood("gaussian_noise", d=4, m=50, seed=1)
     model = init_model((4, 8, 2), seed=10)
     _, history = train(model, ds, LossConfig("cross_entropy"),
-                       small_optim(epochs=3, lr_drops=()), probe_ood=ood)
+                       small_optim(epochs=3, lr_drops=()), SGD_SEED, probe_ood=ood)
     assert [t.epoch for t in history] == [1, 2, 3]
     assert all(t.mean_logit_norm_ood is not None for t in history)
     assert all(t.mean_logit_norm_id >= 0 for t in history)
@@ -172,7 +175,7 @@ def test_telemetry_csv_format():
     ds = easy_dataset()
     model = init_model((4, 8, 2), seed=11)
     _, history = train(model, ds, LossConfig("cross_entropy"),
-                       small_optim(epochs=2, lr_drops=()))
+                       small_optim(epochs=2, lr_drops=()), SGD_SEED)
     text = telemetry_csv(history)
     lines = text.strip().split("\n")
     assert lines[0] == "epoch,train_loss,train_acc,mean_logit_norm_id,mean_logit_norm_ood"

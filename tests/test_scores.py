@@ -245,11 +245,11 @@ def trained_models():
     straddle 0 and the ones nearest 0 are held by the absolute tolerance."""
     train_ds = gen_blobs(k=4, d=6, n_per_class=60, cluster_spread=1.0,
                          cluster_radius=3.0, seed=1)
-    optim = OptimConfig(lr0=0.1, epochs=5, batch_size=32, lr_drops=(), seed=2)
+    optim = OptimConfig(lr0=0.1, epochs=5, batch_size=32, lr_drops=())
     models = {}
     for kind in ("cross_entropy", "logit_norm", "logit_penalty"):
         models[kind], _ = train(init_model((6, 16, 16, 4), seed=3), train_ds,
-                                LossConfig(kind=kind), optim)
+                                LossConfig(kind=kind), optim, 2)
     ce = models["cross_entropy"]
     models["high_norm"] = MlpModel(ce.layer_dims,
                                    tuple(Matrix2D(3.0 * w.data) for w in ce.weights),
