@@ -127,7 +127,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep_tau(args) -> int:
     cfg = _load(args)
-    grid = [float(t) for t in args.tau_grid.split(",")]
+    try:
+        grid = [float(t) for t in args.tau_grid.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--tau-grid: {exc}") from None
     rows, selected = sweep_tau(cfg, grid, out_dir=cfg.output_dir)
     if not args.quiet:
         for r in rows:

@@ -4,12 +4,13 @@ parameters and seed."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_lines
 from .tensor import Matrix2D
 
 OOD_KINDS = ("uniform_box", "gaussian_noise", "ring", "shifted_blobs")
@@ -173,39 +174,41 @@ def corrupt_labels(dataset: LabeledDataset, fraction: float,
 
 def load_delimited(path, has_label: bool, k: Optional[int] = None
                    ) -> Union[LabeledDataset, OodDataset]:
-    """Comma-separated rows, optional trailing integer label, '#' comments."""
+    """Comma-separated rows, optional trailing integer label, '#' comments.
+    A label is a class index in [0, k), or in [0, 2**31) without k."""
     rows = []
     labels = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(cells)}")
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
-            if has_label:
-                label = values[-1]
-                if label != int(label):
-                    raise DataError(f"{path}: line {lineno}: label {label} is not an integer")
-                labels.append(int(label))
-                values = values[:-1]
-            rows.append(values)
+    label_limit = k if k is not None else 2**31
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+            if has_label and width < 2:
+                raise DataError(f"{path}: line {lineno}: no feature before the label")
+        elif len(cells) != width:
+            raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(cells)}")
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"{path}: line {lineno}: non-finite value")
+        if has_label:
+            label = values.pop()
+            if not (label.is_integer() and 0 <= label < label_limit):
+                raise DataError(f"{path}: line {lineno}: label {label} is not a class "
+                                f"index in [0, {label_limit})")
+            labels.append(int(label))
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     features = Matrix2D(np.array(rows))
     if has_label:
         k_eff = k if k is not None else max(labels) + 1
-        for lineno_like, label in enumerate(labels):
-            if label < 0 or label >= k_eff:
-                raise DataError(f"{path}: label {label} out of range [0, {k_eff})")
         return LabeledDataset(features, np.array(labels), k_eff, str(path))
     return OodDataset(features, str(path))
 

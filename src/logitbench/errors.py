@@ -1,12 +1,12 @@
-"""Exception hierarchy shared across the workbench.
+"""Exception hierarchy shared across the workbench, and the text-file reader
+that maps a missing or undecodable file into it.
 
 Exit-code mapping for the CLI lives in cli.py: ConfigError -> 1,
-DataError -> 2, AllSeedsDiverged -> 3; harness.train_cell catches DivergedError.
+DataError (ShapeError included) -> 2, AllSeedsDiverged -> 3;
+harness.train_cell catches DivergedError.
 """
 
-
-class ShapeError(ValueError):
-    """Operand shapes are incompatible."""
+from typing import Iterator
 
 
 class ConfigError(ValueError):
@@ -15,6 +15,10 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Input data is malformed (bad labels, ragged files, non-finite values)."""
+
+
+class ShapeError(DataError):
+    """Operand shapes are incompatible."""
 
 
 class ContractError(RuntimeError):
@@ -32,3 +36,13 @@ class DivergedError(RuntimeError):
 
 class AllSeedsDiverged(RuntimeError):
     """Every seed of an experiment diverged; nothing to aggregate."""
+
+
+def read_lines(path, error: type[ValueError] = DataError) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read one at a time. A file that
+    cannot be opened or read, or is not UTF-8, raises `error` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None

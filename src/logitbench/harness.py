@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -21,7 +22,8 @@ import numpy as np
 
 from .data import (OOD_KINDS, LabeledDataset, OodDataset, corrupt_labels,
                    gen_blobs, gen_ood, load_delimited, split)
-from .errors import AllSeedsDiverged, ConfigError, DataError, DivergedError
+from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
+                     read_lines)
 from .losses import LOGIT_NORM, LossConfig
 from .metrics import (CalibrationReport, check_tpr_target, detection_report,
                       ece, fit_temperature)
@@ -109,9 +111,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"layer_dims {self.layer_dims} inconsistent with data "
                     f"(d={self.data.d}, k={self.data.k})")
-        tags = [oc.tag for oc in self.ood_panel]
-        if len(set(tags)) != len(tags):
-            raise ConfigError(f"ood_panel kinds must be distinct, got {tags}")
+        # Output files and bench.csv rows are keyed by kind on every axis.
+        for axis in ("losses", "scores", "ood_panel"):
+            kinds = [c.kind for c in getattr(self, axis)]
+            if len(set(kinds)) != len(kinds):
+                raise ConfigError(f"{axis} kinds must be distinct, got {kinds}")
 
 
 def _strict(cls, payload: dict, context: str):
@@ -160,11 +164,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    try:
+        raw = json.loads("".join(read_lines(path, ConfigError)))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return config_from_dict(raw)
 
 
@@ -251,6 +254,9 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
     else:
         train_ds = load_delimited(dc.train_path, has_label=True, k=dc.k or None)
         test_ds = load_delimited(dc.test_path, has_label=True, k=train_ds.k)
+        if test_ds.dim != train_ds.dim:
+            raise DataError(f"{dc.test_path}: {test_ds.dim} features per row, "
+                            f"{dc.train_path} has {train_ds.dim}")
     val_ds = None
     if dc.val_fraction > 0.0:
         train_ds, val_ds = split(train_ds, (1.0 - dc.val_fraction, dc.val_fraction),
@@ -310,9 +316,8 @@ class ExperimentResult:
     hash: str
 
 
-def _scored(id_scores: np.ndarray, ood_scores: np.ndarray) -> list[ScoredExample]:
-    return ([ScoredExample(float(s), "ID") for s in id_scores]
-            + [ScoredExample(float(s), "OOD") for s in ood_scores])
+def _examples(scores: np.ndarray, origin: str) -> list[ScoredExample]:
+    return [ScoredExample(float(s), origin) for s in scores]
 
 
 def _write(path, text: str) -> None:
@@ -367,9 +372,9 @@ def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
     """Score the ID test set once per detector and each OOD set against it;
     write each dump under out and yield (detector name, OOD tag, scored)."""
     for score_cfg in cfg.scores:
-        id_scores = score_batch(model, bundle.test.features, score_cfg)
+        id_part = _examples(score_batch(model, bundle.test.features, score_cfg), "ID")
         for tag, ood_ds in bundle.ood_sets:
-            scored = _scored(id_scores, score_batch(model, ood_ds.features, score_cfg))
+            scored = id_part + _examples(score_batch(model, ood_ds.features, score_cfg), "OOD")
             write_scores(os.path.join(
                 out, f"scores_{stem}_{score_cfg.name}_{tag}_{seed}.txt"), scored)
             yield score_cfg.name, tag, scored
@@ -483,8 +488,8 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
     mean validation FPR95 (ties break to the smaller tau)."""
     if not tau_grid:
         raise ConfigError("tau grid must be nonempty")
-    if any(t <= 0 for t in tau_grid):
-        raise ConfigError(f"tau values must be positive, got {list(tau_grid)}")
+    if not all(0 < t < math.inf for t in tau_grid):
+        raise ConfigError(f"tau values must be positive and finite, got {list(tau_grid)}")
     msp = ScoreConfig(kind="msp")
     taus = sorted(set(tau_grid))
     fprs: dict[float, list[float]] = {tau: [] for tau in taus}
@@ -498,10 +503,9 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
             if cell is None:
                 continue
             model, history = cell
-            id_scores = score_batch(model, bundle.test.features, msp)
-            ood_scores = score_batch(model, bundle.validation_ood.features, msp)
-            fprs[tau].append(detection_report(_scored(id_scores, ood_scores),
-                                              cfg.metrics.tpr_target).fpr_at_95_tpr)
+            scored = (_examples(score_batch(model, bundle.test.features, msp), "ID")
+                      + _examples(score_batch(model, bundle.validation_ood.features, msp), "OOD"))
+            fprs[tau].append(detection_report(scored, cfg.metrics.tpr_target).fpr_at_95_tpr)
             losses[tau].append(history[-1].train_loss)
     rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
             for tau in taus if fprs[tau]]

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, read_lines
 from .tensor import GradTape, Matrix2D
 
 ACTIVATION = "relu"
@@ -138,8 +138,7 @@ def save_checkpoint(model: MlpModel, path, config_hash: str = "") -> None:
 
 def load_checkpoint(path) -> tuple[MlpModel, str]:
     """Returns (model, config_hash); malformed content raises DataError."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = "".join(read_lines(path)).splitlines()
     if not lines or lines[0] != "logitbench-checkpoint v1":
         raise DataError(f"{path}: not a logitbench checkpoint")
     if len(lines) < 4:

@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .data import LabeledDataset, OodDataset
-from .errors import ConfigError, ContractError, DataError, DivergedError
+from .errors import ConfigError, ContractError, DivergedError
 from .losses import LossConfig, loss_and_grad
-from .model import MlpModel, forward, forward_traced
+from .model import MlpModel, _forward, forward_traced
 from .tensor import Matrix2D, row_l2_norm
 
 
@@ -63,26 +63,15 @@ def lr_at(cfg: OptimConfig, epoch: int) -> float:
     return lr
 
 
-def _mean_norm(model: MlpModel, features: Matrix2D) -> float:
-    return float(row_l2_norm(forward(model, features)).mean())
-
-
-def _with_params(model: MlpModel, weights: list[np.ndarray],
-                 biases: list[np.ndarray]) -> MlpModel:
-    """An immutable model holding copies of the working parameters."""
-    return MlpModel(model.layer_dims,
-                    tuple(Matrix2D(w.copy()) for w in weights),
-                    tuple(Matrix2D(b.copy()) for b in biases))
-
-
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
           optim_cfg: OptimConfig, seed: int, probe_ood: Optional[OodDataset] = None
           ) -> tuple[MlpModel, list[EpochTelemetry]]:
     """Train and return (new model, one telemetry record per epoch).
 
     Deterministic in seed, which drives the minibatch order; raises DivergedError on a non-finite
-    loss or parameter. Weight decay is applied to weights only, never biases.
-    Parameters, velocities and gradients are plain arrays updated in place.
+    loss, parameter or epoch-end logit. Weight decay is applied to weights only, never biases.
+    Parameters, velocities and gradients are plain arrays updated in place; the model is built
+    from them once, after the last epoch.
     """
     if dataset.dim != model.input_dim or dataset.k != model.num_classes:
         raise ConfigError(
@@ -97,57 +86,60 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
     decay = optim_cfg.weight_decay
     x_all = dataset.features.data
     y_all = dataset.labels
+    x_ood = probe_ood.features.data if probe_ood is not None else None
     n = dataset.n
-    current = model
     telemetry: list[EpochTelemetry] = []
 
-    for epoch in range(optim_cfg.epochs):
-        lr = lr_at(optim_cfg, epoch)
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        loss_batches = 0
-        for step, start in enumerate(range(0, n, optim_cfg.batch_size)):
-            batch = order[start:start + optim_cfg.batch_size]
-            tape, logits = forward_traced(weights, biases, x_all[batch])
-            loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
-            if not math.isfinite(loss):
-                raise DivergedError(epoch, step)
-            loss_sum += loss
-            loss_batches += 1
-            if lr == 0.0:
-                continue
-            grad_w, grad_b, _ = tape.backward(grad)
-            for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grad_w, grad_b):
-                gw += decay * w
-                vw *= momentum
-                vw += gw
-                vb *= momentum
-                vb += gb
-                w -= lr * vw
-                b -= lr * vb
-            if not all(np.isfinite(p).all() for p in (*weights, *biases)):
-                raise DivergedError(epoch, step)
+    # Overflow is reported by the three finiteness checks below as a
+    # divergence at its epoch and step, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(optim_cfg.epochs):
+            lr = lr_at(optim_cfg, epoch)
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            loss_batches = 0
+            for step, start in enumerate(range(0, n, optim_cfg.batch_size)):
+                batch = order[start:start + optim_cfg.batch_size]
+                tape, logits = forward_traced(weights, biases, x_all[batch])
+                loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
+                if not math.isfinite(loss):
+                    raise DivergedError(epoch, step)
+                loss_sum += loss
+                loss_batches += 1
+                if lr == 0.0:
+                    continue
+                grad_w, grad_b, _ = tape.backward(grad)
+                for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grad_w, grad_b):
+                    gw += decay * w
+                    vw *= momentum
+                    vw += gw
+                    vb *= momentum
+                    vb += gb
+                    w -= lr * vw
+                    b -= lr * vb
+                if not all(np.isfinite(p).all() for p in (*weights, *biases)):
+                    raise DivergedError(epoch, step)
 
-        current = _with_params(model, weights, biases)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                logits = forward(current, dataset.features)
-                ood_norm = (_mean_norm(current, probe_ood.features)
-                            if probe_ood is not None else None)
-        except DataError:
             # Finite weights can still overflow the forward pass once the
-            # parameters are large enough; that is divergence, not bad data.
-            raise DivergedError(epoch, loss_batches - 1) from None
-        acc = float((np.argmax(logits.data, axis=1) == y_all).mean())
-        telemetry.append(EpochTelemetry(
-            epoch=epoch + 1,
-            train_loss=loss_sum / loss_batches,
-            train_acc=acc,
-            mean_logit_norm_id=float(row_l2_norm(logits).mean()),
-            mean_logit_norm_ood=ood_norm,
-        ))
+            # parameters are large enough; that too is divergence.
+            outputs = [_forward(weights, biases, x)[1] for x in (x_all, x_ood) if x is not None]
+            if not all(np.isfinite(f).all() for f in outputs):
+                raise DivergedError(epoch, loss_batches - 1)
+            norms = [float(row_l2_norm(f).mean()) for f in outputs]
+            telemetry.append(EpochTelemetry(
+                epoch=epoch + 1,
+                train_loss=loss_sum / loss_batches,
+                train_acc=float((np.argmax(outputs[0], axis=1) == y_all).mean()),
+                mean_logit_norm_id=norms[0],
+                mean_logit_norm_ood=norms[1] if x_ood is not None else None,
+            ))
+            # Left alive into the next epoch's steps, these logits push the
+            # next epoch-end forward's activations up the heap: +2 MB peak
+            # RSS on the desk config.
+            del outputs
 
-    return current, telemetry
+    return MlpModel(model.layer_dims, tuple(Matrix2D(w) for w in weights),
+                    tuple(Matrix2D(b) for b in biases)), telemetry
 
 
 def telemetry_csv(telemetry: list[EpochTelemetry]) -> str:

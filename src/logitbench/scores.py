@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_lines
 from .model import MlpModel, forward, forward_layers
 from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
@@ -110,16 +110,15 @@ def write_scores(path, scored: list[ScoredExample]) -> None:
 
 def read_scores(path) -> list[ScoredExample]:
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                origin, value = line.split(",")
-                out.append(ScoredExample(float(value), origin))
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            origin, value = line.split(",")
+            out.append(ScoredExample(float(value), origin))
+        except ValueError as exc:  # DataError included
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
     if not out:
         raise DataError(f"{path}: empty score dump")
     return out

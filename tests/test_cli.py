@@ -6,6 +6,8 @@ import pytest
 
 from logitbench.cli import build_parser, main
 
+from conftest import write_file_data
+
 
 def write_config(tmp_path, **overrides):
     raw = {
@@ -132,7 +134,7 @@ def test_exit_code_data_error(tmp_path):
     assert main(["eval", "--scores", str(empty)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_all_diverged(tmp_path):
     cfg_path = write_config(
         tmp_path,
@@ -141,7 +143,7 @@ def test_exit_code_all_diverged(tmp_path):
     assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["train", "calibrate"])
 def test_exit_code_diverged_run(command, tmp_path, capsys):
     cfg_path = write_config(
@@ -155,7 +157,7 @@ def test_exit_code_diverged_run(command, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_all_diverged_sweep_tau(tmp_path, capsys):
     cfg_path = write_config(
         tmp_path,
@@ -171,6 +173,95 @@ def test_exit_code_all_diverged_sweep_tau(tmp_path, capsys):
 def test_exit_code_bad_ood_set(tmp_path):
     cfg_path = write_config(tmp_path, ood_panel=[{"kind": "uniform_box", "m": 0}])
     assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 1
+
+
+def test_exit_code_repeated_loss_kind(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, losses=[{"kind": "logit_norm", "tau": 0.04},
+                                              {"kind": "logit_norm", "tau": 0.5}])
+    assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("config error: losses kinds must be distinct")
+    assert not (tmp_path / "out").exists()
+
+
+NOT_UTF8 = b"\xff\xfe not text \x80\n"
+
+
+# Each case builds its command line from tmp_path and the path of a file
+# that is missing or holds bytes that are not UTF-8.
+
+def _tau_grid(tmp_path, bad):
+    return ["sweep-tau", "--config", str(write_config(tmp_path)), "--tau-grid", "abc"]
+
+
+def _config_file(tmp_path, bad):
+    return ["train", "--config", bad]
+
+
+def _dump(tmp_path, bad):
+    return ["eval", "--scores", bad]
+
+
+def _checkpoint(tmp_path, bad):
+    return ["score", "--config", str(write_config(tmp_path)), "--checkpoint", bad]
+
+
+def _data_file(tmp_path, bad):
+    data = {"kind": "file", "k": 3, "train_path": bad, "test_path": bad}
+    return ["train", "--config", str(write_config(tmp_path, data=data))]
+
+
+def _wider_data_than_checkpoint(tmp_path, bad):
+    assert main(["train", "--config", str(write_config(tmp_path)), "--quiet"]) == 0
+    ckpt = tmp_path / "out" / "checkpoint_cross_entropy_0.txt"
+    wide = dict(json.loads((tmp_path / "config.json").read_text())["data"], d=5)
+    return ["score", "--config", str(write_config(tmp_path, data=wide, layer_dims=[5, 8, 3])),
+            "--checkpoint", str(ckpt)]
+
+
+@pytest.mark.parametrize("argv, content, code, prefix", [
+    (_tau_grid, None, 1, "config error: --tau-grid: could not convert"),
+    (_config_file, None, 1, "config error: cannot read"),
+    (_config_file, NOT_UTF8, 1, "config error: cannot read"),
+    (_dump, None, 2, "data error: cannot read"),
+    (_dump, NOT_UTF8, 2, "data error: cannot read"),
+    (_checkpoint, None, 2, "data error: cannot read"),
+    (_checkpoint, NOT_UTF8, 2, "data error: cannot read"),
+    (_data_file, None, 2, "data error: cannot read"),
+    (_data_file, NOT_UTF8, 2, "data error: cannot read"),
+    (_wider_data_than_checkpoint, None, 2, "data error: input has 5 features, model expects 4"),
+], ids=["tau grid", "missing config", "non-utf8 config", "missing dump", "non-utf8 dump",
+        "missing checkpoint", "non-utf8 checkpoint", "missing data file",
+        "non-utf8 data file", "checkpoint width"])
+def test_bad_input_is_one_line_without_traceback(argv, content, code, prefix, tmp_path,
+                                                 capsys):
+    bad = tmp_path / "bad.txt"
+    if content is not None:
+        bad.write_bytes(content)
+    args = argv(tmp_path, str(bad))
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_bench_on_file_data(tmp_path):
+    cfg_path = write_config(tmp_path, data=write_file_data(tmp_path)[0])
+    assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 0
+    out = tmp_path / "out"
+    rows = (out / "bench.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("cross_entropy,msp,uniform_box,")
+    # 30 test rows and 40 uniform-box rows in the dump
+    dump = (out / "scores_cross_entropy_msp_uniform_box_0.txt").read_text()
+    assert dump.count("ID,") == 30 and dump.count("OOD,") == 40
+
+
+def test_bench_rejects_mismatched_file_widths_before_training(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, data=write_file_data(tmp_path, test_dim=5)[0])
+    assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not list((tmp_path / "out").glob("checkpoint_*"))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +285,7 @@ def _logit_norm_output(out, command):
     return (out / "sweep_tau.csv").read_text().count("\n") == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["bench", "train", "calibrate"])
 def test_partly_diverged_run_keeps_what_trained(command, tmp_path, capsys):
     cfg_path = write_config(tmp_path, **PARTIAL)
@@ -208,7 +299,7 @@ def test_partly_diverged_run_keeps_what_trained(command, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_partly_diverged_sweep_keeps_what_trained(tmp_path, capsys):
     # sweep-tau trains logit-norm only, which survives the config above ...
     cfg_path = write_config(tmp_path, **PARTIAL)

@@ -265,6 +265,18 @@ def test_load_delimited_fractional_label(tmp_path):
         load_delimited(path, has_label=True)
 
 
+@pytest.mark.parametrize("row", ["1.0,2.0,nan", "1.0,2.0,inf", "1.0,2.0,1e300",
+                                 "1.0,2.0,-1", "nan,2.0,0", "1.0,1e999,0", "1"])
+def test_load_delimited_rejects_bad_values_and_labels(row, tmp_path):
+    # Each must fail as a DataError naming its line, before a label reaches
+    # int() (ValueError on nan, OverflowError on inf) or a lone label makes a
+    # dataset without features.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# features, label\n{row}\n")
+    with pytest.raises(DataError, match="line 2"):
+        load_delimited(path, has_label=True)
+
+
 def test_load_delimited_label_out_of_range(tmp_path):
     path = tmp_path / "range.csv"
     path.write_text("1.0,2.0,5\n")

@@ -3,6 +3,7 @@ the benchmark grid, tau sweep, histogram and calibration emission."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from logitbench.harness import (DataConfig, ExperimentConfig, SeedData,
                                 histogram_csv, load_config, realize_data,
                                 run_calibration, run_experiment, sweep_tau)
 from logitbench.scores import ScoredExample, read_scores
+
+from conftest import write_file_data
 
 
 def tiny_raw(**overrides):
@@ -83,6 +86,17 @@ def test_config_rejects_duplicate_ood_kinds():
              {"kind": "gaussian_noise", "m": 50, "params": {"std": 2.0}}]
     with pytest.raises(ConfigError, match="distinct"):
         config_from_dict(tiny_raw(ood_panel=panel))
+
+
+@pytest.mark.parametrize("axis, entries", [
+    ("losses", [{"kind": "logit_norm", "tau": 0.04}, {"kind": "logit_norm", "tau": 0.5}]),
+    ("scores", [{"kind": "energy", "energy_T": 1.0}, {"kind": "energy", "energy_T": 0.25}]),
+])
+def test_config_rejects_repeated_kinds(axis, entries):
+    # Checkpoints, dumps and bench.csv rows are named by kind, so a repeated
+    # kind would overwrite the first entry's files and merge their rows.
+    with pytest.raises(ConfigError, match=f"{axis} kinds must be distinct"):
+        config_from_dict(tiny_raw(**{axis: entries}))
 
 
 @pytest.mark.parametrize("entry, match", [
@@ -159,6 +173,12 @@ def test_data_config_validation():
         DataConfig(label_noise=-0.1)
 
 
+def test_desk_config_matches_committed_json():
+    committed = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+    assert (config_to_dict(desk_config(output_dir="out/desk"))
+            == config_to_dict(load_config(committed)))
+
+
 def test_desk_config_is_valid():
     cfg = desk_config(seeds=(0,), epochs=10)
     assert cfg.data.k == cfg.layer_dims[-1] == 10
@@ -209,6 +229,21 @@ def test_label_noise_touches_train_only():
     assert np.array_equal(noisy.val.labels, clean.val.labels)
     assert np.array_equal(noisy.test.labels, clean.test.labels)
     assert (noisy.train.labels != clean.train.labels).sum() == int(0.25 * noisy.train.n)
+
+
+def test_realize_data_from_files(tmp_path):
+    data, train_ds, test_ds = write_file_data(tmp_path)
+    bundle = realize_data(config_from_dict(tiny_raw(data=data)), 0)
+    assert bundle.train.n + bundle.val.n == train_ds.n
+    assert np.array_equal(bundle.test.features.data, test_ds.features.data)
+    assert np.array_equal(bundle.test.labels, test_ds.labels)
+    assert all(ds.dim == 4 for _, ds in bundle.ood_sets)
+
+
+def test_realize_data_rejects_mismatched_file_widths(tmp_path):
+    data, _, _ = write_file_data(tmp_path, test_dim=5)
+    with pytest.raises(DataError, match="5 features per row"):
+        realize_data(config_from_dict(tiny_raw(data=data)), 0)
 
 
 def test_realize_data_deterministic():
@@ -279,7 +314,7 @@ def test_run_experiment_rerun_is_byte_identical(tiny_run, tmp_path):
         assert (rerun_dir / name).read_bytes() == (out / name).read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_experiment_all_diverged(tmp_path):
     # Restrict to cross-entropy: the normalized loss is scale-invariant in
     # the logits and can survive absurd learning rates.
@@ -293,7 +328,7 @@ def test_run_experiment_all_diverged(tmp_path):
         run_experiment(cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_experiment_partly_diverged(tmp_path):
     raw = tiny_raw(output_dir=str(tmp_path), seeds=[0])
     raw["optim"].update(lr0=1e9, weight_decay=0.0, epochs=20, lr_drops=[])
@@ -346,6 +381,9 @@ def test_sweep_tau_validation():
         sweep_tau(cfg, [])
     with pytest.raises(ConfigError):
         sweep_tau(cfg, [0.1, -0.5])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            sweep_tau(cfg, [0.1, bad])
 
 
 # ---------------------------------------------------------------------------

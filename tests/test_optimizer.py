@@ -147,7 +147,7 @@ def test_weight_decay_shrinks_weights_only():
     assert heavy_norm < free_norm
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_divergence_raises():
     ds = easy_dataset()
     model = init_model((4, 8, 2), seed=8)
