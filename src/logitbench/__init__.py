@@ -8,17 +8,16 @@ from .data import (LabeledDataset, OodDataset, corrupt_labels, gen_blobs,
 from .errors import (AllSeedsDiverged, ConfigError, ContractError, DataError,
                      DivergedError, ShapeError)
 from .harness import (BenchmarkRow, ExperimentConfig, config_from_dict,
-                      config_hash, desk_config, emit_histogram_data,
-                      load_config, run_calibration, run_experiment, sweep_tau,
-                      train_cell)
+                      config_hash, emit_histogram_data, load_config,
+                      run_calibration, run_experiment, sweep_tau, train_cell)
 from .losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from .metrics import (CalibrationReport, DetectionReport, aupr, auroc, ece,
                       fit_temperature, fpr_at_tpr)
-from .model import (LogitDecomposition, MlpModel, decompose, forward,
-                    forward_traced, init_model, load_checkpoint, save_checkpoint)
+from .model import (MlpModel, forward, forward_traced, init_model,
+                    load_checkpoint, save_checkpoint)
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from .scores import (ScoreConfig, ScoredExample, read_scores, score_batch,
                      write_scores)
-from .tensor import GradTape, Matrix2D, matmul, row_l2_norm, rowwise_softmax
+from .tensor import GradTape, Matrix2D, row_l2_norm, rowwise_softmax
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ class LabeledDataset:
     features: Matrix2D
     labels: np.ndarray
     k: int
-    origin_tag: str
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -46,7 +45,6 @@ class LabeledDataset:
 @dataclass(frozen=True)
 class OodDataset:
     features: Matrix2D
-    origin_tag: str
 
     def __post_init__(self):
         if self.features.rows < 1:
@@ -80,7 +78,7 @@ def gen_blobs(k: int, d: int, n_per_class: int, cluster_spread: float,
     features = np.repeat(means, n_per_class, axis=0)
     features = features + cluster_spread * rng.standard_normal(features.shape)
     labels = np.repeat(np.arange(k), n_per_class)
-    return LabeledDataset(Matrix2D(features), labels, k, f"blobs_k{k}_d{d}")
+    return LabeledDataset(Matrix2D(features), labels, k)
 
 
 def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
@@ -122,7 +120,7 @@ def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
         raise ConfigError(f"unknown OOD kind {kind!r}, expected one of {OOD_KINDS}")
     if params:
         raise ConfigError(f"unknown params for OOD kind {kind!r}: {sorted(params)}")
-    return OodDataset(Matrix2D(feats), kind)
+    return OodDataset(Matrix2D(feats))
 
 
 def split(dataset: LabeledDataset, fractions: tuple[float, float],
@@ -147,9 +145,9 @@ def split(dataset: LabeledDataset, fractions: tuple[float, float],
     test_idx = np.concatenate(test_idx)
     return (
         LabeledDataset(Matrix2D(dataset.features.data[train_idx]),
-                       dataset.labels[train_idx], dataset.k, dataset.origin_tag),
+                       dataset.labels[train_idx], dataset.k),
         LabeledDataset(Matrix2D(dataset.features.data[test_idx]),
-                       dataset.labels[test_idx], dataset.k, dataset.origin_tag),
+                       dataset.labels[test_idx], dataset.k),
     )
 
 
@@ -169,7 +167,7 @@ def corrupt_labels(dataset: LabeledDataset, fraction: float,
     n_flip = int(fraction * len(labels))
     idx = rng.choice(len(labels), size=n_flip, replace=False)
     labels[idx] = (labels[idx] + rng.integers(1, dataset.k, n_flip)) % dataset.k
-    return LabeledDataset(dataset.features, labels, dataset.k, dataset.origin_tag)
+    return LabeledDataset(dataset.features, labels, dataset.k)
 
 
 def load_delimited(path, has_label: bool, k: Optional[int] = None
@@ -209,8 +207,8 @@ def load_delimited(path, has_label: bool, k: Optional[int] = None
     features = Matrix2D(np.array(rows))
     if has_label:
         k_eff = k if k is not None else max(labels) + 1
-        return LabeledDataset(features, np.array(labels), k_eff, str(path))
-    return OodDataset(features, str(path))
+        return LabeledDataset(features, np.array(labels), k_eff)
+    return OodDataset(features)
 
 
 def save_delimited(dataset: Union[LabeledDataset, OodDataset], path) -> None:

@@ -15,8 +15,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, field
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .tensor import row_l2_norm, rowwise_softmax
 
 
 # --------------------------------------------------------------------------
-# Config dataclasses and strict JSON parsing
+# Config dataclasses and typed JSON parsing
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -66,17 +66,13 @@ class DataConfig:
 class OodSetConfig:
     kind: str
     m: int = 2000
-    params: dict = field(default_factory=dict)
+    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in OOD_KINDS:
             raise ConfigError(f"unknown OOD kind {self.kind!r}, expected one of {OOD_KINDS}")
         if self.m < 1:
             raise ConfigError(f"OOD set {self.kind!r} needs m >= 1, got {self.m}")
-
-    @property
-    def tag(self) -> str:
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -92,20 +88,24 @@ class MetricsConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    data: DataConfig
     layer_dims: tuple[int, ...]
-    losses: tuple[LossConfig, ...]
-    optim: OptimConfig
-    scores: tuple[ScoreConfig, ...]
-    ood_panel: tuple[OodSetConfig, ...]
-    validation_ood: OodSetConfig
-    metrics: MetricsConfig
     seeds: tuple[int, ...]
+    data: DataConfig = DataConfig()
+    losses: tuple[LossConfig, ...] = (LossConfig(),)
+    optim: OptimConfig = OptimConfig()
+    scores: tuple[ScoreConfig, ...] = (ScoreConfig(),)
+    ood_panel: tuple[OodSetConfig, ...] = ()
+    validation_ood: OodSetConfig = field(default_factory=lambda: OodSetConfig(
+        "gaussian_noise", params={"std": 1.0}))
+    metrics: MetricsConfig = MetricsConfig()
     output_dir: str = "out"
 
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(self.layer_dims) < 2 or min(self.layer_dims) < 1:
+            raise ConfigError("layer_dims must be at least two positive sizes, "
+                              f"got {list(self.layer_dims)}")
         if self.data.kind == "blobs":
             if self.layer_dims[0] != self.data.d or self.layer_dims[-1] != self.data.k:
                 raise ConfigError(
@@ -118,45 +118,58 @@ class ExperimentConfig:
                 raise ConfigError(f"{axis} kinds must be distinct, got {kinds}")
 
 
-def _strict(cls, payload: dict, context: str):
-    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    return payload
+def _typed(tp, value, path: str):
+    """Read the JSON value at key path `path` as type `tp`: a config
+    dataclass (an object with every required key and no unknown one, read
+    field by field from its annotations), a tuple (a list), a dict of
+    numbers, int (not a bool), float (any finite number) or str. Anything
+    else, and any check the dataclass makes, is a ConfigError naming path."""
+    def reject(expected):
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            reject("object")
+        fields = {f.name: f for f in dataclasses.fields(tp)}
+        unknown = set(value) - set(fields)
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        missing = [name for name, f in fields.items() if name not in value
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+        hints = get_type_hints(tp)
+        kwargs = {key: _typed(hints[key], v, f"{path}.{key}") for key, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, list) or not (variadic or len(value) == len(args)):
+            reject("list" if variadic else f"list of {len(args)}")
+        types = args[:1] * len(value) if variadic else args
+        return tuple(_typed(t, v, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(types, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            reject("object")
+        return {key: _typed(args[1], v, f"{path}.{key}") for key, v in value.items()}
+    if tp is float:
+        try:
+            finite = type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            reject("float")
+    elif type(value) is not tp:  # int or str; rejects a bool for an int
+        reject(tp.__name__)
+    return value
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    _strict(ExperimentConfig, raw, "config")
-    missing = {"layer_dims", "seeds"} - set(raw)
-    if missing:
-        raise ConfigError(f"config: missing keys {sorted(missing)}")
-
-    def loss_cfg(d: dict) -> LossConfig:
-        d = dict(d)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        return LossConfig(**_strict(LossConfig, d, "losses"))
-
-    def ood_cfg(d: dict) -> OodSetConfig:
-        return OodSetConfig(**_strict(OodSetConfig, dict(d), "ood_panel"))
-
-    optim_raw = dict(raw.get("optim", {}))
-    if "lr_drops" in optim_raw:
-        optim_raw["lr_drops"] = tuple((int(e), float(f)) for e, f in optim_raw["lr_drops"])
-    return ExperimentConfig(
-        data=DataConfig(**_strict(DataConfig, dict(raw.get("data", {})), "data")),
-        layer_dims=tuple(int(d) for d in raw["layer_dims"]),
-        losses=tuple(loss_cfg(d) for d in raw.get("losses", [{"kind": "cross_entropy"}])),
-        optim=OptimConfig(**_strict(OptimConfig, optim_raw, "optim")),
-        scores=tuple(ScoreConfig(**_strict(ScoreConfig, dict(d), "scores"))
-                     for d in raw.get("scores", [{"kind": "msp"}])),
-        ood_panel=tuple(ood_cfg(d) for d in raw.get("ood_panel", [])),
-        validation_ood=ood_cfg(raw.get("validation_ood",
-                                       {"kind": "gaussian_noise", "params": {"std": 1.0}})),
-        metrics=MetricsConfig(**_strict(MetricsConfig, dict(raw.get("metrics", {})), "metrics")),
-        seeds=tuple(int(s) for s in raw["seeds"]),
-        output_dir=str(raw.get("output_dir", "out")),
-    )
+    return _typed(ExperimentConfig, raw, "config")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -164,9 +177,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
+    text = "".join(read_lines(path, ConfigError))
     try:
-        raw = json.loads("".join(read_lines(path, ConfigError)))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to read
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return config_from_dict(raw)
 
@@ -174,54 +188,6 @@ def load_config(path) -> ExperimentConfig:
 def config_hash(cfg: ExperimentConfig) -> str:
     canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def desk_config(seeds: Sequence[int] = (0, 1, 2, 3, 4), epochs: int = 200,
-                output_dir: str = "out") -> ExperimentConfig:
-    """The pinned desk benchmark: 10-class blobs in d=16, four OOD sets,
-    three losses, four scores.
-
-    The geometry is tuned so the training dynamics mirror the large-scale
-    regime: overlapping clusters plus a 10% label-flip fraction give the
-    cross-entropy model a slow memorization phase (growing logit norms,
-    inflated confidence everywhere), while the normalized loss stays
-    contained.  The OOD sets sit at roughly half the ID feature scale, the
-    way unfamiliar inputs excite a trained net more weakly than its own
-    training distribution.
-    """
-    # Mean ID input norm is sqrt(radius^2 + d*spread^2) ~ 5.32 and the ID
-    # per-coordinate std is sqrt(spread^2 + radius^2/d) ~ 1.33; the OOD
-    # parameters below target half those scales.
-    return config_from_dict({
-        "data": {"kind": "blobs", "k": 10, "d": 16, "n_train_per_class": 500,
-                 "n_test_per_class": 200, "cluster_spread": 1.0,
-                 "cluster_radius": 3.5, "label_noise": 0.10,
-                 "val_fraction": 0.1},
-        "layer_dims": [16, 64, 64, 10],
-        "losses": [{"kind": "cross_entropy"},
-                   {"kind": "logit_norm", "tau": 0.12},
-                   {"kind": "logit_penalty", "lam": 0.05}],
-        "optim": {"lr0": 0.1, "momentum": 0.9, "weight_decay": 2e-4,
-                  "epochs": epochs, "batch_size": 128,
-                  "lr_drops": [[int(epochs * 0.4), 0.1], [int(epochs * 0.7), 0.1]]},
-        # Energy uses a sharpened temperature: models trained with the
-        # normalized loss emit small logits, and T < 1 restores contrast
-        # between their ID and OOD free energies.
-        "scores": [{"kind": "msp"}, {"kind": "odin"},
-                   {"kind": "energy", "energy_T": 0.25}, {"kind": "gradnorm"}],
-        "ood_panel": [
-            {"kind": "uniform_box", "m": 2000, "params": {"half_width": 1.15}},
-            {"kind": "gaussian_noise", "m": 2000, "params": {"std": 0.66}},
-            {"kind": "ring", "m": 2000, "params": {"radius": 2.66, "jitter": 1.0}},
-            {"kind": "shifted_blobs", "m": 2000,
-             "params": {"k": 10, "cluster_radius": 1.75, "cluster_spread": 1.0,
-                        "shift": 2.45}},
-        ],
-        "validation_ood": {"kind": "gaussian_noise", "m": 2000, "params": {"std": 0.66}},
-        "metrics": {"tpr_target": 0.95, "ece_bins": 15},
-        "seeds": list(seeds),
-        "output_dir": output_dir,
-    })
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +231,7 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
         train_ds = corrupt_labels(train_ds, dc.label_noise,
                                   derive_seed(seed, "labelnoise"))
     d = train_ds.dim
-    ood_sets = [(oc.tag, gen_ood(oc.kind, d, oc.m, oc.params,
+    ood_sets = [(oc.kind, gen_ood(oc.kind, d, oc.m, oc.params,
                                  derive_seed(seed, f"ood:{i}:{oc.kind}")))
                 for i, oc in enumerate(cfg.ood_panel)]
     voc = cfg.validation_ood
@@ -341,7 +307,7 @@ def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
                      derive_seed(seed, "sgd"), probe_ood=probe_ood)
     except DivergedError as exc:
         tau = f" tau={loss_cfg.tau}" if loss_cfg.kind == LOGIT_NORM else ""
-        warnings.append(f"loss={loss_cfg.name}{tau} seed={seed}: diverged ({exc})")
+        warnings.append(f"loss={loss_cfg.kind}{tau} seed={seed}: diverged ({exc})")
         return None
 
 
@@ -359,11 +325,11 @@ def trained_cells(cfg: ExperimentConfig, out: str, warnings: list[str]):
             if cell is None:
                 continue
             model, history = cell
-            base = f"{loss_cfg.name}_{seed}"
+            base = f"{loss_cfg.kind}_{seed}"
             _write(os.path.join(out, f"telemetry_{base}.csv"), telemetry_csv(history))
             save_checkpoint(model, os.path.join(out, f"checkpoint_{base}.txt"), chash)
             trained = True
-            yield seed, bundle, loss_cfg.name, model, history
+            yield seed, bundle, loss_cfg.kind, model, history
     _record_warnings(out, warnings, trained)
 
 
@@ -376,8 +342,8 @@ def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
         for tag, ood_ds in bundle.ood_sets:
             scored = id_part + _examples(score_batch(model, ood_ds.features, score_cfg), "OOD")
             write_scores(os.path.join(
-                out, f"scores_{stem}_{score_cfg.name}_{tag}_{seed}.txt"), scored)
-            yield score_cfg.name, tag, scored
+                out, f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"), scored)
+            yield score_cfg.kind, tag, scored
 
 
 def _record_warnings(out: Optional[str], warnings: list[str], trained: bool) -> None:
@@ -438,16 +404,16 @@ def aggregate_rows(cfg: ExperimentConfig, seed_rows: list[SeedRow]) -> list[Benc
     for loss_cfg, score_cfg, ood_cfg in itertools.product(cfg.losses, cfg.scores,
                                                           cfg.ood_panel):
         group = [r for r in seed_rows
-                 if r.loss_name == loss_cfg.name
-                 and r.score_name == score_cfg.name
-                 and r.ood_dataset_tag == ood_cfg.tag]
+                 if r.loss_name == loss_cfg.kind
+                 and r.score_name == score_cfg.kind
+                 and r.ood_dataset_tag == ood_cfg.kind]
         if not group:
             continue
         stats = []
         for attr in ("fpr95", "auroc", "aupr", "id_accuracy"):
             vals = np.array([getattr(r, attr) for r in group])
             stats += [float(vals.mean()), float(vals.std())]
-        rows.append(BenchmarkRow(loss_cfg.name, score_cfg.name, ood_cfg.tag, *stats,
+        rows.append(BenchmarkRow(loss_cfg.kind, score_cfg.kind, ood_cfg.kind, *stats,
                                  tuple(sorted(r.seed for r in group))))
     return rows
 
@@ -581,7 +547,7 @@ def run_calibration(cfg: ExperimentConfig, out_dir: Optional[str] = None
         pre = ece(conf_pre, correct, cfg.metrics.ece_bins)
         post = dataclasses.replace(ece(conf_post, correct, cfg.metrics.ece_bins),
                                    fitted_T=fitted)
-        rows.append(CalibrationRow(loss_cfg.name, fitted, pre, post))
+        rows.append(CalibrationRow(loss_cfg.kind, fitted, pre, post))
     _record_warnings(out_dir, warnings, bool(rows))
     if out_dir is not None:
         _write(os.path.join(out_dir, "calibration.csv"), _csv(

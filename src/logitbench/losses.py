@@ -46,10 +46,6 @@ class LossConfig:
         if self.stability_eps <= 0:
             raise ConfigError(f"stability_eps must be positive, got {self.stability_eps}")
 
-    @property
-    def name(self) -> str:
-        return self.kind
-
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy against integer labels, and its gradient

@@ -33,14 +33,14 @@ class OptimConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        drops = tuple((int(e), float(f)) for e, f in self.lr_drops)
-        epochs_seen = [e for e, _ in drops]
+        epochs_seen = [e for e, _ in self.lr_drops]
         if epochs_seen != sorted(set(epochs_seen)) or any(
                 e < 0 or e >= self.epochs for e in epochs_seen):
-            raise ConfigError(f"lr_drop epochs must be strictly increasing and < epochs, got {drops}")
-        object.__setattr__(self, "lr_drops", drops)
+            raise ConfigError(f"lr_drop epochs must be strictly increasing and < epochs, got {self.lr_drops}")
 
 
 @dataclass(frozen=True)

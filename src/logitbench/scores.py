@@ -49,10 +49,6 @@ class ScoreConfig:
         if self.odin_eps < 0:
             raise ConfigError(f"odin_eps must be nonnegative, got {self.odin_eps}")
 
-    @property
-    def name(self) -> str:
-        return self.kind
-
 
 @dataclass(frozen=True)
 class ScoredExample:

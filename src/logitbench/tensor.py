@@ -39,10 +39,6 @@ class Matrix2D:
         return self.data.shape
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Matrix2D":
-        return cls(np.array(rows, dtype=np.float64))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix2D":
         return cls(np.zeros((rows, cols)))
 
@@ -76,13 +72,6 @@ class GradTape:
                 # is, so the layer input gives the relu mask.
                 grad *= self.inputs[i] > 0.0
         return grad_w, grad_b, grad if input_grad else None
-
-
-def matmul(a: Matrix2D, b: Matrix2D) -> Matrix2D:
-    """Standard matrix product (untraced)."""
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    return Matrix2D(a.data @ b.data)
 
 
 def rowwise_softmax(z: Matrix2D | np.ndarray) -> np.ndarray:

@@ -1,10 +1,17 @@
-"""Shared test helpers: finite-difference oracles, random instances and
-file-backed data."""
+"""Shared test helpers: finite-difference oracles, random instances,
+file-backed data and the committed desk config."""
+
+import copy
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from logitbench.data import gen_blobs, save_delimited, split
+from logitbench.harness import load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def central_difference(fn, x, h=1e-5):
@@ -55,3 +62,28 @@ def write_file_data(tmp_path, test_dim=4):
             "train_path": str(tmp_path / "train.csv"),
             "test_path": str(tmp_path / "test.csv")}
     return data, train, test
+
+
+def load_desk(seeds, epochs, output_dir):
+    """configs/desk.json run for `seeds` into `output_dir`, shortened from
+    its 200 epochs to `epochs` with the learning-rate drops scaled to match
+    (epochs 80 and 140 become 8 and 14 at 20 epochs)."""
+    cfg = load_config(CONFIGS / "desk.json")
+    full = cfg.optim.epochs
+    optim = dataclasses.replace(
+        cfg.optim, epochs=epochs,
+        lr_drops=tuple((e * epochs // full, f) for e, f in cfg.optim.lr_drops))
+    return dataclasses.replace(cfg, seeds=tuple(seeds), output_dir=output_dir, optim=optim)
+
+
+def replaced(raw, path, value):
+    """A copy of the JSON document raw with the value at key path `path`
+    (a tuple of keys and list indices, () for the whole document) replaced."""
+    if not path:
+        return value
+    raw = copy.deepcopy(raw)
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return raw

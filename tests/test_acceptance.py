@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from logitbench.data import gen_blobs
-from logitbench.harness import desk_config, run_calibration, run_experiment, sweep_tau
+from logitbench.harness import run_calibration, run_experiment, sweep_tau
 from logitbench.losses import (LossConfig, logitnorm_lower_bound,
                                logitnorm_values, loss_and_grad)
 from logitbench.metrics import (aupr, auroc, fit_temperature, fpr_at_tpr,
@@ -25,7 +25,7 @@ from logitbench.model import forward, forward_layers, init_model
 from logitbench.scores import GRADNORM, ScoreConfig, ScoredExample, score_batch
 from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
 
-from conftest import assert_grad_close, central_difference
+from conftest import assert_grad_close, central_difference, load_desk
 
 DESK_SEEDS = (0, 1, 2, 3, 4)
 TAU_GRID = (0.001, 0.005, 0.01, 0.05, 0.5, 1.0, 2.0)
@@ -43,7 +43,7 @@ def _ok(name: str, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def desk(tmp_path_factory):
     out = tmp_path_factory.mktemp("desk")
-    cfg = desk_config(seeds=DESK_SEEDS, epochs=200, output_dir=str(out))
+    cfg = load_desk(seeds=DESK_SEEDS, epochs=200, output_dir=str(out))
     started = time.time()
     result = run_experiment(cfg)
     return cfg, result, time.time() - started
@@ -349,7 +349,7 @@ def test_criterion_8_calibration(tmp_path):
     scaling logit_norm's ECE drops below CE's pre-TS value and below a tenth
     of its own pre-TS value. fit_temperature recovers an injected T=3 within
     2%."""
-    cfg = desk_config(seeds=(0,), epochs=200, output_dir=str(tmp_path))
+    cfg = load_desk(seeds=(0,), epochs=200, output_dir=str(tmp_path))
     cfg = dataclasses.replace(
         cfg,
         data=dataclasses.replace(cfg.data, label_noise=0.0, cluster_radius=4.5),
@@ -389,7 +389,7 @@ def test_criterion_9_tau_sweep(tmp_path):
     """Sweeping tau over the pinned grid on the clean desk variant produces
     a curve whose FPR95 at tau=2 exceeds the selected tau's, and the train
     loss at tau=2 sits at or above the analytic lower bound."""
-    cfg = desk_config(seeds=(0,), epochs=60, output_dir=str(tmp_path))
+    cfg = load_desk(seeds=(0,), epochs=60, output_dir=str(tmp_path))
     cfg = dataclasses.replace(
         cfg,
         data=dataclasses.replace(cfg.data, label_noise=0.0, cluster_radius=6.0),
@@ -416,7 +416,7 @@ def test_criterion_9_tau_sweep(tmp_path):
 def test_criterion_10_determinism(tmp_path):
     """A reduced desk run repeated with the same config produces
     byte-identical CSV outputs (and score dumps and checkpoints)."""
-    cfg = desk_config(seeds=(0,), epochs=20, output_dir=str(tmp_path / "a"))
+    cfg = load_desk(seeds=(0,), epochs=20, output_dir=str(tmp_path / "a"))
     run_experiment(cfg)
     run_experiment(cfg, out_dir=str(tmp_path / "b"))
     a, b = tmp_path / "a", tmp_path / "b"

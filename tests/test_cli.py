@@ -6,7 +6,7 @@ import pytest
 
 from logitbench.cli import build_parser, main
 
-from conftest import write_file_data
+from conftest import CONFIGS, replaced, write_file_data
 
 
 def write_config(tmp_path, **overrides):
@@ -179,7 +179,8 @@ def test_exit_code_repeated_loss_kind(tmp_path, capsys):
     cfg_path = write_config(tmp_path, losses=[{"kind": "logit_norm", "tau": 0.04},
                                               {"kind": "logit_norm", "tau": 0.5}])
     assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith("config error: losses kinds must be distinct")
+    assert capsys.readouterr().err.startswith(
+        "config error: config: losses kinds must be distinct")
     assert not (tmp_path / "out").exists()
 
 
@@ -244,6 +245,55 @@ def test_bad_input_is_one_line_without_traceback(argv, content, code, prefix, tm
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+DESK = CONFIGS / "desk.json"
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("optim", "lr0"), "fast", "config.optim.lr0: expected float, got 'fast'"),
+    (("optim", "epochs"), 2.5, "config.optim.epochs: expected int, got 2.5"),
+    (("optim", "batch_size"), "128", "config.optim.batch_size: expected int, got '128'"),
+    (("optim", "lr_drops"), [[1]], "config.optim.lr_drops[0]: expected list of 2, got [1]"),
+    (("metrics", "ece_bins"), "15", "config.metrics.ece_bins: expected int, got '15'"),
+    (("layer_dims",), [16, "a", 10], "config.layer_dims[1]: expected int, got 'a'"),
+    (("losses",), {"kind": "cross_entropy"}, "config.losses: expected list, got {"),
+    (("losses", 1, "tau"), "big", "config.losses[1].tau: expected float, got 'big'"),
+    (("validation_ood", "m"), 20.5, "config.validation_ood.m: expected int, got 20.5"),
+    (("ood_panel", 1, "params", "std"), "x",
+     "config.ood_panel[1].params.std: expected float, got 'x'"),
+    (("ood_panel", 1, "params", "std"), None,
+     "config.ood_panel[1].params.std: expected float, got None"),
+    ((), 1, "config: expected object, got 1"),
+    (("data",), [1], "config.data: expected object, got [1]"),
+    (("seeds",), [0.5], "config.seeds[0]: expected int, got 0.5"),
+    (("seeds",), [True], "config.seeds[0]: expected int, got True"),
+    (("output_dir",), 5, "config.output_dir: expected str, got 5"),
+    (("data", "k"), 10.5, "config.data.k: expected int, got 10.5"),
+    (("layer_dims",), [], "config: layer_dims must be at least two positive sizes, got []"),
+    (("layer_dims",), [16, 0, 10],
+     "config: layer_dims must be at least two positive sizes, got [16, 0, 10]"),
+    (("optim", "epochs"), 0, "config.optim: epochs must be >= 1, got 0"),
+], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "bins_str", "dims_str",
+        "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
+        "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
+        "dims_zero", "epochs0"])
+@pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate"])
+def test_bad_config_value_is_one_line_naming_its_key(command, path, value, message,
+                                                    tmp_path, capsys):
+    raw = json.loads(DESK.read_text())
+    # One epoch, so that a value the parser let through costs little.
+    raw["optim"].update(epochs=1, lr_drops=[])
+    raw = replaced(raw, path, value)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--seed", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_bench_on_file_data(tmp_path):

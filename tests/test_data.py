@@ -17,10 +17,10 @@ from logitbench.tensor import Matrix2D
 def test_labeled_dataset_validation():
     feats = Matrix2D(np.zeros((3, 2)))
     with pytest.raises(DataError):
-        LabeledDataset(feats, np.array([0, 1]), 2, "t")  # wrong length
+        LabeledDataset(feats, np.array([0, 1]), 2)  # wrong length
     with pytest.raises(DataError):
-        LabeledDataset(feats, np.array([0, 1, 2]), 2, "t")  # out of range
-    ds = LabeledDataset(feats, np.array([0, 1, 1]), 2, "t")
+        LabeledDataset(feats, np.array([0, 1, 2]), 2)  # out of range
+    ds = LabeledDataset(feats, np.array([0, 1, 1]), 2)
     assert (ds.n, ds.dim) == (3, 2)
     with pytest.raises(ValueError):
         ds.labels[0] = 1  # labels are read-only
@@ -200,7 +200,7 @@ def test_split_validation():
 
 def test_split_needs_two_per_class():
     ds = LabeledDataset(Matrix2D(np.arange(6.0).reshape(3, 2)),
-                        np.array([0, 0, 1]), 2, "t")
+                        np.array([0, 0, 1]), 2)
     with pytest.raises(DataError):
         split(ds, (0.5, 0.5), seed=0)
 

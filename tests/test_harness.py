@@ -3,7 +3,6 @@ the benchmark grid, tau sweep, histogram and calibration emission."""
 
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +11,12 @@ from logitbench import harness
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
 from logitbench.harness import (DataConfig, ExperimentConfig, SeedData,
                                 config_from_dict, config_hash, config_to_dict,
-                                derive_seed, desk_config, emit_histogram_data,
-                                histogram_csv, load_config, realize_data,
-                                run_calibration, run_experiment, sweep_tau)
+                                derive_seed, emit_histogram_data, histogram_csv,
+                                load_config, realize_data, run_calibration,
+                                run_experiment, sweep_tau)
 from logitbench.scores import ScoredExample, read_scores
 
-from conftest import write_file_data
+from conftest import CONFIGS, load_desk, write_file_data
 
 
 def tiny_raw(**overrides):
@@ -110,12 +109,6 @@ def test_config_validates_ood_sets(entry, match):
         config_from_dict(tiny_raw(validation_ood=entry))
 
 
-def test_config_lambda_alias():
-    raw = tiny_raw(losses=[{"kind": "logit_penalty", "lambda": 0.2}])
-    cfg = config_from_dict(raw)
-    assert cfg.losses[0].lam == 0.2
-
-
 def test_config_dims_must_match_data():
     with pytest.raises(ConfigError, match="inconsistent"):
         config_from_dict(tiny_raw(layer_dims=[5, 8, 3]))
@@ -150,10 +143,12 @@ def test_config_hash_sensitive_to_content():
     assert a != b
 
 
-def test_load_config_bad_json(tmp_path):
+@pytest.mark.parametrize("text", ["{not json", '{"seeds": [' + "1" * 5000 + "]}"],
+                         ids=["not json", "5000-digit integer"])
+def test_load_config_bad_json(text, tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(path)
 
 
@@ -173,14 +168,14 @@ def test_data_config_validation():
         DataConfig(label_noise=-0.1)
 
 
-def test_desk_config_matches_committed_json():
-    committed = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
-    assert (config_to_dict(desk_config(output_dir="out/desk"))
-            == config_to_dict(load_config(committed)))
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_every_committed_config_loads(path):
+    cfg = load_config(path)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
-def test_desk_config_is_valid():
-    cfg = desk_config(seeds=(0,), epochs=10)
+def test_desk_json_is_valid():
+    cfg = load_desk(seeds=(0,), epochs=10, output_dir="out")
     assert cfg.data.k == cfg.layer_dims[-1] == 10
     assert len(cfg.ood_panel) == 4
     assert len(cfg.losses) == 3

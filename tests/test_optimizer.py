@@ -136,7 +136,7 @@ def test_weight_decay_shrinks_weights_only():
     rng = np.random.default_rng(9)
     feats = Matrix2D(rng.standard_normal((200, 4)))
     labels = rng.integers(0, 2, 200)
-    ds = LabeledDataset(feats, labels, 2, "noise")
+    ds = LabeledDataset(feats, labels, 2)
     model = init_model((4, 8, 2), seed=7)
     heavy, _ = train(model, ds, LossConfig("cross_entropy"),
                      small_optim(weight_decay=0.05, epochs=20, lr_drops=()), SGD_SEED)

@@ -49,7 +49,6 @@ def test_score_config_validation():
         ScoreConfig(odin_T=0.0)
     with pytest.raises(ConfigError):
         ScoreConfig(odin_eps=-1.0)
-    assert ScoreConfig(kind=GRADNORM).name == "gradnorm"
 
 
 def test_scored_example_validation():
