@@ -1,6 +1,6 @@
 """Fully-connected relu classifier: init, forward passes that return the
-gradient tape of their backward pass, and a decimal text checkpoint
-format."""
+gradient tape of their backward pass, logit magnitude/direction
+decomposition, and a decimal text checkpoint format."""
 
 from __future__ import annotations
 
@@ -28,6 +28,13 @@ class MlpModel:
     @property
     def num_classes(self) -> int:
         return self.layer_dims[-1]
+
+
+@dataclass(frozen=True)
+class LogitDecomposition:
+    magnitude: float
+    direction: np.ndarray
+    degenerate: bool = False
 
 
 def init_model(layer_dims, seed: int) -> MlpModel:
@@ -83,6 +90,27 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
         if i < last:
             np.maximum(h, 0.0, out=h)
     return GradTape(weights, inputs), h
+
+
+def decompose(logits_row: np.ndarray) -> LogitDecomposition:
+    """Split a logit vector into magnitude and unit direction.
+
+    The zero vector is flagged degenerate with a zero direction. The vector
+    is scaled by its largest entry first, so squaring tiny entries cannot
+    underflow the norm.
+    """
+    v = np.asarray(logits_row, dtype=np.float64).reshape(-1)
+    scale = float(np.abs(v).max()) if v.size else 0.0
+    if scale == 0.0:
+        return LogitDecomposition(0.0, np.zeros_like(v), degenerate=True)
+    unit = v / scale
+    norm = float(np.linalg.norm(unit))
+    return LogitDecomposition(scale * norm, unit / norm)
+
+
+def predict(model: MlpModel, x: Matrix2D) -> np.ndarray:
+    """Predicted class per row; ties break to the lowest index (np.argmax)."""
+    return np.argmax(forward(model, x).data, axis=1)
 
 
 # --------------------------------------------------------------------------

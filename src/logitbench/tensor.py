@@ -74,6 +74,13 @@ class GradTape:
         return grad_w, grad_b, grad if input_grad else None
 
 
+def matmul(a: Matrix2D, b: Matrix2D) -> Matrix2D:
+    """Standard matrix product (untraced)."""
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul: {a.shape} x {b.shape}")
+    return Matrix2D(a.data @ b.data)
+
+
 def rowwise_softmax(z: Matrix2D | np.ndarray) -> np.ndarray:
     """Row-stable softmax (max-subtraction), returns a plain array."""
     arr = z.data if isinstance(z, Matrix2D) else np.asarray(z, dtype=np.float64)

@@ -148,7 +148,7 @@ def test_lower_bound_rejects_degenerate_k():
         logitnorm_lower_bound(1, 1.0)
 
 
-def test_lower_bound_increases_with_tau():
+def test_lower_bound_strictly_increasing_in_tau():
     taus = [0.01, 0.04, 0.1, 0.5, 1.0, 2.0, 5.0]
     vals = [logitnorm_lower_bound(10, t) for t in taus]
     assert all(b > a for a, b in zip(vals, vals[1:]))
