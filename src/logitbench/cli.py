@@ -14,10 +14,11 @@ import os
 import sys
 
 from .errors import AllSeedsDiverged, ConfigError, DataError
-from .harness import (ExperimentConfig, dump_scores, emit_histogram_data,
-                      histogram_csv, load_config, realize_data, run_calibration,
-                      run_experiment, sweep_tau, trained_cells)
-from .metrics import check_tpr_target, detection_report, detection_report_csv
+from .harness import (ExperimentConfig, csv_table, dump_scores,
+                      emit_histogram_data, field_names, load_config,
+                      realize_data, run_calibration, run_experiment, sweep_tau,
+                      trained_cells)
+from .metrics import DetectionReport, check_tpr_target, detection_report
 from .model import load_checkpoint
 from .scores import read_scores
 
@@ -114,7 +115,8 @@ def _emit(path, text: str) -> int:
 def _cmd_eval(args) -> int:
     check_tpr_target(args.tpr_target, ConfigError)
     report = detection_report(read_scores(args.scores), args.tpr_target)
-    return _emit(args.out, detection_report_csv({args.scores: report}))
+    return _emit(args.out, csv_table(["name", *field_names(DetectionReport)],
+                                     [(args.scores, *dataclasses.astuple(report))]))
 
 
 def _cmd_bench(args) -> int:
@@ -151,7 +153,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_report(args) -> int:
     scored = read_scores(args.scores)
-    return _emit(args.out, histogram_csv(emit_histogram_data(scored, args.bins)))
+    return _emit(args.out, csv_table(["bin_left", "bin_right", "id_count", "ood_count"],
+                                     emit_histogram_data(scored, args.bins)))
 
 
 COMMANDS = {

@@ -13,7 +13,15 @@ import numpy as np
 from .errors import ConfigError, DataError, read_lines
 from .tensor import Matrix2D
 
-OOD_KINDS = ("uniform_box", "gaussian_noise", "ring", "shifted_blobs")
+# Each OOD kind's parameter names and defaults. An int default marks a count:
+# its value must be a positive integer.
+OOD_PARAMS = {
+    "uniform_box": {"half_width": 1.0},
+    "gaussian_noise": {"mean": 0.0, "std": 1.0},
+    "ring": {"radius": 1.0, "jitter": 0.0},
+    "shifted_blobs": {"k": 10, "cluster_radius": 1.0, "cluster_spread": 1.0, "shift": 0.0},
+}
+OOD_KINDS = tuple(OOD_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -81,45 +89,52 @@ def gen_blobs(k: int, d: int, n_per_class: int, cluster_spread: float,
     return LabeledDataset(Matrix2D(features), labels, k)
 
 
+def ood_params(kind: str, params: Optional[dict] = None) -> dict:
+    """The parameters of an OOD kind: OOD_PARAMS's defaults updated by
+    params. Raises ConfigError for an unknown kind or name, or a count that
+    is not a positive integer."""
+    if kind not in OOD_PARAMS:
+        raise ConfigError(f"unknown OOD kind {kind!r}, expected one of {OOD_KINDS}")
+    params = params or {}
+    unknown = set(params) - set(OOD_PARAMS[kind])
+    if unknown:
+        raise ConfigError(f"unknown params for OOD kind {kind!r}: {sorted(unknown)}")
+    full = {}
+    for name, default in OOD_PARAMS[kind].items():
+        value = params.get(name, default)
+        if type(default) is int and not (type(value) is int and value >= 1):
+            raise ConfigError(f"{kind} param {name} must be a positive integer, got {value!r}")
+        full[name] = type(default)(value)
+    return full
+
+
 def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
             seed: int = 0) -> OodDataset:
-    """OOD sample generators.
+    """OOD sample generators (parameters and defaults in OOD_PARAMS).
 
     uniform_box:    hypercube [-half_width, half_width]^d
     gaussian_noise: isotropic N(mean, std^2)
     ring:           radius + jitter * N(0,1) along uniform directions
     shifted_blobs:  blob machinery with displaced class means (near-OOD)
     """
-    params = dict(params or {})
+    p = ood_params(kind, params)
     rng = np.random.default_rng(seed)
     if kind == "uniform_box":
-        hw = float(params.pop("half_width", 1.0))
-        feats = rng.uniform(-hw, hw, size=(m, d))
+        feats = rng.uniform(-p["half_width"], p["half_width"], size=(m, d))
     elif kind == "gaussian_noise":
-        mean = float(params.pop("mean", 0.0))
-        std = float(params.pop("std", 1.0))
-        feats = mean + std * rng.standard_normal((m, d))
+        feats = p["mean"] + p["std"] * rng.standard_normal((m, d))
     elif kind == "ring":
-        radius = float(params.pop("radius", 1.0))
-        jitter = float(params.pop("jitter", 0.0))
         dirs = rng.standard_normal((m, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        feats = dirs * (radius + jitter * rng.standard_normal((m, 1)))
-    elif kind == "shifted_blobs":
-        k = int(params.pop("k", 10))
-        radius = float(params.pop("cluster_radius", 1.0))
-        spread = float(params.pop("cluster_spread", 1.0))
-        shift = float(params.pop("shift", 0.0))
-        means = _class_means(k, d, radius, rng)
+        feats = dirs * (p["radius"] + p["jitter"] * rng.standard_normal((m, 1)))
+    else:  # shifted_blobs
+        k = p["k"]
+        means = _class_means(k, d, p["cluster_radius"], rng)
         offsets = rng.standard_normal((k, d))
         offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
-        means = means + shift * offsets
+        means = means + p["shift"] * offsets
         idx = np.arange(m) % k
-        feats = means[idx] + spread * rng.standard_normal((m, d))
-    else:
-        raise ConfigError(f"unknown OOD kind {kind!r}, expected one of {OOD_KINDS}")
-    if params:
-        raise ConfigError(f"unknown params for OOD kind {kind!r}: {sorted(params)}")
+        feats = means[idx] + p["cluster_spread"] * rng.standard_normal((m, d))
     return OodDataset(Matrix2D(feats))
 
 

@@ -20,15 +20,15 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (OOD_KINDS, LabeledDataset, OodDataset, corrupt_labels,
-                   gen_blobs, gen_ood, load_delimited, split)
+from .data import (LabeledDataset, OodDataset, corrupt_labels, gen_blobs,
+                   gen_ood, load_delimited, ood_params, split)
 from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
                      read_lines)
 from .losses import LOGIT_NORM, LossConfig
 from .metrics import (CalibrationReport, check_tpr_target, detection_report,
                       ece, fit_temperature)
 from .model import MlpModel, forward, init_model, save_checkpoint
-from .optimizer import EpochTelemetry, OptimConfig, telemetry_csv, train
+from .optimizer import EpochTelemetry, OptimConfig, train
 from .scores import ScoreConfig, ScoredExample, score_batch, write_scores
 from .tensor import row_l2_norm, rowwise_softmax
 
@@ -69,8 +69,7 @@ class OodSetConfig:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in OOD_KINDS:
-            raise ConfigError(f"unknown OOD kind {self.kind!r}, expected one of {OOD_KINDS}")
+        ood_params(self.kind, self.params)
         if self.m < 1:
             raise ConfigError(f"OOD set {self.kind!r} needs m >= 1, got {self.m}")
 
@@ -291,8 +290,28 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
-def _csv(header: str, lines) -> str:
-    return "\n".join([header, *lines]) + "\n"
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ";".join(map(_cell, value))
+    return "" if value is None else str(value)
+
+
+def field_names(row_type) -> list[str]:
+    return [f.name for f in dataclasses.fields(row_type)]
+
+
+def csv_table(columns: Sequence[str], rows) -> str:
+    """CSV text: a header of columns, then one line per row, a sequence of
+    cells or a dataclass instance (its field values in order). Every cell
+    follows one rule: a float has 17 significant digits, so it reads back
+    exactly; None is empty; a tuple is joined with ';'; anything else is str."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = dataclasses.astuple(row) if dataclasses.is_dataclass(row) else row
+        lines.append(",".join(map(_cell, cells)))
+    return "\n".join(lines) + "\n"
 
 
 def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
@@ -326,7 +345,8 @@ def trained_cells(cfg: ExperimentConfig, out: str, warnings: list[str]):
                 continue
             model, history = cell
             base = f"{loss_cfg.kind}_{seed}"
-            _write(os.path.join(out, f"telemetry_{base}.csv"), telemetry_csv(history))
+            _write(os.path.join(out, f"telemetry_{base}.csv"),
+                   csv_table(field_names(EpochTelemetry), history))
             save_checkpoint(model, os.path.join(out, f"checkpoint_{base}.txt"), chash)
             trained = True
             yield seed, bundle, loss_cfg.kind, model, history
@@ -394,8 +414,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             print(f"[seed {seed}] {lname} done")
 
     rows = aggregate_rows(cfg, seed_rows)
-    _write(os.path.join(out, "bench.csv"), bench_csv(rows))
-    _write(os.path.join(out, "bench_per_seed.csv"), seed_rows_csv(seed_rows))
+    _write(os.path.join(out, "bench.csv"), csv_table(field_names(BenchmarkRow), rows))
+    _write(os.path.join(out, "bench_per_seed.csv"),
+           csv_table(field_names(SeedRow), seed_rows))
     return ExperimentResult(rows, seed_rows, telemetry, final_norms, warnings, chash)
 
 
@@ -416,24 +437,6 @@ def aggregate_rows(cfg: ExperimentConfig, seed_rows: list[SeedRow]) -> list[Benc
         rows.append(BenchmarkRow(loss_cfg.kind, score_cfg.kind, ood_cfg.kind, *stats,
                                  tuple(sorted(r.seed for r in group))))
     return rows
-
-
-def bench_csv(rows: list[BenchmarkRow]) -> str:
-    header = ("loss_name,score_name,ood_dataset_tag,fpr95_mean,fpr95_std,"
-              "auroc_mean,auroc_std,aupr_mean,aupr_std,"
-              "id_accuracy_mean,id_accuracy_std,seeds_used")
-    return _csv(header, (f"{r.loss_name},{r.score_name},{r.ood_dataset_tag},"
-                         f"{r.fpr95_mean:.17g},{r.fpr95_std:.17g},"
-                         f"{r.auroc_mean:.17g},{r.auroc_std:.17g},"
-                         f"{r.aupr_mean:.17g},{r.aupr_std:.17g},"
-                         f"{r.id_accuracy_mean:.17g},{r.id_accuracy_std:.17g},"
-                         + ";".join(str(s) for s in r.seeds_used) for r in rows))
-
-
-def seed_rows_csv(rows: list[SeedRow]) -> str:
-    return _csv("loss_name,score_name,ood_dataset_tag,seed,fpr95,auroc,aupr,id_accuracy",
-                (f"{r.loss_name},{r.score_name},{r.ood_dataset_tag},{r.seed},{r.fpr95:.17g},"
-                 f"{r.auroc:.17g},{r.aupr:.17g},{r.id_accuracy:.17g}" for r in rows))
 
 
 # --------------------------------------------------------------------------
@@ -478,10 +481,9 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
     _record_warnings(out_dir, warnings, bool(rows))
     best = min(rows, key=lambda r: (r.val_fpr95_mean, r.tau))
     if out_dir is not None:
-        _write(os.path.join(out_dir, "sweep_tau.csv"), _csv(
-            "tau,val_fpr95_mean,final_train_loss_mean,selected",
-            (f"{r.tau:.17g},{r.val_fpr95_mean:.17g},{r.final_train_loss_mean:.17g},"
-             f"{int(r.tau == best.tau)}" for r in rows)))
+        _write(os.path.join(out_dir, "sweep_tau.csv"), csv_table(
+            [*field_names(TauSweepRow), "selected"],
+            ((*dataclasses.astuple(r), int(r.tau == best.tau)) for r in rows)))
     return rows, best.tau
 
 
@@ -507,11 +509,6 @@ def emit_histogram_data(scored: Sequence[ScoredExample], bins: int
     ood_counts, _ = np.histogram(ood_vals, bins=edges)
     return [(float(edges[i]), float(edges[i + 1]), int(id_counts[i]), int(ood_counts[i]))
             for i in range(bins)]
-
-
-def histogram_csv(rows: list[tuple[float, float, int, int]]) -> str:
-    return _csv("bin_left,bin_right,id_count,ood_count",
-                (f"{left:.17g},{right:.17g},{idc},{oodc}" for left, right, idc, oodc in rows))
 
 
 @dataclass(frozen=True)
@@ -550,8 +547,7 @@ def run_calibration(cfg: ExperimentConfig, out_dir: Optional[str] = None
         rows.append(CalibrationRow(loss_cfg.kind, fitted, pre, post))
     _record_warnings(out_dir, warnings, bool(rows))
     if out_dir is not None:
-        _write(os.path.join(out_dir, "calibration.csv"), _csv(
-            "loss_name,fitted_T,ece_pre_ts,ece_post_ts",
-            (f"{r.loss_name},{r.fitted_T:.17g},{r.pre.ece:.17g},{r.post.ece:.17g}"
-             for r in rows)))
+        _write(os.path.join(out_dir, "calibration.csv"), csv_table(
+            ["loss_name", "fitted_T", "ece_pre_ts", "ece_post_ts"],
+            ((r.loss_name, r.fitted_T, r.pre.ece, r.post.ece) for r in rows)))
     return rows

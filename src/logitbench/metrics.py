@@ -46,27 +46,42 @@ def check_tpr_target(tpr_target: float, error: type[Exception] = DataError) -> N
 
 
 def _split_scores(scored: Sequence[ScoredExample]) -> tuple[np.ndarray, np.ndarray]:
-    id_scores = np.array([ex.score for ex in scored if ex.origin == "ID"])
-    ood_scores = np.array([ex.score for ex in scored if ex.origin == "OOD"])
+    return (np.array([ex.score for ex in scored if ex.origin == "ID"]),
+            np.array([ex.score for ex in scored if ex.origin == "OOD"]))
+
+
+def _arrays(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if len(id_scores) == 0 or len(ood_scores) == 0:
         raise DataError("need at least one ID and one OOD example")
     return id_scores, ood_scores
 
 
-def _fpr_at_tpr(id_scores: np.ndarray, ood_scores: np.ndarray, tpr_target: float) -> float:
+def fpr_at_tpr(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
+    """OOD fraction admitted at the largest threshold that keeps at least
+    tpr_target of the ID examples (score >= threshold counts as ID)."""
+    check_tpr_target(tpr_target)
+    id_scores, ood_scores = _arrays(id_scores, ood_scores)
     need = math.ceil(tpr_target * len(id_scores))
     threshold = np.sort(id_scores)[::-1][need - 1]
     return float((ood_scores >= threshold).mean())
 
 
-def _auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
+def auroc(id_scores, ood_scores) -> float:
+    """P(random ID score > random OOD score), ties counted half
+    (Mann-Whitney U via average ranks)."""
+    id_scores, ood_scores = _arrays(id_scores, ood_scores)
     n, m = len(id_scores), len(ood_scores)
     ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
     u = ranks[:n].sum() - n * (n + 1) / 2.0
     return float(u / (n * m))
 
 
-def _aupr(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
+def aupr(id_scores, ood_scores) -> float:
+    """Area under precision-recall (ID positive), descending-score sweep
+    with step interpolation; tied scores enter together."""
+    id_scores, ood_scores = _arrays(id_scores, ood_scores)
     values = np.concatenate([id_scores, ood_scores])
     order = np.argsort(-values, kind="stable")
     values = values[order]
@@ -78,33 +93,13 @@ def _aupr(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     return float((np.diff(recall, prepend=0.0) * precision).sum())
 
 
-def fpr_at_tpr(scored: Sequence[ScoredExample], tpr_target: float = 0.95) -> float:
-    """OOD fraction admitted at the largest threshold that keeps at least
-    tpr_target of the ID examples (score >= threshold counts as ID)."""
-    check_tpr_target(tpr_target)
-    return _fpr_at_tpr(*_split_scores(scored), tpr_target)
-
-
-def auroc(scored: Sequence[ScoredExample]) -> float:
-    """P(random ID score > random OOD score), ties counted half
-    (Mann-Whitney U via average ranks)."""
-    return _auroc(*_split_scores(scored))
-
-
-def aupr(scored: Sequence[ScoredExample]) -> float:
-    """Area under precision-recall (ID positive), descending-score sweep
-    with step interpolation; tied scores enter together."""
-    return _aupr(*_split_scores(scored))
-
-
 def detection_report(scored: Sequence[ScoredExample],
                      tpr_target: float = 0.95) -> DetectionReport:
-    check_tpr_target(tpr_target)
     id_scores, ood_scores = _split_scores(scored)
     return DetectionReport(
-        fpr_at_95_tpr=_fpr_at_tpr(id_scores, ood_scores, tpr_target),
-        auroc=_auroc(id_scores, ood_scores),
-        aupr=_aupr(id_scores, ood_scores),
+        fpr_at_95_tpr=fpr_at_tpr(id_scores, ood_scores, tpr_target),
+        auroc=auroc(id_scores, ood_scores),
+        aupr=aupr(id_scores, ood_scores),
         n_id=len(id_scores),
         n_ood=len(ood_scores),
     )
@@ -182,10 +177,3 @@ def fit_temperature(logits, labels, *, log10_lo: float = -4.0,
         return 1.0
     return float(t)
 
-
-def detection_report_csv(reports: dict[str, DetectionReport]) -> str:
-    lines = ["name,fpr_at_95_tpr,auroc,aupr,n_id,n_ood"]
-    for name, r in reports.items():
-        lines.append(f"{name},{r.fpr_at_95_tpr:.17g},{r.auroc:.17g},"
-                     f"{r.aupr:.17g},{r.n_id},{r.n_ood}")
-    return "\n".join(lines) + "\n"

@@ -3,7 +3,6 @@ drops, with per-epoch logit-norm telemetry."""
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -141,12 +140,3 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
     return MlpModel(model.layer_dims, tuple(Matrix2D(w) for w in weights),
                     tuple(Matrix2D(b) for b in biases)), telemetry
 
-
-def telemetry_csv(telemetry: list[EpochTelemetry]) -> str:
-    buf = io.StringIO()
-    buf.write("epoch,train_loss,train_acc,mean_logit_norm_id,mean_logit_norm_ood\n")
-    for t in telemetry:
-        ood = f"{t.mean_logit_norm_ood:.17g}" if t.mean_logit_norm_ood is not None else ""
-        buf.write(f"{t.epoch},{t.train_loss:.17g},{t.train_acc:.17g},"
-                  f"{t.mean_logit_norm_id:.17g},{ood}\n")
-    return buf.getvalue()

@@ -9,7 +9,6 @@ minutes end to end.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ from logitbench.losses import (LossConfig, logitnorm_lower_bound,
 from logitbench.metrics import (aupr, auroc, fit_temperature, fpr_at_tpr,
                                 nll_at_temperature)
 from logitbench.model import forward, forward_layers, init_model
-from logitbench.scores import GRADNORM, ScoreConfig, ScoredExample, score_batch
+from logitbench.scores import GRADNORM, ScoreConfig, score_batch
 from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
 
 from conftest import assert_grad_close, central_difference, load_desk
@@ -214,18 +213,15 @@ def test_criterion_3_metrics_match_brute_force_oracles():
         n, m = int(rng.integers(1, 51)), int(rng.integers(1, 51))
         id_s = np.round(rng.normal(0.4, 1.0, n), 1)
         ood_s = np.round(rng.normal(0.0, 1.0, m), 1)
-        scored = ([ScoredExample(float(s), "ID") for s in id_s]
-                  + [ScoredExample(float(s), "OOD") for s in ood_s])
-        assert fpr_at_tpr(scored, 0.95) == pytest.approx(
+        assert fpr_at_tpr(id_s, ood_s, 0.95) == pytest.approx(
             _brute_fpr(id_s, ood_s), abs=1e-12)
-        assert auroc(scored) == pytest.approx(_brute_auroc(id_s, ood_s), abs=1e-12)
-        assert aupr(scored) == pytest.approx(_brute_aupr(id_s, ood_s), abs=1e-12)
+        assert auroc(id_s, ood_s) == pytest.approx(_brute_auroc(id_s, ood_s), abs=1e-12)
+        assert aupr(id_s, ood_s) == pytest.approx(_brute_aupr(id_s, ood_s), abs=1e-12)
         if trial % 100 == 0:
-            transformed = [ScoredExample(math.atan(ex.score), ex.origin)
-                           for ex in scored]
-            assert fpr_at_tpr(transformed, 0.95) == fpr_at_tpr(scored, 0.95)
-            assert auroc(transformed) == auroc(scored)
-            assert aupr(transformed) == aupr(scored)
+            t_id, t_ood = np.arctan(id_s), np.arctan(ood_s)
+            assert fpr_at_tpr(t_id, t_ood, 0.95) == fpr_at_tpr(id_s, ood_s, 0.95)
+            assert auroc(t_id, t_ood) == auroc(id_s, ood_s)
+            assert aupr(t_id, t_ood) == aupr(id_s, ood_s)
     elapsed = time.time() - started
     assert elapsed < 30.0, f"metric oracle suite took {elapsed:.1f}s"
     _ok("criterion 3: 1,000 score sets match brute-force oracles",

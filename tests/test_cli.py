@@ -274,10 +274,16 @@ DESK = CONFIGS / "desk.json"
     (("layer_dims",), [16, 0, 10],
      "config: layer_dims must be at least two positive sizes, got [16, 0, 10]"),
     (("optim", "epochs"), 0, "config.optim: epochs must be >= 1, got 0"),
+    (("ood_panel", 3, "params", "k"), 0,
+     "config.ood_panel[3]: shifted_blobs param k must be a positive integer, got 0"),
+    (("ood_panel", 3, "params", "k"), 10.5,
+     "config.ood_panel[3]: shifted_blobs param k must be a positive integer, got 10.5"),
+    (("ood_panel", 1, "params"), {"sdt": 0.66},
+     "config.ood_panel[1]: unknown params for OOD kind 'gaussian_noise': ['sdt']"),
 ], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "bins_str", "dims_str",
         "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
-        "dims_zero", "epochs0"])
+        "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown"])
 @pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate"])
 def test_bad_config_value_is_one_line_naming_its_key(command, path, value, message,
                                                     tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Orchestration tests: config parsing, seed derivation, dataset realization,
 the benchmark grid, tau sweep, histogram and calibration emission."""
 
+import csv
 import dataclasses
 import json
 
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 from logitbench import harness
+from logitbench.cli import main
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
 from logitbench.harness import (DataConfig, ExperimentConfig, SeedData,
                                 config_from_dict, config_hash, config_to_dict,
-                                derive_seed, emit_histogram_data, histogram_csv,
-                                load_config, realize_data, run_calibration,
-                                run_experiment, sweep_tau)
-from logitbench.scores import ScoredExample, read_scores
+                                derive_seed, emit_histogram_data, load_config,
+                                realize_data, run_calibration, run_experiment,
+                                sweep_tau)
+from logitbench.scores import ScoredExample, read_scores, write_scores
 
 from conftest import CONFIGS, load_desk, write_file_data
 
@@ -41,6 +43,29 @@ def tiny_raw(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def read_cells(path):
+    """The header and the data rows of the CSV file at path."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def assert_cells_equal(path, records):
+    """Every cell of the CSV at path equals the field its column names in
+    the matching record exactly: a float reads back to the same float and a
+    tuple of seeds is joined with ';'."""
+    header, rows = read_cells(path)
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            value = getattr(record, name)
+            if isinstance(value, tuple):
+                assert tuple(int(s) for s in cell.split(";")) == value
+            else:
+                assert type(value)(cell) == value
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +322,21 @@ def test_run_experiment_metric_ranges(tiny_run):
 
 
 def test_run_experiment_bench_csv_header(tiny_run):
-    _, _, out = tiny_run
+    _, result, out = tiny_run
     header = (out / "bench.csv").read_text().split("\n")[0]
     assert header == ("loss_name,score_name,ood_dataset_tag,fpr95_mean,fpr95_std,"
                       "auroc_mean,auroc_std,aupr_mean,aupr_std,"
                       "id_accuracy_mean,id_accuracy_std,seeds_used")
+    assert read_cells(out / "bench_per_seed.csv")[0] == [
+        "loss_name", "score_name", "ood_dataset_tag", "seed", "fpr95", "auroc", "aupr",
+        "id_accuracy"]
+    assert read_cells(out / "telemetry_cross_entropy_0.csv")[0] == [
+        "epoch", "train_loss", "train_acc", "mean_logit_norm_id", "mean_logit_norm_ood"]
+    # Every written cell reads back to the value the run returned.
+    assert_cells_equal(out / "bench.csv", result.rows)
+    assert_cells_equal(out / "bench_per_seed.csv", result.seed_rows)
+    assert_cells_equal(out / "telemetry_cross_entropy_0.csv",
+                       result.telemetry[("cross_entropy", 0)])
 
 
 def test_run_experiment_rerun_is_byte_identical(tiny_run, tmp_path):
@@ -356,6 +391,9 @@ def test_sweep_tau_singleton(tmp_path):
     text = (tmp_path / "sweep_tau.csv").read_text()
     assert text.startswith("tau,val_fpr95_mean,final_train_loss_mean,selected\n")
     assert text.strip().split("\n")[1].endswith(",1")
+    _, cells = read_cells(tmp_path / "sweep_tau.csv")
+    assert [[float(c) for c in row] for row in cells] == [
+        [r.tau, r.val_fpr95_mean, r.final_train_loss_mean, 1.0] for r in rows]
 
 
 def test_sweep_tau_selects_argmin(tmp_path):
@@ -416,10 +454,13 @@ def test_histogram_validation():
         emit_histogram_data([], bins=5)
 
 
-def test_histogram_csv_shape():
+def test_histogram_csv_shape(tmp_path):
     scored = hist_examples([0.1, 0.9], ["ID", "OOD"])
-    text = histogram_csv(emit_histogram_data(scored, bins=2))
-    lines = text.strip().split("\n")
+    write_scores(tmp_path / "dump.txt", scored)
+    out = tmp_path / "hist.csv"
+    assert main(["report", "--scores", str(tmp_path / "dump.txt"), "--bins", "2",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
     assert lines[0] == "bin_left,bin_right,id_count,ood_count"
     assert len(lines) == 3
 
@@ -447,3 +488,6 @@ def test_run_calibration_outputs(tmp_path):
     text = (tmp_path / "calibration.csv").read_text()
     assert text.startswith("loss_name,fitted_T,ece_pre_ts,ece_post_ts\n")
     assert len(text.strip().split("\n")) == 3
+    _, cells = read_cells(tmp_path / "calibration.csv")
+    assert [[name, *map(float, values)] for name, *values in cells] == [
+        [r.loss_name, r.fitted_T, r.pre.ece, r.post.ece] for r in rows]

@@ -72,31 +72,33 @@ def brute_aupr(id_scores, ood_scores):
 def test_fpr_hand_example():
     # Threshold lands on the smallest ID score (1), which admits one of the
     # two OOD points.
-    s = scored([4.0, 3.0, 2.0, 1.0], [2.5, 0.5])
-    assert fpr_at_tpr(s, 0.95) == 0.5
+    assert fpr_at_tpr([4.0, 3.0, 2.0, 1.0], [2.5, 0.5], 0.95) == 0.5
 
 
 def test_fpr_perfect_separation():
-    s = scored([10.0, 9.0, 8.0], [1.0, 2.0])
-    assert fpr_at_tpr(s, 0.95) == 0.0
+    assert fpr_at_tpr([10.0, 9.0, 8.0], [1.0, 2.0], 0.95) == 0.0
 
 
 def test_fpr_total_overlap():
-    s = scored([1.0, 1.0], [1.0, 1.0])
-    assert fpr_at_tpr(s, 0.95) == 1.0
+    assert fpr_at_tpr([1.0, 1.0], [1.0, 1.0], 0.95) == 1.0
 
 
 def test_fpr_target_validation():
-    s = scored([1.0], [0.0])
     with pytest.raises(DataError):
-        fpr_at_tpr(s, 0.0)
+        fpr_at_tpr([1.0], [0.0], 0.0)
     with pytest.raises(DataError):
-        fpr_at_tpr(s, 1.5)
+        fpr_at_tpr([1.0], [0.0], 1.5)
 
 
 def test_fpr_requires_both_origins():
     with pytest.raises(DataError):
-        fpr_at_tpr([ScoredExample(1.0, "ID")])
+        fpr_at_tpr([1.0], [])
+    with pytest.raises(DataError):
+        auroc([], [1.0])
+    with pytest.raises(DataError):
+        aupr([], [])
+    with pytest.raises(DataError):
+        detection_report([ScoredExample(1.0, "ID")])
 
 
 # ---------------------------------------------------------------------------
@@ -104,26 +106,26 @@ def test_fpr_requires_both_origins():
 
 
 def test_auroc_perfect():
-    assert auroc(scored([3.0, 2.0], [1.0, 0.0])) == 1.0
+    assert auroc([3.0, 2.0], [1.0, 0.0]) == 1.0
 
 
 def test_auroc_reversed():
-    assert auroc(scored([1.0, 0.0], [3.0, 2.0])) == 0.0
+    assert auroc([1.0, 0.0], [3.0, 2.0]) == 0.0
 
 
 def test_auroc_all_tied():
-    assert auroc(scored([1.0, 1.0], [1.0, 1.0])) == 0.5
+    assert auroc([1.0, 1.0], [1.0, 1.0]) == 0.5
 
 
 def test_auroc_interleaved():
     # Pairs: (2,3) loses, (2,1) wins, (0,3) loses, (0,1) loses -> 1/4.
-    assert auroc(scored([2.0, 0.0], [3.0, 1.0])) == 0.25
+    assert auroc([2.0, 0.0], [3.0, 1.0]) == 0.25
 
 
 def test_auroc_identical_distributions():
     rng = np.random.default_rng(11)
     pool = rng.normal(size=4000)
-    assert auroc(scored(pool[:2000], pool[2000:])) == pytest.approx(0.5, abs=0.03)
+    assert auroc(pool[:2000], pool[2000:]) == pytest.approx(0.5, abs=0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +135,11 @@ def test_auroc_identical_distributions():
 def test_aupr_all_equal_scores():
     # With every score tied the single sweep point has precision = ID
     # prevalence; 9 ID vs 1 OOD gives 0.9.
-    s = scored([1.0] * 9, [1.0])
-    assert aupr(s) == pytest.approx(0.9, abs=1e-12)
+    assert aupr([1.0] * 9, [1.0]) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_aupr_perfect():
-    s = scored([2.0, 3.0], [0.0, 1.0])
-    assert aupr(s) == pytest.approx(1.0, abs=1e-12)
+    assert aupr([2.0, 3.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +156,12 @@ def test_metrics_match_brute_force(data):
     # Quantize scores so ties are common.
     id_scores = np.round(rng.normal(0.5, 1.0, n), 1)
     ood_scores = np.round(rng.normal(0.0, 1.0, m), 1)
-    s = scored(id_scores, ood_scores)
-    assert fpr_at_tpr(s, 0.95) == pytest.approx(brute_fpr(id_scores, ood_scores), abs=1e-12)
-    assert auroc(s) == pytest.approx(brute_auroc(id_scores, ood_scores), abs=1e-12)
-    assert aupr(s) == pytest.approx(brute_aupr(id_scores, ood_scores), abs=1e-12)
+    assert fpr_at_tpr(id_scores, ood_scores, 0.95) == pytest.approx(
+        brute_fpr(id_scores, ood_scores), abs=1e-12)
+    assert auroc(id_scores, ood_scores) == pytest.approx(
+        brute_auroc(id_scores, ood_scores), abs=1e-12)
+    assert aupr(id_scores, ood_scores) == pytest.approx(
+        brute_aupr(id_scores, ood_scores), abs=1e-12)
 
 
 def tied_scores(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -183,19 +185,20 @@ def test_metrics_match_brute_force_on_heavy_ties(shape, n, m, rng_seed, tpr_targ
     rng = np.random.default_rng(rng_seed)
     id_scores = tied_scores(shape, n, rng)
     ood_scores = tied_scores(shape, m, rng)
-    s = scored(id_scores, ood_scores)
-    assert fpr_at_tpr(s, tpr_target) == pytest.approx(
+    assert fpr_at_tpr(id_scores, ood_scores, tpr_target) == pytest.approx(
         brute_fpr(id_scores, ood_scores, tpr_target), abs=1e-12)
-    assert auroc(s) == pytest.approx(brute_auroc(id_scores, ood_scores), abs=1e-12)
-    assert aupr(s) == pytest.approx(brute_aupr(id_scores, ood_scores), abs=1e-12)
+    assert auroc(id_scores, ood_scores) == pytest.approx(
+        brute_auroc(id_scores, ood_scores), abs=1e-12)
+    assert aupr(id_scores, ood_scores) == pytest.approx(
+        brute_aupr(id_scores, ood_scores), abs=1e-12)
 
 
 def test_fpr_at_full_tpr_uses_min_id_threshold():
     # At 100% TPR every ID score must pass, so the threshold is the minimum
     # ID score (1.0) and OOD scores >= 1.0 are admitted: 2 of 4.
-    s = scored([3.0, 1.0, 2.0], [1.0, 0.5, 4.0, 0.9])
-    assert fpr_at_tpr(s, 1.0) == 0.5
-    assert detection_report(s, 1.0).fpr_at_95_tpr == 0.5
+    id_scores, ood_scores = [3.0, 1.0, 2.0], [1.0, 0.5, 4.0, 0.9]
+    assert fpr_at_tpr(id_scores, ood_scores, 1.0) == 0.5
+    assert detection_report(scored(id_scores, ood_scores), 1.0).fpr_at_95_tpr == 0.5
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,16 +1,15 @@
-"""Classifier init/forward/backward, logit decomposition, scaling
-propositions, and checkpoint round trips."""
+"""Classifier init/forward/backward, scaling propositions, and checkpoint
+round trips."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LOSS_KINDS, LossConfig, loss_and_grad
-from logitbench.model import (MlpModel, decompose, forward, forward_traced,
-                              init_model, load_checkpoint, predict,
-                              save_checkpoint)
+from logitbench.model import (MlpModel, forward, forward_traced, init_model,
+                              load_checkpoint, save_checkpoint)
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
 import tape_oracle
@@ -120,40 +119,6 @@ def test_gradients_match_tape_oracle_bitwise():
 
 
 # --------------------------------------------------------------------------
-# Decomposition
-# --------------------------------------------------------------------------
-
-def test_decompose_pythagorean():
-    d = decompose(np.array([3.0, 4.0]))
-    assert d.magnitude == 5.0
-    assert np.allclose(d.direction, [0.6, 0.8], atol=1e-15)
-    assert not d.degenerate
-
-
-def test_decompose_zero_vector_degenerate():
-    d = decompose(np.zeros(4))
-    assert d.magnitude == 0.0
-    assert d.degenerate
-    assert np.array_equal(d.direction, np.zeros(4))
-
-
-def test_decompose_negative_diagonal():
-    d = decompose(np.array([-1.0, -1.0]))
-    assert abs(d.magnitude - np.sqrt(2)) < 1e-12
-    assert np.allclose(d.direction, [-1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
-
-
-@given(st.lists(st.floats(-100, 100), min_size=2, max_size=10))
-@example([0.0, 1.686484326538787e-160])  # squaring it underflows the norm
-def test_decompose_reconstructs(row):
-    v = np.array(row)
-    d = decompose(v)
-    assert np.max(np.abs(v - d.magnitude * d.direction)) <= 1e-10
-    if d.magnitude > 0:
-        assert abs(np.linalg.norm(d.direction) - 1.0) <= 1e-10
-
-
-# --------------------------------------------------------------------------
 # Scaling propositions (argmax invariance, confidence monotonicity)
 # --------------------------------------------------------------------------
 
@@ -172,11 +137,6 @@ def test_max_softmax_monotone_in_scale(row, s):
     before = rowwise_softmax(f)[0, c]
     after = rowwise_softmax(s * f)[0, c]
     assert after >= before - 1e-12
-
-
-def test_predict_breaks_ties_to_lowest_index():
-    m = MlpModel((2, 2), (Matrix2D.zeros(2, 2),), (Matrix2D.zeros(1, 2),))
-    assert predict(m, Matrix2D(np.array([[1.0, 1.0]])))[0] == 0
 
 
 # --------------------------------------------------------------------------

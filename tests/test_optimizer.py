@@ -6,9 +6,10 @@ import pytest
 
 from logitbench.data import LabeledDataset, OodDataset, gen_blobs, gen_ood
 from logitbench.errors import ConfigError, ContractError, DivergedError
+from logitbench.harness import csv_table, field_names
 from logitbench.losses import LossConfig
 from logitbench.model import forward, init_model
-from logitbench.optimizer import OptimConfig, lr_at, telemetry_csv, train
+from logitbench.optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from logitbench.tensor import Matrix2D
 
 from tape_oracle import apply_loss, forward_traced
@@ -27,6 +28,10 @@ def small_optim(**overrides):
 
 
 SGD_SEED = 3
+
+
+def telemetry_text(history):
+    return csv_table(field_names(EpochTelemetry), history)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +111,7 @@ def test_train_is_deterministic():
         model = init_model((4, 8, 2), seed=5)
         trained, history = train(model, ds, LossConfig("cross_entropy"),
                                  small_optim(epochs=5, lr_drops=()), SGD_SEED)
-        runs.append((trained, telemetry_csv(history)))
+        runs.append((trained, telemetry_text(history)))
     assert runs[0][1] == runs[1][1]
     for w0, w1 in zip(runs[0][0].weights, runs[1][0].weights):
         assert np.array_equal(w0.data, w1.data)
@@ -176,7 +181,7 @@ def test_telemetry_csv_format():
     model = init_model((4, 8, 2), seed=11)
     _, history = train(model, ds, LossConfig("cross_entropy"),
                        small_optim(epochs=2, lr_drops=()), SGD_SEED)
-    text = telemetry_csv(history)
+    text = telemetry_text(history)
     lines = text.strip().split("\n")
     assert lines[0] == "epoch,train_loss,train_acc,mean_logit_norm_id,mean_logit_norm_ood"
     assert len(lines) == 3

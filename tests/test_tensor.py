@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from logitbench.errors import ContractError, DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
 from logitbench.model import forward_traced
-from logitbench.tensor import (GradTape, Matrix2D, log_softmax, matmul,
-                               row_l2_norm, rowwise_softmax)
+from logitbench.tensor import (GradTape, Matrix2D, log_softmax, row_l2_norm,
+                               rowwise_softmax)
 
 from conftest import assert_grad_close, central_difference
 from tape_oracle import GradTape as OracleTape
@@ -38,31 +38,6 @@ def test_matrix_is_immutable():
     m = Matrix2D(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         m.data[0, 0] = 9.0
-
-
-def test_matmul_identity():
-    a = Matrix2D(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    eye = Matrix2D(np.eye(2))
-    assert np.array_equal(matmul(eye, a).data, a.data)
-
-
-def test_matmul_projector():
-    p = Matrix2D(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    b = Matrix2D(np.array([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.array_equal(matmul(p, b).data, [[5.0, 6.0], [0.0, 0.0]])
-
-
-def test_matmul_hand_expansion():
-    a = Matrix2D(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = Matrix2D(np.array([[5.0], [6.0]]))
-    assert np.array_equal(matmul(a, b).data, [[17.0], [39.0]])
-
-
-def test_matmul_dimension_mismatch():
-    a = Matrix2D.zeros(2, 3)
-    b = Matrix2D.zeros(2, 3)
-    with pytest.raises(ShapeError):
-        matmul(a, b)
 
 
 # --------------------------------------------------------------------------
