@@ -10,18 +10,19 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_lines
+from .errors import ConfigError, DataError, kind_params, read_lines
 from .tensor import Matrix2D
 
-# Each OOD kind's parameter names and defaults. An int default marks a count:
-# its value must be a positive integer.
+# Each OOD kind's parameters: name -> (default, accepted range). Scales and
+# offsets stop at 1e6 and counts at 10,000, far past any useful desk value,
+# so that generating a set never overflows or exhausts memory.
 OOD_PARAMS = {
-    "uniform_box": {"half_width": 1.0},
-    "gaussian_noise": {"mean": 0.0, "std": 1.0},
-    "ring": {"radius": 1.0, "jitter": 0.0},
-    "shifted_blobs": {"k": 10, "cluster_radius": 1.0, "cluster_spread": 1.0, "shift": 0.0},
+    "uniform_box": {"half_width": (1.0, "[0, 1e6]")},
+    "gaussian_noise": {"mean": (0.0, "[-1e6, 1e6]"), "std": (1.0, "[0, 1e6]")},
+    "ring": {"radius": (1.0, "[0, 1e6]"), "jitter": (0.0, "[0, 1e6]")},
+    "shifted_blobs": {"k": (10, "[1, 10000]"), "cluster_radius": (1.0, "[0, 1e6]"),
+                      "cluster_spread": (1.0, "[0, 1e6]"), "shift": (0.0, "[0, 1e6]")},
 }
-OOD_KINDS = tuple(OOD_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -89,25 +90,6 @@ def gen_blobs(k: int, d: int, n_per_class: int, cluster_spread: float,
     return LabeledDataset(Matrix2D(features), labels, k)
 
 
-def ood_params(kind: str, params: Optional[dict] = None) -> dict:
-    """The parameters of an OOD kind: OOD_PARAMS's defaults updated by
-    params. Raises ConfigError for an unknown kind or name, or a count that
-    is not a positive integer."""
-    if kind not in OOD_PARAMS:
-        raise ConfigError(f"unknown OOD kind {kind!r}, expected one of {OOD_KINDS}")
-    params = params or {}
-    unknown = set(params) - set(OOD_PARAMS[kind])
-    if unknown:
-        raise ConfigError(f"unknown params for OOD kind {kind!r}: {sorted(unknown)}")
-    full = {}
-    for name, default in OOD_PARAMS[kind].items():
-        value = params.get(name, default)
-        if type(default) is int and not (type(value) is int and value >= 1):
-            raise ConfigError(f"{kind} param {name} must be a positive integer, got {value!r}")
-        full[name] = type(default)(value)
-    return full
-
-
 def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
             seed: int = 0) -> OodDataset:
     """OOD sample generators (parameters and defaults in OOD_PARAMS).
@@ -117,7 +99,7 @@ def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
     ring:           radius + jitter * N(0,1) along uniform directions
     shifted_blobs:  blob machinery with displaced class means (near-OOD)
     """
-    p = ood_params(kind, params)
+    p = kind_params(OOD_PARAMS, "OOD", kind, params)
     rng = np.random.default_rng(seed)
     if kind == "uniform_box":
         feats = rng.uniform(-p["half_width"], p["half_width"], size=(m, d))

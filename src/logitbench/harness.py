@@ -20,10 +20,10 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (LabeledDataset, OodDataset, corrupt_labels, gen_blobs,
-                   gen_ood, load_delimited, ood_params, split)
+from .data import (OOD_PARAMS, LabeledDataset, OodDataset, corrupt_labels,
+                   gen_blobs, gen_ood, load_delimited, split)
 from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
-                     read_lines)
+                     kind_params, read_lines)
 from .losses import LOGIT_NORM, LossConfig
 from .metrics import (CalibrationReport, check_tpr_target, detection_report,
                       ece, fit_temperature)
@@ -69,7 +69,7 @@ class OodSetConfig:
     params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        ood_params(self.kind, self.params)
+        object.__setattr__(self, "params", kind_params(OOD_PARAMS, "OOD", self.kind, self.params))
         if self.m < 1:
             raise ConfigError(f"OOD set {self.kind!r} needs m >= 1, got {self.m}")
 
@@ -185,7 +185,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
+    """A digest of the config without output_dir, which changes no result."""
+    raw = config_to_dict(cfg)
+    del raw["output_dir"]
+    canonical = json.dumps(raw, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -325,7 +328,7 @@ def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
         return train(model0, bundle.train, loss_cfg, cfg.optim,
                      derive_seed(seed, "sgd"), probe_ood=probe_ood)
     except DivergedError as exc:
-        tau = f" tau={loss_cfg.tau}" if loss_cfg.kind == LOGIT_NORM else ""
+        tau = f" tau={loss_cfg.params['tau']}" if loss_cfg.kind == LOGIT_NORM else ""
         warnings.append(f"loss={loss_cfg.kind}{tau} seed={seed}: diverged ({exc})")
         return None
 
@@ -457,18 +460,16 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
     mean validation FPR95 (ties break to the smaller tau)."""
     if not tau_grid:
         raise ConfigError("tau grid must be nonempty")
-    if not all(0 < t < math.inf for t in tau_grid):
-        raise ConfigError(f"tau values must be positive and finite, got {list(tau_grid)}")
+    cells = {tau: LossConfig(LOGIT_NORM, {"tau": tau}) for tau in tau_grid}
     msp = ScoreConfig(kind="msp")
-    taus = sorted(set(tau_grid))
+    taus = sorted(cells)
     fprs: dict[float, list[float]] = {tau: [] for tau in taus}
     losses: dict[float, list[float]] = {tau: [] for tau in taus}
     warnings: list[str] = []
     for seed in cfg.seeds:
         bundle = realize_data(cfg, seed)
         for tau in taus:
-            cell = train_cell(cfg, bundle, seed, LossConfig(kind=LOGIT_NORM, tau=tau),
-                              warnings)
+            cell = train_cell(cfg, bundle, seed, cells[tau], warnings)
             if cell is None:
                 continue
             model, history = cell

@@ -10,41 +10,35 @@ logit-penalty loss is cross-entropy plus lambda * ||f||_2 per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, kind_params
 from .tensor import log_softmax
 
 CROSS_ENTROPY = "cross_entropy"
 LOGIT_NORM = "logit_norm"
 LOGIT_PENALTY = "logit_penalty"
-LOSS_KINDS = (CROSS_ENTROPY, LOGIT_NORM, LOGIT_PENALTY)
 
-# Defaults: tau=0.04 and lambda=0.05 are the reference hyperparameters for
-# the 10-class benchmark; eps guards the normalization denominator.
-DEFAULT_TAU = 0.04
-DEFAULT_LAMBDA = 0.05
-DEFAULT_EPS = 1e-7
+# Each loss kind's parameters: name -> (default, accepted range). tau=0.04
+# and lam=0.05 are the reference hyperparameters for the 10-class
+# benchmark; stability_eps guards the normalization denominator.
+LOSS_PARAMS = {
+    CROSS_ENTROPY: {},
+    LOGIT_NORM: {"tau": (0.04, "(0, inf)"), "stability_eps": (1e-7, "(0, inf)")},
+    LOGIT_PENALTY: {"lam": (0.05, "[0, inf)")},
+}
 
 
 @dataclass(frozen=True)
 class LossConfig:
     kind: str = CROSS_ENTROPY
-    tau: float = DEFAULT_TAU
-    lam: float = DEFAULT_LAMBDA
-    stability_eps: float = DEFAULT_EPS
+    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}, expected one of {LOSS_KINDS}")
-        if self.kind == LOGIT_NORM and self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.kind == LOGIT_PENALTY and self.lam < 0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
-        if self.stability_eps <= 0:
-            raise ConfigError(f"stability_eps must be positive, got {self.stability_eps}")
+        object.__setattr__(self, "params",
+                           kind_params(LOSS_PARAMS, "loss", self.kind, self.params))
 
 
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -89,13 +83,14 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray,
         return _softmax_cross_entropy(logits, labels)
     norms = np.linalg.norm(logits, axis=1, keepdims=True)
     if cfg.kind == LOGIT_NORM:
-        denom = norms * cfg.tau + cfg.tau * cfg.stability_eps
+        tau = cfg.params["tau"]
+        denom = norms * tau + tau * cfg.params["stability_eps"]
         loss, grad = _softmax_cross_entropy(logits / denom, labels)
         grad_denom = -(grad * logits).sum(axis=1, keepdims=True) / denom ** 2
-        return loss, grad / denom + _norm_backward(grad_denom * cfg.tau, logits, norms)
+        return loss, grad / denom + _norm_backward(grad_denom * tau, logits, norms)
     ce, grad = _softmax_cross_entropy(logits, labels)
-    loss = ce + float(norms.mean() * cfg.lam)
-    grad_norms = np.full(norms.shape, cfg.lam / norms.size)
+    loss = ce + float(norms.mean() * cfg.params["lam"])
+    grad_norms = np.full(norms.shape, cfg.params["lam"] / norms.size)
     return loss, _norm_backward(grad_norms, logits, norms) + grad
 
 
@@ -109,16 +104,15 @@ def logitnorm_lower_bound(k: int, tau: float) -> float:
     return math.log1p((k - 1) * math.exp(-2.0 / tau))
 
 
-# Untraced per-sample values, used by property tests and telemetry.
+# Untraced per-sample values, used by property tests and temperature fitting.
 
 def cross_entropy_values(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logp = log_softmax(np.asarray(logits, dtype=np.float64))
     return -logp[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
 
 
-def logitnorm_values(logits: np.ndarray, labels: np.ndarray, tau: float,
-                     stability_eps: float = DEFAULT_EPS) -> np.ndarray:
+def logitnorm_values(logits: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     norms = np.linalg.norm(logits, axis=1, keepdims=True)
-    normalized = logits / (tau * (norms + stability_eps))
+    normalized = logits / (tau * (norms + LOSS_PARAMS[LOGIT_NORM]["stability_eps"][0]))
     return cross_entropy_values(normalized, labels)

@@ -18,11 +18,11 @@ activation h and (softmax(f / T) - 1/k) / T, whose L1 norm factorises into
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, read_lines
+from .errors import DataError, kind_params, read_lines
 from .model import MlpModel, forward, forward_layers
 from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
@@ -30,24 +30,24 @@ MSP = "msp"
 ODIN = "odin"
 ENERGY = "energy"
 GRADNORM = "gradnorm"
-SCORE_KINDS = (MSP, ODIN, ENERGY, GRADNORM)
+
+# Each detector kind's parameters: name -> (default, accepted range).
+SCORE_PARAMS = {
+    MSP: {},
+    ODIN: {"T": (1000.0, "(0, inf)"), "eps": (0.0014, "[0, inf)")},
+    ENERGY: {"T": (1.0, "(0, inf)")},
+    GRADNORM: {"T": (1.0, "(0, inf)")},
+}
 
 
 @dataclass(frozen=True)
 class ScoreConfig:
     kind: str = MSP
-    odin_T: float = 1000.0
-    odin_eps: float = 0.0014
-    energy_T: float = 1.0
-    gradnorm_T: float = 1.0
+    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in SCORE_KINDS:
-            raise ConfigError(f"unknown score kind {self.kind!r}, expected one of {SCORE_KINDS}")
-        if self.odin_T <= 0 or self.energy_T <= 0 or self.gradnorm_T <= 0:
-            raise ConfigError("score temperatures must be positive")
-        if self.odin_eps < 0:
-            raise ConfigError(f"odin_eps must be nonnegative, got {self.odin_eps}")
+        object.__setattr__(self, "params",
+                           kind_params(SCORE_PARAMS, "score", self.kind, self.params))
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,15 @@ def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.nda
     """Score every row of `features` under `cfg`; one value per row."""
     if cfg.kind == MSP:
         return rowwise_softmax(forward(model, features)).max(axis=1)
+    T = cfg.params["T"]
     if cfg.kind == ODIN:
-        T = cfg.odin_T
-        if cfg.odin_eps > 0.0:
-            features = _odin_input(model, features, T, cfg.odin_eps)
+        if cfg.params["eps"] > 0.0:
+            features = _odin_input(model, features, T, cfg.params["eps"])
         return rowwise_softmax(forward(model, features).data / T).max(axis=1)
     if cfg.kind == ENERGY:
-        T = cfg.energy_T
         f = forward(model, features).data / T
         m = f.max(axis=1)
         return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
-    T = cfg.gradnorm_T
     tape, logits = forward_layers(model, features)
     k = logits.cols
     probs = np.exp(log_softmax(logits.data * (1.0 / T)))

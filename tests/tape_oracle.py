@@ -16,8 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from logitbench.errors import ConfigError, ContractError, DataError, ShapeError
-from logitbench.losses import (CROSS_ENTROPY, DEFAULT_EPS, DEFAULT_LAMBDA,
-                               DEFAULT_TAU, LOGIT_NORM, LossConfig)
+from logitbench.losses import CROSS_ENTROPY, LOGIT_NORM, LossConfig
 from logitbench.model import MlpModel
 from logitbench.tensor import Matrix2D, log_softmax
 
@@ -220,7 +219,7 @@ def cross_entropy(tape: GradTape, logits: TapeNode, labels: np.ndarray) -> TapeN
 
 
 def logitnorm_loss(tape: GradTape, logits: TapeNode, labels: np.ndarray,
-                   tau: float = DEFAULT_TAU, stability_eps: float = DEFAULT_EPS) -> TapeNode:
+                   tau: float, stability_eps: float) -> TapeNode:
     """Cross-entropy on logits normalized to norm 1/tau (traced)."""
     if tau <= 0:
         raise ConfigError(f"tau must be positive, got {tau}")
@@ -231,7 +230,7 @@ def logitnorm_loss(tape: GradTape, logits: TapeNode, labels: np.ndarray,
 
 
 def logit_penalty_loss(tape: GradTape, logits: TapeNode, labels: np.ndarray,
-                       lam: float = DEFAULT_LAMBDA) -> TapeNode:
+                       lam: float) -> TapeNode:
     """Cross-entropy plus lambda times the mean row L2 norm (traced)."""
     if lam < 0:
         raise ConfigError(f"lambda must be nonnegative, got {lam}")
@@ -245,5 +244,5 @@ def apply_loss(tape: GradTape, logits: TapeNode, labels: np.ndarray,
     if cfg.kind == CROSS_ENTROPY:
         return cross_entropy(tape, logits, labels)
     if cfg.kind == LOGIT_NORM:
-        return logitnorm_loss(tape, logits, labels, cfg.tau, cfg.stability_eps)
-    return logit_penalty_loss(tape, logits, labels, cfg.lam)
+        return logitnorm_loss(tape, logits, labels, **cfg.params)
+    return logit_penalty_loss(tape, logits, labels, **cfg.params)

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from logitbench.data import gen_blobs
 from logitbench.harness import run_calibration, run_experiment, sweep_tau
 from logitbench.losses import (LossConfig, logitnorm_lower_bound,
                                logitnorm_values, loss_and_grad)
@@ -66,8 +65,8 @@ def test_criterion_1_gradients_match_finite_differences():
     started = time.time()
     rng = np.random.default_rng(20)
     loss_cfgs = [LossConfig("cross_entropy"),
-                 LossConfig("logit_norm", tau=0.07),
-                 LossConfig("logit_penalty", lam=0.3)]
+                 LossConfig("logit_norm", {"tau": 0.07}),
+                 LossConfig("logit_penalty", {"lam": 0.3})]
     checked = 0
 
     # 60 instances: d(loss)/d(logits) for each loss kind in rotation.
@@ -349,7 +348,7 @@ def test_criterion_8_calibration(tmp_path):
     cfg = dataclasses.replace(
         cfg,
         data=dataclasses.replace(cfg.data, label_noise=0.0, cluster_radius=4.5),
-        losses=tuple(dataclasses.replace(l, tau=0.05)
+        losses=tuple(dataclasses.replace(l, params={**l.params, "tau": 0.05})
                      if l.kind == "logit_norm" else l for l in cfg.losses),
         optim=dataclasses.replace(cfg.optim, weight_decay=5e-4),
     )

@@ -76,10 +76,18 @@ def test_bench_subcommand(tmp_path):
 
 def test_bench_out_override(tmp_path):
     cfg_path = write_config(tmp_path)
-    alt = tmp_path / "elsewhere"
-    assert main(["bench", "--config", str(cfg_path), "--quiet",
-                 "--out", str(alt)]) == 0
-    assert (alt / "bench.csv").exists()
+    alt, other = tmp_path / "elsewhere", tmp_path / "other"
+    for out in (alt, other):
+        assert main(["bench", "--config", str(cfg_path), "--quiet",
+                     "--out", str(out)]) == 0
+        assert (out / "bench.csv").exists()
+    # The output directory is no part of the config hash, so the two runs
+    # write the same hash and the same checkpoints.
+    assert (alt / "config.hash").read_text() == (other / "config.hash").read_text()
+    checkpoints = sorted(p.name for p in alt.glob("checkpoint_*"))
+    assert checkpoints == sorted(p.name for p in other.glob("checkpoint_*")) != []
+    for name in checkpoints:
+        assert (alt / name).read_bytes() == (other / name).read_bytes()
 
 
 def test_seed_override_limits_artifacts(tmp_path):
@@ -176,8 +184,8 @@ def test_exit_code_bad_ood_set(tmp_path):
 
 
 def test_exit_code_repeated_loss_kind(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, losses=[{"kind": "logit_norm", "tau": 0.04},
-                                              {"kind": "logit_norm", "tau": 0.5}])
+    cfg_path = write_config(tmp_path, losses=[{"kind": "logit_norm", "params": {"tau": 0.04}},
+                                              {"kind": "logit_norm", "params": {"tau": 0.5}}])
     assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith(
         "config error: config: losses kinds must be distinct")
@@ -258,7 +266,8 @@ DESK = CONFIGS / "desk.json"
     (("metrics", "ece_bins"), "15", "config.metrics.ece_bins: expected int, got '15'"),
     (("layer_dims",), [16, "a", 10], "config.layer_dims[1]: expected int, got 'a'"),
     (("losses",), {"kind": "cross_entropy"}, "config.losses: expected list, got {"),
-    (("losses", 1, "tau"), "big", "config.losses[1].tau: expected float, got 'big'"),
+    (("losses", 1, "params", "tau"), "big",
+     "config.losses[1].params.tau: expected float, got 'big'"),
     (("validation_ood", "m"), 20.5, "config.validation_ood.m: expected int, got 20.5"),
     (("ood_panel", 1, "params", "std"), "x",
      "config.ood_panel[1].params.std: expected float, got 'x'"),
@@ -275,15 +284,28 @@ DESK = CONFIGS / "desk.json"
      "config: layer_dims must be at least two positive sizes, got [16, 0, 10]"),
     (("optim", "epochs"), 0, "config.optim: epochs must be >= 1, got 0"),
     (("ood_panel", 3, "params", "k"), 0,
-     "config.ood_panel[3]: shifted_blobs param k must be a positive integer, got 0"),
+     "config.ood_panel[3]: shifted_blobs param k must be an integer in [1, 10000], got 0"),
     (("ood_panel", 3, "params", "k"), 10.5,
-     "config.ood_panel[3]: shifted_blobs param k must be a positive integer, got 10.5"),
+     "config.ood_panel[3]: shifted_blobs param k must be an integer in [1, 10000], got 10.5"),
     (("ood_panel", 1, "params"), {"sdt": 0.66},
      "config.ood_panel[1]: unknown params for OOD kind 'gaussian_noise': ['sdt']"),
+    (("ood_panel", 0, "params", "half_width"), -1.15,
+     "config.ood_panel[0]: uniform_box param half_width must be a number in [0, 1e6], got -1.15"),
+    (("ood_panel", 0, "params", "half_width"), 1e308,
+     "config.ood_panel[0]: uniform_box param half_width must be a number in [0, 1e6], got 1e+308"),
+    (("ood_panel", 3, "params", "k"), 1000000000000,
+     "config.ood_panel[3]: shifted_blobs param k must be an integer in [1, 10000], "
+     "got 1000000000000"),
+    (("losses", 0, "params"), {"tau": 0.3},
+     "config.losses[0]: unknown params for loss kind 'cross_entropy': ['tau']"),
+    (("scores", 0, "params"), {"T": 2.0},
+     "config.scores[0]: unknown params for score kind 'msp': ['T']"),
 ], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "bins_str", "dims_str",
         "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
-        "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown"])
+        "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown",
+        "params_hw_neg", "params_hw_big", "params_k_big", "loss_params_unread",
+        "score_params_unread"])
 @pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate"])
 def test_bad_config_value_is_one_line_naming_its_key(command, path, value, message,
                                                     tmp_path, capsys):
@@ -326,7 +348,7 @@ def test_bench_rejects_mismatched_file_widths_before_training(tmp_path, capsys):
 
 # lr0 = 1e9 without weight decay: cross-entropy diverges at epoch 12, while
 # logit-norm, which only sees the logit direction, trains through.
-PARTIAL = {"losses": [{"kind": "cross_entropy"}, {"kind": "logit_norm", "tau": 0.1}],
+PARTIAL = {"losses": [{"kind": "cross_entropy"}, {"kind": "logit_norm", "params": {"tau": 0.1}}],
            "optim": {"lr0": 1e9, "momentum": 0.9, "weight_decay": 0.0,
                      "epochs": 20, "batch_size": 32, "lr_drops": []}}
 

@@ -11,11 +11,10 @@ import pytest
 from logitbench import harness
 from logitbench.cli import main
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
-from logitbench.harness import (DataConfig, ExperimentConfig, SeedData,
-                                config_from_dict, config_hash, config_to_dict,
-                                derive_seed, emit_histogram_data, load_config,
-                                realize_data, run_calibration, run_experiment,
-                                sweep_tau)
+from logitbench.harness import (DataConfig, config_from_dict, config_hash,
+                                config_to_dict, derive_seed, emit_histogram_data,
+                                load_config, realize_data, run_calibration,
+                                run_experiment, sweep_tau)
 from logitbench.scores import ScoredExample, read_scores, write_scores
 
 from conftest import CONFIGS, load_desk, write_file_data
@@ -28,7 +27,7 @@ def tiny_raw(**overrides):
                  "n_test_per_class": 10, "cluster_spread": 0.5,
                  "cluster_radius": 3.0, "val_fraction": 0.2},
         "layer_dims": [4, 8, 3],
-        "losses": [{"kind": "cross_entropy"}, {"kind": "logit_norm", "tau": 0.1}],
+        "losses": [{"kind": "cross_entropy"}, {"kind": "logit_norm", "params": {"tau": 0.1}}],
         "optim": {"lr0": 0.05, "momentum": 0.9, "weight_decay": 1e-4,
                   "epochs": 4, "batch_size": 32, "lr_drops": [[2, 0.1]]},
         "scores": [{"kind": "msp"}, {"kind": "energy"}],
@@ -113,8 +112,10 @@ def test_config_rejects_duplicate_ood_kinds():
 
 
 @pytest.mark.parametrize("axis, entries", [
-    ("losses", [{"kind": "logit_norm", "tau": 0.04}, {"kind": "logit_norm", "tau": 0.5}]),
-    ("scores", [{"kind": "energy", "energy_T": 1.0}, {"kind": "energy", "energy_T": 0.25}]),
+    ("losses", [{"kind": "logit_norm", "params": {"tau": 0.04}},
+                {"kind": "logit_norm", "params": {"tau": 0.5}}]),
+    ("scores", [{"kind": "energy", "params": {"T": 1.0}},
+                {"kind": "energy", "params": {"T": 0.25}}]),
 ])
 def test_config_rejects_repeated_kinds(axis, entries):
     # Checkpoints, dumps and bench.csv rows are named by kind, so a repeated
@@ -420,7 +421,7 @@ def test_sweep_tau_validation():
     with pytest.raises(ConfigError):
         sweep_tau(cfg, [0.1, -0.5])
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="positive and finite"):
+        with pytest.raises(ConfigError, match=r"tau must be a number in \(0, inf\)"):
             sweep_tau(cfg, [0.1, bad])
 
 

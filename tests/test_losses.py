@@ -16,8 +16,8 @@ from logitbench.losses import (CROSS_ENTROPY, LOGIT_NORM, LOGIT_PENALTY,
 from conftest import assert_grad_close, central_difference
 
 
-def _eval_loss(kind, logits_val, labels, **kw):
-    return loss_and_grad(logits_val, labels, LossConfig(kind, **kw))[0]
+def _eval_loss(kind, logits_val, labels, **params):
+    return loss_and_grad(logits_val, labels, LossConfig(kind, params))[0]
 
 
 # --------------------------------------------------------------------------
@@ -31,11 +31,11 @@ def test_config_rejects_unknown_kind():
 
 def test_config_validates_hyperparameters():
     with pytest.raises(ConfigError):
-        LossConfig(kind="logit_norm", tau=0.0)
+        LossConfig("logit_norm", {"tau": 0.0})
     with pytest.raises(ConfigError):
-        LossConfig(kind="logit_penalty", lam=-0.1)
+        LossConfig("logit_penalty", {"lam": -0.1})
     with pytest.raises(ConfigError):
-        LossConfig(stability_eps=0.0)
+        LossConfig("logit_norm", {"stability_eps": 0.0})
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_loss_gradients_match_finite_differences(kind, kw, seed):
     logits_val = rng.uniform(-2, 2, size=(4, 5))
     logits_val += np.sign(logits_val) * 0.5  # keep rows away from zero norm
     labels = rng.integers(0, 5, size=4)
-    cfg = LossConfig(kind=kind, **kw)
+    cfg = LossConfig(kind, kw)
     analytic = loss_and_grad(logits_val, labels, cfg)[1]
 
     def scalar_fn(arr):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logitbench.errors import ConfigError, DataError, ShapeError
-from logitbench.losses import LOSS_KINDS, LossConfig, loss_and_grad
+from logitbench.losses import LossConfig, loss_and_grad
 from logitbench.model import (MlpModel, forward, forward_traced, init_model,
                               load_checkpoint, save_checkpoint)
 from logitbench.tensor import Matrix2D, rowwise_softmax
@@ -104,8 +104,8 @@ def test_gradients_match_tape_oracle_bitwise():
         weights = [w.data for w in model.weights]
         tape, logits = forward_traced(weights, [b.data for b in model.biases], x)
         zero_rows += int(np.sum(~logits.any(axis=1)))
-        for kind in LOSS_KINDS:
-            cfg = LossConfig(kind, tau=0.12, lam=0.05)
+        for cfg in (LossConfig("cross_entropy"), LossConfig("logit_norm", {"tau": 0.12}),
+                    LossConfig("logit_penalty", {"lam": 0.05})):
             loss, grad = loss_and_grad(logits, labels, cfg)
             grad_w, grad_b, _ = tape.backward(grad)
             trace = tape_oracle.forward_traced(model, Matrix2D(x))

@@ -4,11 +4,11 @@ problem, and telemetry output."""
 import numpy as np
 import pytest
 
-from logitbench.data import LabeledDataset, OodDataset, gen_blobs, gen_ood
+from logitbench.data import LabeledDataset, gen_blobs, gen_ood
 from logitbench.errors import ConfigError, ContractError, DivergedError
 from logitbench.harness import csv_table, field_names
 from logitbench.losses import LossConfig
-from logitbench.model import forward, init_model
+from logitbench.model import init_model
 from logitbench.optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from logitbench.tensor import Matrix2D
 

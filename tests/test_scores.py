@@ -10,7 +10,7 @@ from logitbench.errors import ConfigError, DataError
 from logitbench.losses import LossConfig
 from logitbench.model import MlpModel, forward, init_model
 from logitbench.optimizer import OptimConfig, train
-from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_KINDS,
+from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_PARAMS,
                                ScoreConfig, ScoredExample, read_scores,
                                score_batch, write_scores)
 from logitbench.tensor import Matrix2D, rowwise_softmax
@@ -32,10 +32,10 @@ def small_model():
     return init_model((4, 8, 3), seed=11)
 
 
-def score_row(model, x, **cfg) -> float:
+def score_row(model, x, kind, **params) -> float:
     """One-row score_batch call."""
     row = Matrix2D(np.asarray(x, dtype=np.float64)[None])
-    return float(score_batch(model, row, ScoreConfig(**cfg))[0])
+    return float(score_batch(model, row, ScoreConfig(kind, params))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +46,9 @@ def test_score_config_validation():
     with pytest.raises(ConfigError):
         ScoreConfig(kind="entropy")
     with pytest.raises(ConfigError):
-        ScoreConfig(odin_T=0.0)
+        ScoreConfig(ODIN, {"T": 0.0})
     with pytest.raises(ConfigError):
-        ScoreConfig(odin_eps=-1.0)
+        ScoreConfig(ODIN, {"eps": -1.0})
 
 
 def test_scored_example_validation():
@@ -89,7 +89,7 @@ def test_odin_reduces_to_msp_at_unit_temperature(small_model):
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.normal(size=4)
-        assert abs(score_row(small_model, x, kind=ODIN, odin_T=1.0, odin_eps=0.0)
+        assert abs(score_row(small_model, x, kind=ODIN, T=1.0, eps=0.0)
                    - score_row(small_model, x, kind=MSP)) <= 1e-12
 
 
@@ -97,7 +97,7 @@ def test_odin_temperature_flattens():
     model = identity_model(3)
     x = [3.0, 0.0, 0.0]
     # Dividing logits by a huge temperature pushes the max softmax toward 1/k.
-    flat = score_row(model, x, kind=ODIN, odin_T=1000.0, odin_eps=0.0)
+    flat = score_row(model, x, kind=ODIN, T=1000.0, eps=0.0)
     assert flat < score_row(model, x, kind=MSP)
     assert flat == pytest.approx(1 / 3, abs=1e-3)
 
@@ -109,14 +109,14 @@ def test_odin_perturbation_increases_confidence(small_model):
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.normal(size=4)
-        with_eps = score_row(small_model, x, kind=ODIN, odin_T=1.0, odin_eps=1e-4)
-        without = score_row(small_model, x, kind=ODIN, odin_T=1.0, odin_eps=0.0)
+        with_eps = score_row(small_model, x, kind=ODIN, T=1.0, eps=1e-4)
+        without = score_row(small_model, x, kind=ODIN, T=1.0, eps=0.0)
         assert with_eps >= without - 1e-12
 
 
 def test_odin_validation(small_model):
     with pytest.raises(ConfigError):
-        score_row(small_model, [0.0] * 4, kind=ODIN, odin_T=0.0)
+        score_row(small_model, [0.0] * 4, kind=ODIN, T=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_energy_hand_value():
 def test_energy_temperature_scaling():
     model = identity_model(2)
     # T * logsumexp(f/T): at T=2 with logits (2, 0) -> 2 * log(e + 1)
-    assert score_row(model, [2.0, 0.0], kind=ENERGY, energy_T=2.0) == pytest.approx(
+    assert score_row(model, [2.0, 0.0], kind=ENERGY, T=2.0) == pytest.approx(
         2.0 * math.log(math.e + 1.0), abs=1e-12)
 
 
@@ -190,7 +190,7 @@ def test_gradnorm_feature_scaling_oracle():
 
 def test_gradnorm_validation(small_model):
     with pytest.raises(ConfigError):
-        score_row(small_model, [0.0] * 4, kind=GRADNORM, gradnorm_T=-1.0)
+        score_row(small_model, [0.0] * 4, kind=GRADNORM, T=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +207,23 @@ def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
     if cfg.kind == MSP:
         return float(rowwise_softmax(forward(model, x))[0].max())
     if cfg.kind == ODIN:
-        T = cfg.odin_T
-        if cfg.odin_eps > 0.0:
+        T = cfg.params["T"]
+        if cfg.params["eps"] > 0.0:
             trace = forward_traced(model, x, input_grad=True)
             scaled = trace.tape.scale(trace.logits, 1.0 / T)
             pred = np.array([int(np.argmax(trace.logits.value[0]))])
             nll = trace.tape.softmax_cross_entropy(scaled, pred)
             trace.tape.backward(nll)
             grad = trace.tape.grad(trace.input)
-            x = Matrix2D(x.data - cfg.odin_eps * np.sign(grad))
+            x = Matrix2D(x.data - cfg.params["eps"] * np.sign(grad))
         return float(rowwise_softmax(forward(model, x).data / T)[0].max())
     if cfg.kind == ENERGY:
-        T = cfg.energy_T
+        T = cfg.params["T"]
         logits = forward(model, x).data[0] / T
         m = logits.max()
         return float(T * (m + np.log(np.exp(logits - m).sum())))
     trace = forward_traced(model, x)
-    scaled = trace.tape.scale(trace.logits, 1.0 / cfg.gradnorm_T)
+    scaled = trace.tape.scale(trace.logits, 1.0 / cfg.params["T"])
     trace.tape.backward(trace.tape.uniform_cross_entropy(scaled))
     return float(np.abs(trace.tape.grad(trace.weights[-1])).sum())
 
@@ -263,9 +263,9 @@ def trained_models():
 
 def test_score_batch_matches_oracle(trained_models):
     rows = oracle_rows()
-    cfgs = [ScoreConfig(kind=kind) for kind in SCORE_KINDS] + [
-        ScoreConfig(kind=ENERGY, energy_T=2.0),
-        ScoreConfig(kind=GRADNORM, gradnorm_T=2.0)]
+    cfgs = [ScoreConfig(kind=kind) for kind in SCORE_PARAMS] + [
+        ScoreConfig(ENERGY, {"T": 2.0}),
+        ScoreConfig(GRADNORM, {"T": 2.0})]
     for name, model in trained_models.items():
         for cfg in cfgs:
             batch = score_batch(model, Matrix2D(rows), cfg)
@@ -277,7 +277,7 @@ def test_score_batch_matches_oracle(trained_models):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_raise_data_error():
     model = MlpModel((2, 2), (Matrix2D(1e300 * np.eye(2)),), (Matrix2D.zeros(1, 2),))
-    for kind in SCORE_KINDS:
+    for kind in SCORE_PARAMS:
         with pytest.raises(DataError):
             score_batch(model, Matrix2D([[1e10, 0.0]]), ScoreConfig(kind=kind))
 

@@ -3,7 +3,7 @@ and the reference gradient tape kept in tests/tape_oracle.py."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from logitbench.errors import ContractError, DataError, ShapeError
@@ -154,11 +154,11 @@ def test_zero_row_norm_subgradient_is_zero():
     zeros = np.zeros((2, 3))
     labels = np.array([0, 2])
     ce_grad = loss_and_grad(zeros, labels, LossConfig("cross_entropy"))[1]
-    penalty = LossConfig("logit_penalty", lam=0.5)
+    penalty = LossConfig("logit_penalty", {"lam": 0.5})
     assert np.array_equal(loss_and_grad(zeros, labels, penalty)[1], ce_grad)
-    norm = LossConfig("logit_norm", tau=0.5)
+    norm = LossConfig("logit_norm", {"tau": 0.5})
     assert np.array_equal(loss_and_grad(zeros, labels, norm)[1],
-                          ce_grad / (norm.tau * norm.stability_eps))
+                          ce_grad / (norm.params["tau"] * norm.params["stability_eps"]))
 
 
 def test_softmax_ce_label_out_of_range():
@@ -247,7 +247,7 @@ def test_fd_row_norm_and_div(seed):
     x_val = local.uniform(0.5, 2.0, size=(3, 4)) * np.sign(
         local.standard_normal((3, 4)))
     labels = local.integers(0, 4, size=3)
-    cfg = LossConfig("logit_norm", tau=1.0)
+    cfg = LossConfig("logit_norm", {"tau": 1.0})
     analytic = loss_and_grad(x_val, labels, cfg)[1]
     assert_grad_close(analytic, central_difference(
         lambda x: loss_and_grad(x, labels, cfg)[0], x_val))
