@@ -18,6 +18,7 @@ from .model import (MlpModel, forward, forward_traced, init_model,
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from .scores import (ScoreConfig, ScoredExample, read_scores, score_batch,
                      write_scores)
-from .tensor import GradTape, Matrix2D, row_l2_norm, rowwise_softmax
+from .tensor import (GradTape, Matrix2D, row_l2_norm, rowwise_softmax,
+                     use_one_blas_thread)
 
 __version__ = "0.1.0"

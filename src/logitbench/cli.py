@@ -21,6 +21,7 @@ from .harness import (ExperimentConfig, csv_table, dump_scores,
 from .metrics import DetectionReport, check_tpr_target, detection_report
 from .model import load_checkpoint
 from .scores import read_scores
+from .tensor import use_one_blas_thread
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -170,6 +171,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    use_one_blas_thread()
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -37,6 +37,11 @@ from .tensor import row_l2_norm, rowwise_softmax
 # Config dataclasses and typed JSON parsing
 # --------------------------------------------------------------------------
 
+# Upper ends for sizes that would otherwise fail only deep into a run.
+MAX_OOD_ROWS = 1_000_000
+MAX_ECE_BINS = 10_000
+
+
 @dataclass(frozen=True)
 class DataConfig:
     kind: str = "blobs"
@@ -70,8 +75,9 @@ class OodSetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "params", kind_params(OOD_PARAMS, "OOD", self.kind, self.params))
-        if self.m < 1:
-            raise ConfigError(f"OOD set {self.kind!r} needs m >= 1, got {self.m}")
+        if not 1 <= self.m <= MAX_OOD_ROWS:
+            raise ConfigError(f"OOD set {self.kind!r} needs m >= 1 and at most "
+                              f"{MAX_OOD_ROWS}, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,9 @@ class MetricsConfig:
 
     def __post_init__(self):
         check_tpr_target(self.tpr_target, ConfigError)
-        if self.ece_bins < 1:
-            raise ConfigError(f"ece_bins must be >= 1, got {self.ece_bins}")
+        if not 1 <= self.ece_bins <= MAX_ECE_BINS:
+            raise ConfigError(f"ece_bins must be >= 1 and at most {MAX_ECE_BINS}, "
+                              f"got {self.ece_bins}")
 
 
 @dataclass(frozen=True)

@@ -71,13 +71,16 @@ def forward_traced(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-             x: np.ndarray) -> tuple[GradTape, np.ndarray]:
+             x: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
+             ) -> tuple[GradTape, np.ndarray]:
+    """The forward pass; layer i's output goes into out[i] if given, else
+    into a new array."""
     inputs = []
     h = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(h)
-        h = h @ w
+        h = np.matmul(h, w, out=None if out is None else out[i])
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)

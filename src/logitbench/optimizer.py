@@ -62,6 +62,17 @@ def lr_at(cfg: OptimConfig, epoch: int) -> float:
     return lr
 
 
+def _layer_views(flat: np.ndarray, model: MlpModel
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Arrays shaped like the model's weights and like its biases: views of
+    consecutive slices of the 1-D array `flat`, the weights first."""
+    views, start = [], 0
+    for p in (*model.weights, *model.biases):
+        views.append(flat[start:start + p.data.size].reshape(p.shape))
+        start += p.data.size
+    return views[:len(model.weights)], views[len(model.weights):]
+
+
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
           optim_cfg: OptimConfig, seed: int, probe_ood: Optional[OodDataset] = None
           ) -> tuple[MlpModel, list[EpochTelemetry]]:
@@ -69,29 +80,36 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
 
     Deterministic in seed, which drives the minibatch order; raises DivergedError on a non-finite
     loss, parameter or epoch-end logit. Weight decay is applied to weights only, never biases.
-    Parameters, velocities and gradients are plain arrays updated in place; the model is built
-    from them once, after the last epoch.
+    The weights, then the biases, are views of one flat parameter array, and the velocities and
+    gradients are flat arrays laid out the same way, so one SGD update is a few whole-array
+    operations. The model is built from the parameters once, after the last epoch.
     """
     if dataset.dim != model.input_dim or dataset.k != model.num_classes:
         raise ConfigError(
             f"dataset (d={dataset.dim}, k={dataset.k}) does not match model "
             f"(d={model.input_dim}, k={model.num_classes})")
     rng = np.random.default_rng(seed)
-    weights = [w.data.copy() for w in model.weights]
-    biases = [b.data.copy() for b in model.biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    params = np.concatenate([p.data.ravel() for p in (*model.weights, *model.biases)])
+    weights, biases = _layer_views(params, model)
+    grads = np.empty_like(params)
+    grad_out = _layer_views(grads, model)
+    velocity = np.zeros_like(params)
+    scratch = np.empty_like(params)
+    n_weights = sum(w.data.size for w in model.weights)
     momentum = optim_cfg.momentum
     decay = optim_cfg.weight_decay
     x_all = dataset.features.data
     y_all = dataset.labels
     x_ood = probe_ood.features.data if probe_ood is not None else None
+    # Allocated once: a fresh output per epoch-end forward would fault in new pages each epoch.
+    probes = [(x, [np.empty((len(x), w.shape[1])) for w in weights])
+              for x in (x_all, x_ood) if x is not None]
     n = dataset.n
     telemetry: list[EpochTelemetry] = []
 
-    # Overflow is reported by the three finiteness checks below as a
-    # divergence at its epoch and step, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow and division by zero are reported by the finiteness checks
+    # below as a divergence at its epoch and step, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(optim_cfg.epochs):
             lr = lr_at(optim_cfg, epoch)
             order = rng.permutation(n)
@@ -107,21 +125,18 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 loss_batches += 1
                 if lr == 0.0:
                     continue
-                grad_w, grad_b, _ = tape.backward(grad)
-                for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grad_w, grad_b):
-                    gw += decay * w
-                    vw *= momentum
-                    vw += gw
-                    vb *= momentum
-                    vb += gb
-                    w -= lr * vw
-                    b -= lr * vb
-                if not all(np.isfinite(p).all() for p in (*weights, *biases)):
+                tape.backward(grad, grad_out)
+                grads[:n_weights] += np.multiply(params[:n_weights], decay,
+                                                 out=scratch[:n_weights])
+                velocity *= momentum
+                velocity += grads
+                params -= np.multiply(velocity, lr, out=scratch)
+                if not np.isfinite(params).all():
                     raise DivergedError(epoch, step)
 
             # Finite weights can still overflow the forward pass once the
             # parameters are large enough; that too is divergence.
-            outputs = [_forward(weights, biases, x)[1] for x in (x_all, x_ood) if x is not None]
+            outputs = [_forward(weights, biases, x, out)[1] for x, out in probes]
             if not all(np.isfinite(f).all() for f in outputs):
                 raise DivergedError(epoch, loss_batches - 1)
             norms = [float(row_l2_norm(f).mean()) for f in outputs]
@@ -132,11 +147,6 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 mean_logit_norm_id=norms[0],
                 mean_logit_norm_ood=norms[1] if x_ood is not None else None,
             ))
-            # Left alive into the next epoch's steps, these logits push the
-            # next epoch-end forward's activations up the heap: +2 MB peak
-            # RSS on the desk config.
-            del outputs
 
     return MlpModel(model.layer_dims, tuple(Matrix2D(w) for w in weights),
                     tuple(Matrix2D(b) for b in biases)), telemetry
-

@@ -34,9 +34,9 @@ GRADNORM = "gradnorm"
 # Each detector kind's parameters: name -> (default, accepted range).
 SCORE_PARAMS = {
     MSP: {},
-    ODIN: {"T": (1000.0, "(0, inf)"), "eps": (0.0014, "[0, inf)")},
-    ENERGY: {"T": (1.0, "(0, inf)")},
-    GRADNORM: {"T": (1.0, "(0, inf)")},
+    ODIN: {"T": (1000.0, "(0, 1e6]"), "eps": (0.0014, "[0, inf)")},
+    ENERGY: {"T": (1.0, "(0, 1e6]")},
+    GRADNORM: {"T": (1.0, "(0, 1e6]")},
 }
 
 

@@ -1,8 +1,12 @@
-"""Dense 64-bit matrices, the row-wise softmax and norm helpers, and the
-gradient tape of a relu MLP's forward pass."""
+"""Dense 64-bit matrices, the row-wise softmax and norm helpers, the
+gradient tape of a relu MLP's forward pass, and the BLAS thread count."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,17 +58,23 @@ class GradTape:
     weights: Sequence[np.ndarray]
     inputs: Sequence[np.ndarray]
 
-    def backward(self, grad: np.ndarray, *, params: bool = True, input_grad: bool = False
+    def backward(self, grad: np.ndarray, out: Optional[tuple[list, list]] = None, *,
+                 params: bool = True, input_grad: bool = False
                  ) -> tuple[list[np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
         """Reverse pass from `grad` = dL/dlogits. Returns the weight and bias
         gradients (empty lists unless `params`) and dL/dx (None unless
-        `input_grad`)."""
-        grad_w: list[np.ndarray] = []
-        grad_b: list[np.ndarray] = []
+        `input_grad`). The parameter gradients are written into `out` =
+        (weight gradients, bias gradients) if given, else into new arrays."""
+        if not params:
+            out = ([], [])
+        elif out is None:
+            out = ([np.empty_like(w) for w in self.weights],
+                   [np.empty((1, w.shape[1])) for w in self.weights])
+        grad_w, grad_b = out
         for i in range(len(self.weights) - 1, -1, -1):
             if params:
-                grad_b.insert(0, grad.sum(axis=0, keepdims=True))
-                grad_w.insert(0, self.inputs[i].T @ grad)
+                np.sum(grad, axis=0, keepdims=True, out=grad_b[i])
+                np.matmul(self.inputs[i].T, grad, out=grad_w[i])
             if i > 0 or input_grad:
                 grad = grad @ self.weights[i].T
             if i > 0:
@@ -92,3 +102,29 @@ def log_softmax(arr: np.ndarray) -> np.ndarray:
     shifted = arr - arr.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
+
+def _openblas_libraries() -> list[str]:
+    """The OpenBLAS that numpy's wheels bundle, if this numpy has one."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    return sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")))
+
+
+@functools.cache
+def _blas_thread_setter():
+    """The bundled OpenBLAS's set-thread-count function, or None; looked up
+    once per process."""
+    for path in _openblas_libraries():
+        try:
+            return ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def use_one_blas_thread() -> None:
+    """Run numpy's matrix products on one OpenBLAS thread. The matrices here
+    are small (128-row training batches), and a second thread costs CPU
+    without saving time. Does nothing without the bundled OpenBLAS."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)

@@ -10,8 +10,15 @@ import pytest
 
 from logitbench.data import gen_blobs, save_delimited, split
 from logitbench.harness import load_config
+from logitbench.tensor import use_one_blas_thread
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def pytest_sessionstart(session):
+    # cli.main pins BLAS to one thread, but most tests call the harness
+    # directly; pin it for the whole session as the program runs.
+    use_one_blas_thread()
 
 
 def central_difference(fn, x, h=1e-5):

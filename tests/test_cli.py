@@ -1,10 +1,15 @@
 """Command-line interface tests exercising every subcommand and exit code."""
 
+import ctypes
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from logitbench.cli import build_parser, main
+from logitbench.tensor import _openblas_libraries
 
 from conftest import CONFIGS, replaced, write_file_data
 
@@ -300,12 +305,19 @@ DESK = CONFIGS / "desk.json"
      "config.losses[0]: unknown params for loss kind 'cross_entropy': ['tau']"),
     (("scores", 0, "params"), {"T": 2.0},
      "config.scores[0]: unknown params for score kind 'msp': ['T']"),
+    (("scores", 2, "params", "T"), 1e308,
+     "config.scores[2]: energy param T must be a number in (0, 1e6], got 1e+308"),
+    (("ood_panel", 0, "m"), 10**12,
+     "config.ood_panel[0]: OOD set 'uniform_box' needs m >= 1 and at most 1000000, "
+     "got 1000000000000"),
+    (("metrics", "ece_bins"), 10**12,
+     "config.metrics: ece_bins must be >= 1 and at most 10000, got 1000000000000"),
 ], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "bins_str", "dims_str",
         "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
         "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown",
         "params_hw_neg", "params_hw_big", "params_k_big", "loss_params_unread",
-        "score_params_unread"])
+        "score_params_unread", "score_T_big", "ood_m_big", "ece_bins_big"])
 @pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate"])
 def test_bad_config_value_is_one_line_naming_its_key(command, path, value, message,
                                                     tmp_path, capsys):
@@ -322,6 +334,37 @@ def test_bad_config_value_is_one_line_naming_its_key(command, path, value, messa
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_quiet_is_quiet_when_a_division_by_zero_diverges(tmp_path):
+    # With tau 1e-300 the logit-norm gradient divides by a square that
+    # underflows to zero, so that cell diverges at its first step; every
+    # warning is shown (-W default), and none may reach stderr.
+    raw = json.loads(DESK.read_text())
+    raw["optim"].update(epochs=1, lr_drops=[])
+    raw["losses"][1]["params"]["tau"] = 1e-300
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    src = str(CONFIGS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "logitbench.cli", "bench", "--config",
+         str(cfg_path), "--seed", "0", "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+    assert (tmp_path / "out" / "warnings.txt").read_text() == (
+        "loss=logit_norm tau=1e-300 seed=0: diverged (non-finite loss at epoch 0, step 0)\n")
+
+
+def test_main_runs_blas_on_one_thread(tmp_path):
+    libraries = _openblas_libraries()
+    lib = ctypes.CDLL(libraries[0]) if libraries else None
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
+    lib.scipy_openblas_set_num_threads64_(2)
+    assert main(["train", "--config", str(write_config(tmp_path)), "--quiet"]) == 0
+    assert lib.scipy_openblas_get_num_threads64_() == 1
 
 
 def test_bench_on_file_data(tmp_path):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
-from logitbench.model import (MlpModel, forward, forward_traced, init_model,
-                              load_checkpoint, save_checkpoint)
+from logitbench.model import (MlpModel, _forward, forward, forward_traced,
+                              init_model, load_checkpoint, save_checkpoint)
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
 import tape_oracle
@@ -72,6 +72,23 @@ def test_traced_forward_matches_plain():
     tape, logits = forward_traced([w.data for w in m.weights], [b.data for b in m.biases], x.data)
     assert np.array_equal(logits, forward(m, x).data)
     assert tape.inputs[0] is x.data and len(tape.inputs) == 2
+
+
+def test_forward_into_buffers_matches_new_arrays_bitwise():
+    """`_forward` with `out` writes each layer's output into out[i] and gives
+    the same bits as the forward that allocates, also on reused buffers."""
+    m = init_model((16, 64, 64, 10), seed=13)
+    weights = [w.data for w in m.weights]
+    biases = [np.random.default_rng(3).uniform(-0.5, 0.5, b.shape) for b in m.biases]
+    out = [np.full((300, d), np.nan) for d in m.layer_dims[1:]]
+    for seed in (4, 5):
+        x = np.random.default_rng(seed).standard_normal((300, 16))
+        tape, logits = _forward(weights, biases, x, out)
+        new_tape, new_logits = _forward(weights, biases, x)
+        assert all(got is buf for got, buf in zip((*tape.inputs[1:], logits), out))
+        assert logits.tobytes() == new_logits.tobytes()
+        for got, want in zip(tape.inputs, new_tape.inputs):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_traced_input_grad_flag():

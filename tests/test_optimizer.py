@@ -7,10 +7,10 @@ import pytest
 from logitbench.data import LabeledDataset, gen_blobs, gen_ood
 from logitbench.errors import ConfigError, ContractError, DivergedError
 from logitbench.harness import csv_table, field_names
-from logitbench.losses import LossConfig
-from logitbench.model import init_model
+from logitbench.losses import LossConfig, loss_and_grad
+from logitbench.model import _forward, init_model
 from logitbench.optimizer import EpochTelemetry, OptimConfig, lr_at, train
-from logitbench.tensor import Matrix2D
+from logitbench.tensor import Matrix2D, row_l2_norm
 
 from tape_oracle import apply_loss, forward_traced
 
@@ -159,6 +159,63 @@ def test_divergence_raises():
     with pytest.raises(DivergedError):
         train(model, ds, LossConfig("cross_entropy"),
               small_optim(lr0=1e6, momentum=0.99, epochs=5, lr_drops=()), SGD_SEED)
+
+
+def per_array_train(model, dataset, loss_cfg, optim_cfg, seed, probe_ood):
+    """The SGD loop as written before the parameters shared one flat buffer:
+    one momentum and decay update per parameter array, and an epoch-end
+    forward into new arrays. Returns (weights, biases, telemetry)."""
+    rng = np.random.default_rng(seed)
+    weights = [w.data.copy() for w in model.weights]
+    biases = [b.data.copy() for b in model.biases]
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    x_all, y_all = dataset.features.data, dataset.labels
+    telemetry = []
+    for epoch in range(optim_cfg.epochs):
+        lr = lr_at(optim_cfg, epoch)
+        order = rng.permutation(dataset.n)
+        loss_sum = 0.0
+        loss_batches = 0
+        for start in range(0, dataset.n, optim_cfg.batch_size):
+            batch = order[start:start + optim_cfg.batch_size]
+            tape, logits = _forward(weights, biases, x_all[batch])
+            loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
+            loss_sum += loss
+            loss_batches += 1
+            grad_w, grad_b, _ = tape.backward(grad)
+            for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grad_w, grad_b):
+                gw += optim_cfg.weight_decay * w
+                vw *= optim_cfg.momentum
+                vw += gw
+                vb *= optim_cfg.momentum
+                vb += gb
+                w -= lr * vw
+                b -= lr * vb
+        outputs = [_forward(weights, biases, x)[1] for x in (x_all, probe_ood.features.data)]
+        norms = [float(row_l2_norm(f).mean()) for f in outputs]
+        telemetry.append(EpochTelemetry(
+            epoch + 1, loss_sum / loss_batches,
+            float((np.argmax(outputs[0], axis=1) == y_all).mean()), norms[0], norms[1]))
+    return weights, biases, telemetry
+
+
+@pytest.mark.parametrize("loss_cfg", [LossConfig("cross_entropy"),
+                                      LossConfig("logit_norm", {"tau": 0.04}),
+                                      LossConfig("logit_penalty")], ids=lambda c: c.kind)
+def test_train_matches_per_array_sgd_bitwise(loss_cfg):
+    """The flat-buffer update and the buffered epoch-end forward do the same
+    floating-point operations as the per-array loop, element for element:
+    momentum, weight decay, an lr drop, a short last batch and a probe set."""
+    ds = easy_dataset()
+    ood = gen_ood("gaussian_noise", d=4, m=50, seed=2)
+    model = init_model((4, 16, 8, 2), seed=12)
+    cfg = small_optim(epochs=6, lr_drops=((3, 0.1),))
+    trained, history = train(model, ds, loss_cfg, cfg, SGD_SEED, probe_ood=ood)
+    weights, biases, expected = per_array_train(model, ds, loss_cfg, cfg, SGD_SEED, ood)
+    assert history == expected
+    for got, want in zip((*trained.weights, *trained.biases), (*weights, *biases)):
+        assert got.data.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Matrix container, stable softmax, the explicit loss and MLP gradients,
 and the reference gradient tape kept in tests/tape_oracle.py."""
 
+import ctypes.util
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from logitbench import tensor
 from logitbench.errors import ContractError, DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
 from logitbench.model import forward_traced
 from logitbench.tensor import (GradTape, Matrix2D, log_softmax, row_l2_norm,
-                               rowwise_softmax)
+                               rowwise_softmax, use_one_blas_thread)
 
 from conftest import assert_grad_close, central_difference
 from tape_oracle import GradTape as OracleTape
@@ -193,6 +196,24 @@ def test_backward_is_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
 
+def test_backward_writes_into_given_arrays():
+    """With `out`, the parameter gradients land in the given arrays (here
+    views of one flat buffer, as in training) with the bits of a call
+    without it."""
+    rng = np.random.default_rng(8)
+    weights = [rng.standard_normal((4, 5)), rng.standard_normal((5, 2))]
+    tape, logits = forward_traced(weights, [np.zeros((1, 5)), np.zeros((1, 2))],
+                                  rng.standard_normal((6, 4)))
+    upstream = rng.standard_normal(logits.shape)
+    flat = np.full(20 + 10 + 5 + 2, np.nan)
+    out = ([flat[:20].reshape(4, 5), flat[20:30].reshape(5, 2)],
+           [flat[30:35].reshape(1, 5), flat[35:].reshape(1, 2)])
+    grad_w, grad_b, _ = tape.backward(upstream, out)
+    assert grad_w is out[0] and grad_b is out[1]
+    new_w, new_b, _ = tape.backward(upstream)
+    assert flat.tobytes() == np.concatenate([g.ravel() for g in (*new_w, *new_b)]).tobytes()
+
+
 # --------------------------------------------------------------------------
 # Explicit gradients: finite-difference checks
 # --------------------------------------------------------------------------
@@ -293,3 +314,38 @@ def test_fd_bias_gradient():
     _, grad_b, _ = tape.backward(loss_and_grad(logits, labels, cfg)[1])
     assert_grad_close(grad_b[0], central_difference(
         lambda b: loss_and_grad(x_val @ np.eye(3) + b, labels, cfg)[0], b_val))
+
+
+# --------------------------------------------------------------------------
+# BLAS thread count
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_blas_lookup():
+    """Forget the cached library lookup before and after the test, so that a
+    patched lookup neither finds nor leaves a cached result."""
+    tensor._blas_thread_setter.cache_clear()
+    yield
+    tensor._blas_thread_setter.cache_clear()
+
+
+@pytest.mark.parametrize("library", [None, "/nonexistent/libscipy_openblas64_-0.so", "c"],
+                         ids=["none", "missing_file", "no_symbol"])
+def test_one_blas_thread_is_a_silent_noop_without_the_library(library, monkeypatch,
+                                                              fresh_blas_lookup, capfd):
+    if library == "c":
+        library = ctypes.util.find_library("c")
+        if library is None:
+            pytest.skip("no C library found to load")
+    monkeypatch.setattr(tensor, "_openblas_libraries", lambda: [library] if library else [])
+    use_one_blas_thread()
+    assert tensor._blas_thread_setter() is None
+    assert capfd.readouterr() == ("", "")
+
+
+def test_blas_library_is_looked_up_once(monkeypatch, fresh_blas_lookup):
+    lookups = []
+    monkeypatch.setattr(tensor, "_openblas_libraries", lambda: lookups.append(1) or [])
+    for _ in range(3):
+        use_one_blas_thread()
+    assert lookups == [1]
