@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import AllSeedsDiverged, ConfigError, DataError
-from .harness import (ExperimentConfig, csv_table, dump_scores,
+from .harness import (ExperimentConfig, check_bins, csv_table, dump_scores,
                       emit_histogram_data, field_names, load_config,
                       realize_data, run_calibration, run_experiment, sweep_tau,
                       trained_cells)
@@ -153,6 +153,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    check_bins(args.bins)
     scored = read_scores(args.scores)
     return _emit(args.out, csv_table(["bin_left", "bin_right", "id_count", "ood_count"],
                                      emit_histogram_data(scored, args.bins)))

@@ -39,7 +39,7 @@ from .tensor import row_l2_norm, rowwise_softmax
 
 # Upper ends for sizes that would otherwise fail only deep into a run.
 MAX_OOD_ROWS = 1_000_000
-MAX_ECE_BINS = 10_000
+MAX_BINS = 10_000  # ECE bins and report histogram bins
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ class MetricsConfig:
 
     def __post_init__(self):
         check_tpr_target(self.tpr_target, ConfigError)
-        if not 1 <= self.ece_bins <= MAX_ECE_BINS:
-            raise ConfigError(f"ece_bins must be >= 1 and at most {MAX_ECE_BINS}, "
+        if not 1 <= self.ece_bins <= MAX_BINS:
+            raise ConfigError(f"ece_bins must be >= 1 and at most {MAX_BINS}, "
                               f"got {self.ece_bins}")
 
 
@@ -499,11 +499,16 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
 # Histogram and calibration reports
 # --------------------------------------------------------------------------
 
+def check_bins(bins: int) -> None:
+    """Raise ConfigError unless a histogram's bin count lies in [2, MAX_BINS]."""
+    if not 2 <= bins <= MAX_BINS:
+        raise ConfigError(f"bins must be >= 2 and at most {MAX_BINS}, got {bins}")
+
+
 def emit_histogram_data(scored: Sequence[ScoredExample], bins: int
                         ) -> list[tuple[float, float, int, int]]:
     """Equal-width histogram over [min score, max score]; counts conserve."""
-    if bins < 2:
-        raise ConfigError(f"bins must be >= 2, got {bins}")
+    check_bins(bins)
     if not scored:
         raise DataError("empty score dump")
     values = np.array([ex.score for ex in scored])

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 from .losses import cross_entropy_values
@@ -69,13 +68,15 @@ def fpr_at_tpr(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
 
 
 def auroc(id_scores, ood_scores) -> float:
-    """P(random ID score > random OOD score), ties counted half
-    (Mann-Whitney U via average ranks)."""
+    """P(random ID score > random OOD score), ties counted half: the
+    Mann-Whitney U, each ID score adding (#OOD below + #OOD at or below) / 2,
+    both counted exactly by binary search in the sorted OOD scores."""
     id_scores, ood_scores = _arrays(id_scores, ood_scores)
-    n, m = len(id_scores), len(ood_scores)
-    ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
-    u = ranks[:n].sum() - n * (n + 1) / 2.0
-    return float(u / (n * m))
+    ood_sorted = np.sort(ood_scores)
+    below = np.searchsorted(ood_sorted, id_scores, "left")
+    at_or_below = np.searchsorted(ood_sorted, id_scores, "right")
+    u = (below + at_or_below).sum() / 2
+    return float(u / (len(id_scores) * len(ood_scores)))
 
 
 def aupr(id_scores, ood_scores) -> float:

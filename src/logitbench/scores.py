@@ -34,7 +34,7 @@ GRADNORM = "gradnorm"
 # Each detector kind's parameters: name -> (default, accepted range).
 SCORE_PARAMS = {
     MSP: {},
-    ODIN: {"T": (1000.0, "(0, 1e6]"), "eps": (0.0014, "[0, inf)")},
+    ODIN: {"T": (1000.0, "(0, 1e6]"), "eps": (0.0014, "[0, 1]")},
     ENERGY: {"T": (1.0, "(0, 1e6]")},
     GRADNORM: {"T": (1.0, "(0, 1e6]")},
 }

@@ -307,6 +307,8 @@ DESK = CONFIGS / "desk.json"
      "config.scores[0]: unknown params for score kind 'msp': ['T']"),
     (("scores", 2, "params", "T"), 1e308,
      "config.scores[2]: energy param T must be a number in (0, 1e6], got 1e+308"),
+    (("scores", 1, "params", "eps"), 1e308,
+     "config.scores[1]: odin param eps must be a number in [0, 1], got 1e+308"),
     (("ood_panel", 0, "m"), 10**12,
      "config.ood_panel[0]: OOD set 'uniform_box' needs m >= 1 and at most 1000000, "
      "got 1000000000000"),
@@ -317,7 +319,7 @@ DESK = CONFIGS / "desk.json"
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
         "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown",
         "params_hw_neg", "params_hw_big", "params_k_big", "loss_params_unread",
-        "score_params_unread", "score_T_big", "ood_m_big", "ece_bins_big"])
+        "score_params_unread", "score_T_big", "score_eps_big", "ood_m_big", "ece_bins_big"])
 @pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate"])
 def test_bad_config_value_is_one_line_naming_its_key(command, path, value, message,
                                                     tmp_path, capsys):
@@ -465,6 +467,22 @@ def test_exit_code_tpr_target_out_of_range(tmp_path, capsys):
     # The range is checked before the dump is read.
     assert main(["eval", "--scores", str(tmp_path / "missing.txt"),
                  "--tpr-target", "0"]) == 1
+
+
+def test_exit_code_report_bins_out_of_range(tmp_path, capsys):
+    scores = tmp_path / "s.txt"
+    scores.write_text("ID,0.9\nOOD,0.1\n")
+    hist = tmp_path / "hist.csv"
+    assert main(["report", "--scores", str(scores), "--bins", "10000",
+                 "--out", str(hist)]) == 0
+    assert len(hist.read_text().splitlines()) == 10001
+    capsys.readouterr()
+    # The range is checked before the dump is read.
+    for bins, dump in [("10001", scores), ("1000000000000", scores),
+                       ("1000000000000", tmp_path / "missing.txt")]:
+        assert main(["report", "--scores", str(dump), "--bins", bins]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: bins must be >= 2 and at most 10000, got {bins}\n"
 
 
 def test_eval_writes_file(tmp_path):

@@ -38,14 +38,10 @@ def brute_fpr(id_scores, ood_scores, tpr_target=0.95):
 
 
 def brute_auroc(id_scores, ood_scores):
-    wins = 0.0
-    for a in id_scores:
-        for b in ood_scores:
-            if a > b:
-                wins += 1.0
-            elif a == b:
-                wins += 0.5
-    return wins / (len(id_scores) * len(ood_scores))
+    """Every (ID, OOD) pair compared at once: wins plus half the ties."""
+    a, b = np.asarray(id_scores)[:, None], np.asarray(ood_scores)[None, :]
+    u = (2 * (a > b).sum() + (a == b).sum()) / 2
+    return float(u / (a.size * b.size))
 
 
 def brute_aupr(id_scores, ood_scores):
@@ -126,6 +122,39 @@ def test_auroc_identical_distributions():
     rng = np.random.default_rng(11)
     pool = rng.normal(size=4000)
     assert auroc(pool[:2000], pool[2000:]) == pytest.approx(0.5, abs=0.03)
+
+
+def rank_sum_auroc(id_scores, ood_scores):
+    """The rank-sum form `auroc` replaced: U from scipy's average ranks."""
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    n, m = len(id_scores), len(ood_scores)
+    ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
+    u = ranks[:n].sum() - n * (n + 1) / 2.0
+    return float(u / (n * m))
+
+
+def auroc_draw(shape: str, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    n, m = (int(size) for size in rng.integers(1, 301, 2))
+    if shape == "single":           # n = 1 or m = 1, with ties
+        n, m = (1, m) if rng.integers(2) else (n, 1)
+    if shape == "all_tied":
+        return np.full(n, 2.5), np.full(m, 2.5)
+    shift = rng.uniform(-2.0, 2.0)
+    id_scores, ood_scores = rng.normal(shift, 1.0, n), rng.normal(0.0, 1.0, m)
+    if shape == "continuous":
+        return id_scores, ood_scores
+    return np.round(id_scores), np.round(ood_scores)   # integer-valued, heavy ties
+
+
+@pytest.mark.parametrize("seed, shape", enumerate(["integer", "continuous", "single",
+                                                   "all_tied"]))
+def test_auroc_matches_rank_sum_and_pairwise_bit_for_bit(seed, shape):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        id_scores, ood_scores = auroc_draw(shape, rng)
+        got = auroc(id_scores, ood_scores)
+        assert got.hex() == rank_sum_auroc(id_scores, ood_scores).hex()
+        assert got.hex() == brute_auroc(id_scores, ood_scores).hex()
 
 
 # ---------------------------------------------------------------------------
