@@ -326,14 +326,16 @@ def csv_table(columns: Sequence[str], rows) -> str:
 
 def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
                loss_cfg: LossConfig, warnings: list[str],
-               probe_ood: Optional[OodDataset] = None
+               probe_ood: Optional[OodDataset] = None, *, every_epoch: bool = True
                ) -> Optional[tuple[MlpModel, list[EpochTelemetry]]]:
     """Train one (loss, seed) cell from the seed's init and SGD streams.
-    Returns (model, telemetry), or None after a warning if it diverged."""
+    Returns (model, telemetry), or None after a warning if it diverged.
+    Without `every_epoch` the telemetry is the last epoch's record only."""
     model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
     try:
         return train(model0, bundle.train, loss_cfg, cfg.optim,
-                     derive_seed(seed, "sgd"), probe_ood=probe_ood)
+                     derive_seed(seed, "sgd"), probe_ood=probe_ood,
+                     every_epoch=every_epoch)
     except DivergedError as exc:
         tau = f" tau={loss_cfg.params['tau']}" if loss_cfg.kind == LOGIT_NORM else ""
         warnings.append(f"loss={loss_cfg.kind}{tau} seed={seed}: diverged ({exc})")
@@ -476,7 +478,7 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
     for seed in cfg.seeds:
         bundle = realize_data(cfg, seed)
         for tau in taus:
-            cell = train_cell(cfg, bundle, seed, cells[tau], warnings)
+            cell = train_cell(cfg, bundle, seed, cells[tau], warnings, every_epoch=False)
             if cell is None:
                 continue
             model, history = cell
@@ -544,7 +546,7 @@ def run_calibration(cfg: ExperimentConfig, out_dir: Optional[str] = None
     rows = []
     warnings: list[str] = []
     for loss_cfg in cfg.losses:
-        cell = train_cell(cfg, bundle, seed, loss_cfg, warnings)
+        cell = train_cell(cfg, bundle, seed, loss_cfg, warnings, every_epoch=False)
         if cell is None:
             continue
         model, _ = cell

@@ -51,7 +51,7 @@ def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[floa
         raise DataError(f"labels out of range [0, {k})")
     logp = log_softmax(logits)
     rows = np.arange(n)
-    loss = -logp[rows, labels].mean()
+    loss = -(np.add.reduce(logp[rows, labels]) / n)
     grad = np.exp(logp)
     grad[rows, labels] -= 1.0
     grad *= 1.0 / n
@@ -76,20 +76,23 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray,
 
     Every expression repeats the reference tape's operations in the tape's
     order (tests/tape_oracle.py), so training gives bitwise the same weights;
-    test_gradients_match_tape_oracle_bitwise holds that in place.
+    test_gradients_match_tape_oracle_bitwise holds that in place. The
+    reductions call the ufunc kernels (`np.add.reduce`) that the tape's
+    `np.linalg.norm`, `.sum()` and `.mean()` call, without those wrappers'
+    per-call Python overhead; the values are the same bits.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if cfg.kind == CROSS_ENTROPY:
         return _softmax_cross_entropy(logits, labels)
-    norms = np.linalg.norm(logits, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(logits * logits, axis=1, keepdims=True))
     if cfg.kind == LOGIT_NORM:
         tau = cfg.params["tau"]
         denom = norms * tau + tau * cfg.params["stability_eps"]
         loss, grad = _softmax_cross_entropy(logits / denom, labels)
-        grad_denom = -(grad * logits).sum(axis=1, keepdims=True) / denom ** 2
+        grad_denom = -np.add.reduce(grad * logits, axis=1, keepdims=True) / denom ** 2
         return loss, grad / denom + _norm_backward(grad_denom * tau, logits, norms)
     ce, grad = _softmax_cross_entropy(logits, labels)
-    loss = ce + float(norms.mean() * cfg.params["lam"])
+    loss = ce + float(np.add.reduce(norms, axis=None) / norms.size * cfg.params["lam"])
     grad_norms = np.full(norms.shape, cfg.params["lam"] / norms.size)
     return loss, _norm_backward(grad_norms, logits, norms) + grad
 

@@ -1,5 +1,6 @@
 """SGD with momentum, weight decay (weights only), and step learning-rate
-drops, with per-epoch logit-norm telemetry."""
+drops, with per-epoch logit-norm telemetry, or only the final epoch's record
+for callers that read no other."""
 
 from __future__ import annotations
 
@@ -74,12 +75,19 @@ def _layer_views(flat: np.ndarray, model: MlpModel
 
 
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
-          optim_cfg: OptimConfig, seed: int, probe_ood: Optional[OodDataset] = None
-          ) -> tuple[MlpModel, list[EpochTelemetry]]:
-    """Train and return (new model, one telemetry record per epoch).
+          optim_cfg: OptimConfig, seed: int, probe_ood: Optional[OodDataset] = None,
+          *, every_epoch: bool = True) -> tuple[MlpModel, list[EpochTelemetry]]:
+    """Train and return (new model, telemetry): one record per epoch, or with `every_epoch`
+    false the last epoch's record alone.
 
     Deterministic in seed, which drives the minibatch order; raises DivergedError on a non-finite
     loss, parameter or epoch-end logit. Weight decay is applied to weights only, never biases.
+    Without `every_epoch`, the epoch-end forward over the training and probe sets runs after the
+    last epoch only, and the one record returned is bitwise the last record of a full run. Logits
+    that overflow in an epoch-end forward the run skips then surface later: as a non-finite loss
+    at a later step, or at the last epoch's forward, so a divergence may name a later epoch and
+    step than a full run would.
+
     The weights, then the biases, are views of one flat parameter array, and the velocities and
     gradients are flat arrays laid out the same way, so one SGD update is a few whole-array
     operations. The model is built from the parameters once, after the last epoch.
@@ -134,6 +142,8 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 if not np.isfinite(params).all():
                     raise DivergedError(epoch, step)
 
+            if not every_epoch and epoch < optim_cfg.epochs - 1:
+                continue
             # Finite weights can still overflow the forward pass once the
             # parameters are large enough; that too is divergence.
             outputs = [_forward(weights, biases, x, out)[1] for x, out in probes]

@@ -73,7 +73,7 @@ class GradTape:
         grad_w, grad_b = out
         for i in range(len(self.weights) - 1, -1, -1):
             if params:
-                np.sum(grad, axis=0, keepdims=True, out=grad_b[i])
+                np.add.reduce(grad, axis=0, keepdims=True, out=grad_b[i])
                 np.matmul(self.inputs[i].T, grad, out=grad_w[i])
             if i > 0 or input_grad:
                 grad = grad @ self.weights[i].T
@@ -99,8 +99,8 @@ def row_l2_norm(z: Matrix2D | np.ndarray) -> np.ndarray:
 
 
 def log_softmax(arr: np.ndarray) -> np.ndarray:
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = arr - np.maximum.reduce(arr, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def _openblas_libraries() -> list[str]:

@@ -18,7 +18,15 @@ import numpy as np
 from logitbench.errors import ConfigError, ContractError, DataError, ShapeError
 from logitbench.losses import CROSS_ENTROPY, LOGIT_NORM, LossConfig
 from logitbench.model import MlpModel
-from logitbench.tensor import Matrix2D, log_softmax
+from logitbench.tensor import Matrix2D
+
+
+def log_softmax(arr: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax through numpy's reduction methods: the form the
+    package's `log_softmax` had before it called the ufunc kernels directly,
+    kept here so that the oracle does not check the package against itself."""
+    shifted = arr - arr.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from logitbench import harness
+from logitbench import harness, optimizer
 from logitbench.cli import main
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
 from logitbench.harness import (DataConfig, config_from_dict, config_hash,
@@ -377,6 +377,40 @@ def test_run_experiment_partly_diverged(tmp_path):
     # A clean rerun into the same directory leaves no stale warnings.
     run_experiment(config_from_dict(tiny_raw(output_dir=str(tmp_path), seeds=[0])))
     assert not (tmp_path / "warnings.txt").exists()
+
+
+def test_epoch_end_forward_runs_only_where_its_record_is_written(tmp_path, monkeypatch):
+    """Per training cell, the number of epoch-end forwards: the calls of
+    `_forward` that `optimizer.train` makes (its steps use `forward_traced`).
+    `calibrate` and `sweep-tau` read only the last epoch's record and make
+    one. `bench` and `train` write every epoch's telemetry and make two per
+    epoch, over the training set and over the validation OOD probe."""
+    per_cell = []
+    real_forward, real_train = optimizer._forward, harness.train
+
+    def counting_forward(*args, **kwargs):
+        per_cell[-1] += 1
+        return real_forward(*args, **kwargs)
+
+    def counting_train(*args, **kwargs):
+        per_cell.append(0)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_forward", counting_forward)
+    monkeypatch.setattr(harness, "train", counting_train)
+    raw = tiny_raw(seeds=[0], output_dir=str(tmp_path / "out"))
+    cfg = config_from_dict(raw)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(raw))
+    every_epoch = [2 * cfg.optim.epochs] * len(cfg.losses)
+    for command, run, want in [
+            ("calibrate", lambda: run_calibration(cfg), [1] * len(cfg.losses)),
+            ("sweep-tau", lambda: sweep_tau(cfg, [0.05, 0.1, 0.5]), [1, 1, 1]),
+            ("bench", lambda: run_experiment(cfg), every_epoch),
+            ("train", lambda: main(["train", "--config", str(path), "--quiet"]), every_epoch)]:
+        per_cell.clear()
+        run()
+        assert per_cell == want, command
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ problem, and telemetry output."""
 import numpy as np
 import pytest
 
-from logitbench.data import LabeledDataset, gen_blobs, gen_ood
+from logitbench.data import LabeledDataset, OodDataset, gen_blobs, gen_ood
 from logitbench.errors import ConfigError, ContractError, DivergedError
 from logitbench.harness import csv_table, field_names
 from logitbench.losses import LossConfig, loss_and_grad
@@ -216,6 +216,47 @@ def test_train_matches_per_array_sgd_bitwise(loss_cfg):
     assert history == expected
     for got, want in zip((*trained.weights, *trained.biases), (*weights, *biases)):
         assert got.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("loss_cfg", [LossConfig("cross_entropy"),
+                                      LossConfig("logit_norm", {"tau": 0.04}),
+                                      LossConfig("logit_penalty")], ids=lambda c: c.kind)
+def test_last_epoch_only_matches_full_telemetry_bitwise(loss_cfg):
+    """Without every_epoch, training skips the epoch-end forward of every
+    epoch but the last and changes nothing else: byte-equal weights and
+    biases, and one record equal to the last of a full-telemetry run, with
+    an lr drop, a short last batch and a probe set."""
+    ds = easy_dataset()
+    ood = gen_ood("gaussian_noise", d=4, m=50, seed=2)
+    model = init_model((4, 16, 8, 2), seed=12)
+    cfg = small_optim(epochs=6, lr_drops=((3, 0.1),))
+    assert ds.n % cfg.batch_size != 0
+    full, history = train(model, ds, loss_cfg, cfg, SGD_SEED, probe_ood=ood)
+    last, record = train(model, ds, loss_cfg, cfg, SGD_SEED, probe_ood=ood, every_epoch=False)
+    assert record == history[-1:]
+    header, *lines = telemetry_text(history).splitlines()
+    assert telemetry_text(record).splitlines() == [header, lines[-1]]
+    for got, want in zip((*last.weights, *last.biases), (*full.weights, *full.biases)):
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_last_epoch_only_still_checks_the_final_forward():
+    """A probe set whose logits overflow while the training data stays
+    finite. A full run diverges at its first epoch-end forward. Without
+    every_epoch the last epoch's forward is the only one, and it must still
+    raise, naming the last epoch and its last step."""
+    ds = easy_dataset()
+    probe = OodDataset(Matrix2D(np.full((3, 4), 1e308) * [[1.0], [-1.0], [0.5]]))
+    model = init_model((4, 16, 8, 2), seed=12)
+    cfg = small_optim(epochs=5, lr_drops=())
+    with pytest.raises(DivergedError) as full:
+        train(model, ds, LossConfig("cross_entropy"), cfg, SGD_SEED, probe_ood=probe)
+    assert (full.value.epoch, full.value.step) == (0, 6)
+    with pytest.raises(DivergedError) as last:
+        train(model, ds, LossConfig("cross_entropy"), cfg, SGD_SEED, probe_ood=probe,
+              every_epoch=False)
+    assert (last.value.epoch, last.value.step) == (cfg.epochs - 1, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from logitbench.tensor import (GradTape, Matrix2D, log_softmax, row_l2_norm,
 
 from conftest import assert_grad_close, central_difference
 from tape_oracle import GradTape as OracleTape
+from tape_oracle import log_softmax as oracle_log_softmax
 
 
 # --------------------------------------------------------------------------
@@ -88,6 +89,51 @@ def test_row_l2_norm_examples():
 def test_log_softmax_matches_log_of_softmax():
     z = np.array([[1.0, -2.0, 0.5], [3.0, 3.0, -1.0]])
     assert np.allclose(log_softmax(z), np.log(rowwise_softmax(z)), atol=1e-12)
+
+
+def reduction_draws(seed):
+    """Seeded float64 matrices for the reduction identities below: rows of
+    zeros, rows with tied entries, and magnitudes from 1e-300 to past
+    sqrt(max double), where the squares in a row norm overflow."""
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        scale = rng.choice([1e-300, 1e-8, 1.0, 1e3, 1e150, 1e154, 1e200, 1e307])
+        x = rng.standard_normal((rows, cols)) * scale
+        tied = rng.random(rows) < 0.3
+        x[tied] = np.round(x[tied] / scale) * scale
+        x[rng.random(rows) < 0.2] = 0.0
+        yield x
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_reduction_kernels_match_numpy_wrappers_bitwise(seed):
+    """The training step calls the ufunc reduction kernels directly; each
+    call gives the bytes of the numpy wrapper it stands for: np.linalg.norm,
+    ndarray.mean (over the picked log-probabilities and over the (rows, 1)
+    norms), ndarray.sum, np.sum into `out` (the backward's bias gradient,
+    checked through GradTape.backward) and ndarray.max (through log_softmax,
+    against the oracle's copy written with the wrappers)."""
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for x in reduction_draws(seed):
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
+            assert same_bytes(np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True)), norms)
+            column = x[:, 0]
+            assert same_bytes(np.add.reduce(column) / len(column), column.mean())
+            assert same_bytes(np.add.reduce(norms, axis=None) / norms.size, norms.mean())
+            assert same_bytes(np.add.reduce(x, axis=1, keepdims=True),
+                              x.sum(axis=1, keepdims=True))
+            assert same_bytes(np.maximum.reduce(x, axis=1, keepdims=True),
+                              x.max(axis=1, keepdims=True))
+            _, (grad_b,), _ = GradTape([np.ones((1, x.shape[1]))],
+                                       [np.ones((len(x), 1))]).backward(x)
+            assert same_bytes(grad_b, np.sum(x, axis=0, keepdims=True))
+            assert same_bytes(log_softmax(x), oracle_log_softmax(x))
 
 
 # --------------------------------------------------------------------------
