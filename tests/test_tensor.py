@@ -93,11 +93,12 @@ def test_log_softmax_matches_log_of_softmax():
 
 def reduction_draws(seed):
     """Seeded float64 matrices for the reduction identities below: rows of
-    zeros, rows with tied entries, and magnitudes from 1e-300 to past
-    sqrt(max double), where the squares in a row norm overflow."""
+    zeros, rows with tied entries, magnitudes from 1e-300 to past
+    sqrt(max double), where the squares in a row norm overflow, and up to
+    300 rows, past the 128-element blocks of numpy's pairwise summation."""
     rng = np.random.default_rng(seed)
     for _ in range(25):
-        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        rows, cols = int(rng.integers(1, 300)), int(rng.integers(1, 12))
         scale = rng.choice([1e-300, 1e-8, 1.0, 1e3, 1e150, 1e154, 1e200, 1e307])
         x = rng.standard_normal((rows, cols)) * scale
         tied = rng.random(rows) < 0.3
@@ -123,8 +124,8 @@ def test_direct_reduction_kernels_match_numpy_wrappers_bitwise(seed):
         for x in reduction_draws(seed):
             norms = np.linalg.norm(x, axis=1, keepdims=True)
             assert same_bytes(np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True)), norms)
-            column = x[:, 0]
-            assert same_bytes(np.add.reduce(column) / len(column), column.mean())
+            picked = x[np.arange(len(x)), np.argmin(x, axis=1)]
+            assert same_bytes(np.add.reduce(picked) / len(picked), picked.mean())
             assert same_bytes(np.add.reduce(norms, axis=None) / norms.size, norms.mean())
             assert same_bytes(np.add.reduce(x, axis=1, keepdims=True),
                               x.sum(axis=1, keepdims=True))
