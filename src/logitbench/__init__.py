@@ -5,8 +5,8 @@ metrics."""
 
 from .data import (LabeledDataset, OodDataset, corrupt_labels, gen_blobs,
                    gen_ood, load_delimited, split)
-from .errors import (AllSeedsDiverged, ConfigError, ContractError, DataError,
-                     DivergedError, ShapeError)
+from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
+                     ShapeError)
 from .harness import (BenchmarkRow, ExperimentConfig, config_from_dict,
                       config_hash, emit_histogram_data, load_config,
                       run_calibration, run_experiment, sweep_tau, train_cell)

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: train, score, eval, bench, sweep-tau, calibrate, report.
-Exit codes: 0 success, 1 config error, 2 data error, 3 every training cell
-diverged. A training command (train, bench, sweep-tau, calibrate) skips a
-diverged cell and lists it in warnings.txt, and on stderr unless --quiet.
+Exit codes: 0 success, 1 config error (an output path that cannot be
+written included), 2 data error, 3 every training cell diverged. A
+training command (train, bench, sweep-tau, calibrate) skips a diverged cell
+and lists it in warnings.txt, and on stderr unless --quiet.
 """
 
 from __future__ import annotations
@@ -184,6 +185,11 @@ def main(argv=None) -> int:
     except AllSeedsDiverged as exc:
         print(f"all seeds diverged: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every read maps its OSError to a ConfigError or DataError
+        # A buffered write that fails on close names no file.
+        print(f"config error: cannot write {exc.filename or 'output'}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -207,11 +207,3 @@ def load_delimited(path, has_label: bool, k: Optional[int] = None
         return LabeledDataset(features, np.array(labels), k_eff)
     return OodDataset(features)
 
-
-def save_delimited(dataset: Union[LabeledDataset, OodDataset], path) -> None:
-    with open(path, "w") as fh:
-        for i in range(dataset.n):
-            cells = [f"{v:.17g}" for v in dataset.features.row(i)]
-            if isinstance(dataset, LabeledDataset):
-                cells.append(str(int(dataset.labels[i])))
-            fh.write(",".join(cells) + "\n")

@@ -21,10 +21,6 @@ class ShapeError(DataError):
     """Operand shapes are incompatible."""
 
 
-class ContractError(RuntimeError):
-    """An API precondition was violated (e.g. an epoch outside the learning-rate schedule)."""
-
-
 class DivergedError(RuntimeError):
     """Training produced a non-finite loss, parameter or logit."""
 

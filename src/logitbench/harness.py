@@ -26,7 +26,7 @@ from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
                      kind_params, read_lines)
 from .losses import LOGIT_NORM, LossConfig
 from .metrics import (CalibrationReport, check_tpr_target, detection_report,
-                      ece, fit_temperature)
+                      ece, fit_temperature, fpr_at_tpr)
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, train
 from .scores import ScoreConfig, ScoredExample, score_batch, write_scores
@@ -38,7 +38,7 @@ from .tensor import row_l2_norm, rowwise_softmax
 # --------------------------------------------------------------------------
 
 # Upper ends for sizes that would otherwise fail only deep into a run.
-MAX_OOD_ROWS = 1_000_000
+MAX_ROWS = 1_000_000  # rows of a generated data set, ID or OOD
 MAX_BINS = 10_000  # ECE bins and report histogram bins
 
 
@@ -61,8 +61,19 @@ class DataConfig:
             raise ConfigError(f"unknown data kind {self.kind!r}")
         if self.kind == "blobs" and (self.k < 2 or self.d < 2):
             raise ConfigError(f"need k >= 2 and d >= 2, got k={self.k}, d={self.d}")
+        if self.n_train_per_class < 1 or self.n_test_per_class < 1:
+            raise ConfigError("n_train_per_class and n_test_per_class must be >= 1, got "
+                              f"{self.n_train_per_class} and {self.n_test_per_class}")
+        rows = self.k * (self.n_train_per_class + self.n_test_per_class)
+        if self.kind == "blobs" and rows > MAX_ROWS:
+            raise ConfigError(f"k * (n_train_per_class + n_test_per_class) must be at most "
+                              f"{MAX_ROWS}, got {rows}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if self.kind == "blobs" and self.val_fraction > 0.0 and self.n_train_per_class < 2:
+            # Splitting off a validation set needs two rows of each class.
+            raise ConfigError("val_fraction > 0 needs n_train_per_class >= 2, "
+                              f"got {self.n_train_per_class}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError(f"label_noise must be in [0, 1), got {self.label_noise}")
 
@@ -75,9 +86,9 @@ class OodSetConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "params", kind_params(OOD_PARAMS, "OOD", self.kind, self.params))
-        if not 1 <= self.m <= MAX_OOD_ROWS:
+        if not 1 <= self.m <= MAX_ROWS:
             raise ConfigError(f"OOD set {self.kind!r} needs m >= 1 and at most "
-                              f"{MAX_OOD_ROWS}, got {self.m}")
+                              f"{MAX_ROWS}, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -411,11 +422,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     for seed, bundle, lname, model, history in trained_cells(cfg, out, warnings):
         telemetry[(lname, seed)] = history
-        test_logits = forward(model, bundle.test.features)
-        id_acc = float((np.argmax(test_logits.data, axis=1) == bundle.test.labels).mean())
+        test_logits = forward(model, bundle.test.features).data
+        id_acc = float((np.argmax(test_logits, axis=1) == bundle.test.labels).mean())
         norms = {"ID": float(row_l2_norm(test_logits).mean())}
         for tag, ood_ds in bundle.ood_sets:
-            norms[tag] = float(row_l2_norm(forward(model, ood_ds.features)).mean())
+            norms[tag] = float(row_l2_norm(forward(model, ood_ds.features).data).mean())
         final_norms[(lname, seed)] = norms
 
         for sname, tag, scored in dump_scores(cfg, model, bundle, out, lname, seed):
@@ -482,9 +493,9 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
             if cell is None:
                 continue
             model, history = cell
-            scored = (_examples(score_batch(model, bundle.test.features, msp), "ID")
-                      + _examples(score_batch(model, bundle.validation_ood.features, msp), "OOD"))
-            fprs[tau].append(detection_report(scored, cfg.metrics.tpr_target).fpr_at_95_tpr)
+            fprs[tau].append(fpr_at_tpr(score_batch(model, bundle.test.features, msp),
+                                        score_batch(model, bundle.validation_ood.features, msp),
+                                        cfg.metrics.tpr_target))
             losses[tau].append(history[-1].train_loss)
     rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
             for tau in taus if fprs[tau]]
@@ -517,7 +528,10 @@ def emit_histogram_data(scored: Sequence[ScoredExample], bins: int
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+    if math.isfinite(hi - lo):
+        edges = np.linspace(lo, hi, bins + 1)
+    else:  # the span overflows; halving is exact above the subnormals
+        edges = np.linspace(lo / 2, hi / 2, bins + 1) * 2
     id_vals = np.array([ex.score for ex in scored if ex.origin == "ID"])
     ood_vals = np.array([ex.score for ex in scored if ex.origin == "OOD"])
     id_counts, _ = np.histogram(id_vals, bins=edges)
@@ -556,10 +570,9 @@ def run_calibration(cfg: ExperimentConfig, out_dir: Optional[str] = None
         correct = np.argmax(test_logits, axis=1) == bundle.test.labels
         conf_pre = rowwise_softmax(test_logits).max(axis=1)
         conf_post = rowwise_softmax(test_logits / fitted).max(axis=1)
-        pre = ece(conf_pre, correct, cfg.metrics.ece_bins)
-        post = dataclasses.replace(ece(conf_post, correct, cfg.metrics.ece_bins),
-                                   fitted_T=fitted)
-        rows.append(CalibrationRow(loss_cfg.kind, fitted, pre, post))
+        rows.append(CalibrationRow(loss_cfg.kind, fitted,
+                                   ece(conf_pre, correct, cfg.metrics.ece_bins),
+                                   ece(conf_post, correct, cfg.metrics.ece_bins)))
     _record_warnings(out_dir, warnings, bool(rows))
     if out_dir is not None:
         _write(os.path.join(out_dir, "calibration.csv"), csv_table(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, kind_params
+from .errors import ConfigError, kind_params
 from .tensor import log_softmax
 
 CROSS_ENTROPY = "cross_entropy"
@@ -44,11 +44,7 @@ class LossConfig:
 def _softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy against integer labels, and its gradient
     (softmax - onehot) / n."""
-    n, k = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} for {n} rows")
-    if labels.min() < 0 or labels.max() >= k:
-        raise DataError(f"labels out of range [0, {k})")
+    n = len(logits)
     logp = log_softmax(logits)
     rows = np.arange(n)
     loss = -(np.add.reduce(logp[rows, labels]) / n)
@@ -68,6 +64,8 @@ def _norm_backward(grad_norms: np.ndarray, logits: np.ndarray, norms: np.ndarray
 def loss_and_grad(logits: np.ndarray, labels: np.ndarray,
                   cfg: LossConfig) -> tuple[float, np.ndarray]:
     """The mean loss over the rows of `logits` and its gradient dL/dlogits.
+    `labels` holds one int64 class index in [0, k) per row, as a
+    LabeledDataset's labels do; that is where they are checked, once.
 
     Logit-norm is cross-entropy on f / d with d = tau * (||f|| + eps); its
     gradient is g / d plus the path through the norm,
@@ -81,7 +79,6 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray,
     `np.linalg.norm`, `.sum()` and `.mean()` call, without those wrappers'
     per-call Python overhead; the values are the same bits.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     if cfg.kind == CROSS_ENTROPY:
         return _softmax_cross_entropy(logits, labels)
     norms = np.sqrt(np.add.reduce(logits * logits, axis=1, keepdims=True))
@@ -107,15 +104,8 @@ def logitnorm_lower_bound(k: int, tau: float) -> float:
     return math.log1p((k - 1) * math.exp(-2.0 / tau))
 
 
-# Untraced per-sample values, used by property tests and temperature fitting.
+# Per-sample values, for temperature fitting.
 
 def cross_entropy_values(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    logp = log_softmax(np.asarray(logits, dtype=np.float64))
-    return -logp[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)]
+    return -log_softmax(logits)[np.arange(len(labels)), labels]
 
-
-def logitnorm_values(logits: np.ndarray, labels: np.ndarray, tau: float) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    norms = np.linalg.norm(logits, axis=1, keepdims=True)
-    normalized = logits / (tau * (norms + LOSS_PARAMS[LOGIT_NORM]["stability_eps"][0]))
-    return cross_entropy_values(normalized, labels)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class BinRecord:
 class CalibrationReport:
     ece: float
     bins: tuple[BinRecord, ...]
-    fitted_T: Optional[float] = None
 
 
 def check_tpr_target(tpr_target: float, error: type[Exception] = DataError) -> None:
@@ -133,27 +132,28 @@ def ece(confidences: Sequence[float], correct: Sequence[bool],
     return CalibrationReport(float(total), tuple(bins))
 
 
+# The temperature search range and tolerance, on log10 T.
+LOG10_T_LO, LOG10_T_HI, LOG10_T_TOL = -4.0, 4.0, 1e-4
+
+
 def nll_at_temperature(logits: np.ndarray, labels: np.ndarray, T: float) -> float:
     return float(cross_entropy_values(logits / T, labels).mean())
 
 
-def fit_temperature(logits, labels, *, log10_lo: float = -4.0,
-                    log10_hi: float = 4.0, tol: float = 1e-4) -> float:
+def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
     """Temperature minimizing validation NLL.
 
-    Coarse grid over log10 T in [-4, 4], then golden-section refinement to
-    tol on log10 T; never returns a temperature with NLL above T=1.
+    Coarse grid over log10 T in [LOG10_T_LO, LOG10_T_HI], then golden-section
+    refinement to LOG10_T_TOL on log10 T; never returns a temperature with
+    NLL above T=1.
     """
-    logits = np.asarray(logits if not hasattr(logits, "data") else logits.data,
-                        dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if logits.shape[0] == 0:
         raise DataError("validation set must be nonempty")
 
     def nll_log(t_log: float) -> float:
         return nll_at_temperature(logits, labels, 10.0 ** t_log)
 
-    grid = np.linspace(log10_lo, log10_hi, 81)
+    grid = np.linspace(LOG10_T_LO, LOG10_T_HI, 81)
     values = [nll_log(t) for t in grid]
     best = int(np.argmin(values))
     lo = grid[max(best - 1, 0)]
@@ -164,7 +164,7 @@ def fit_temperature(logits, labels, *, log10_lo: float = -4.0,
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = nll_log(c), nll_log(d)
-    while b - a > tol:
+    while b - a > LOG10_T_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

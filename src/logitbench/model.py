@@ -42,7 +42,7 @@ def init_model(layer_dims, seed: int) -> MlpModel:
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / fan_in)
         weights.append(Matrix2D(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
-        biases.append(Matrix2D.zeros(1, fan_out))
+        biases.append(Matrix2D(np.zeros((1, fan_out))))
     return MlpModel(dims, tuple(weights), tuple(biases))
 
 

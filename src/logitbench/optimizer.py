@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset, OodDataset
-from .errors import ConfigError, ContractError, DivergedError
+from .errors import ConfigError, DivergedError
 from .losses import LossConfig, loss_and_grad
 from .model import MlpModel, _forward, forward_traced
 from .tensor import Matrix2D, row_l2_norm
@@ -53,9 +53,8 @@ class EpochTelemetry:
 
 
 def lr_at(cfg: OptimConfig, epoch: int) -> float:
-    """Learning rate in effect at a given epoch (drops applied at their epoch)."""
-    if epoch < 0 or epoch >= cfg.epochs:
-        raise ContractError(f"epoch {epoch} outside [0, {cfg.epochs})")
+    """Learning rate in effect at an epoch in [0, cfg.epochs) (drops applied
+    at their epoch)."""
     lr = cfg.lr0
     for drop_epoch, factor in cfg.lr_drops:
         if epoch >= drop_epoch:

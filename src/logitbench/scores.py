@@ -78,7 +78,7 @@ def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Ma
 def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.ndarray:
     """Score every row of `features` under `cfg`; one value per row."""
     if cfg.kind == MSP:
-        return rowwise_softmax(forward(model, features)).max(axis=1)
+        return rowwise_softmax(forward(model, features).data).max(axis=1)
     T = cfg.params["T"]
     if cfg.kind == ODIN:
         if cfg.params["eps"] > 0.0:

@@ -42,13 +42,6 @@ class Matrix2D:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix2D":
-        return cls(np.zeros((rows, cols)))
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
 
 @dataclass(frozen=True)
 class GradTape:
@@ -84,17 +77,15 @@ class GradTape:
         return grad_w, grad_b, grad if input_grad else None
 
 
-def rowwise_softmax(z: Matrix2D | np.ndarray) -> np.ndarray:
-    """Row-stable softmax (max-subtraction), returns a plain array."""
-    arr = z.data if isinstance(z, Matrix2D) else np.asarray(z, dtype=np.float64)
+def rowwise_softmax(arr: np.ndarray) -> np.ndarray:
+    """Row-stable softmax (max-subtraction)."""
     shifted = arr - arr.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def row_l2_norm(z: Matrix2D | np.ndarray) -> np.ndarray:
+def row_l2_norm(arr: np.ndarray) -> np.ndarray:
     """Per-row Euclidean norm as a (rows, 1) column."""
-    arr = z.data if isinstance(z, Matrix2D) else np.asarray(z, dtype=np.float64)
     return np.linalg.norm(arr, axis=1, keepdims=True)
 
 

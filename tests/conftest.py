@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference oracles, random instances,
-file-backed data and the committed desk config."""
+"""Shared test helpers: finite-difference oracles, random instances, the
+per-sample logit-norm loss, file-backed data and the committed desk config."""
 
 import copy
 import dataclasses
@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logitbench.data import gen_blobs, save_delimited, split
+from logitbench.data import LabeledDataset, gen_blobs, split
 from logitbench.harness import load_config
+from logitbench.losses import LOGIT_NORM, LOSS_PARAMS, cross_entropy_values
 from logitbench.tensor import use_one_blas_thread
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -51,6 +52,25 @@ def assert_grad_close(analytic, numeric, rel=1e-4, abs_tol=1e-6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def logitnorm_values(logits, labels, tau: float) -> np.ndarray:
+    """Per-sample logit-norm loss: cross-entropy on f / (tau * (||f|| + eps)),
+    eps the default stability_eps."""
+    norms = np.linalg.norm(logits, axis=1, keepdims=True)
+    normalized = logits / (tau * (norms + LOSS_PARAMS[LOGIT_NORM]["stability_eps"][0]))
+    return cross_entropy_values(normalized, labels)
+
+
+def save_delimited(dataset, path) -> None:
+    """Write a LabeledDataset or OodDataset in the format load_delimited
+    reads: one row per line, 17 significant digits, the label last."""
+    with open(path, "w") as fh:
+        for i, row in enumerate(dataset.features.data):
+            cells = [f"{v:.17g}" for v in row]
+            if isinstance(dataset, LabeledDataset):
+                cells.append(str(int(dataset.labels[i])))
+            fh.write(",".join(cells) + "\n")
 
 
 def write_file_data(tmp_path, test_dim=4):

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from logitbench.errors import ConfigError, ContractError, DataError, ShapeError
+from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import CROSS_ENTROPY, LOGIT_NORM, LossConfig
 from logitbench.model import MlpModel
 from logitbench.tensor import Matrix2D
@@ -33,6 +33,10 @@ def log_softmax(arr: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Reverse-mode tape
 # --------------------------------------------------------------------------
+
+class NonScalarLoss(RuntimeError):
+    """`GradTape.backward` was given a loss with more than one entry."""
+
 
 # A vjp maps the output adjoint to one parent's adjoint contribution.
 Vjp = Callable[[np.ndarray], np.ndarray]
@@ -165,7 +169,7 @@ class GradTape:
     def backward(self, loss: TapeNode) -> None:
         """Seed the scalar loss with 1 and sweep the tape once in reverse."""
         if loss.value.size != 1:
-            raise ContractError(f"backward requires a scalar loss, got shape {loss.value.shape}")
+            raise NonScalarLoss(f"backward requires a scalar loss, got shape {loss.value.shape}")
         for node in self.nodes:
             node.grad = None
         loss.grad = np.ones_like(loss.value)

@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from logitbench.harness import run_calibration, run_experiment, sweep_tau
-from logitbench.losses import (LossConfig, logitnorm_lower_bound,
-                               logitnorm_values, loss_and_grad)
+from logitbench.losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from logitbench.metrics import (aupr, auroc, fit_temperature, fpr_at_tpr,
                                 nll_at_temperature)
 from logitbench.model import forward, forward_layers, init_model
 from logitbench.scores import GRADNORM, ScoreConfig, score_batch
 from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
 
-from conftest import assert_grad_close, central_difference, load_desk
+from conftest import (assert_grad_close, central_difference, load_desk,
+                      logitnorm_values)
 
 DESK_SEEDS = (0, 1, 2, 3, 4)
 TAU_GRID = (0.001, 0.005, 0.01, 0.05, 0.5, 1.0, 2.0)

@@ -129,6 +129,19 @@ def test_report_subcommand(tmp_path):
     assert len(lines) == 9
 
 
+def test_report_on_a_score_span_that_overflows(tmp_path):
+    # max - min overflows to inf; eval reads the dump as valid, and so must report.
+    dump = tmp_path / "dump.txt"
+    dump.write_text("ID,1e308\nID,0.5\nOOD,-1e308\nOOD,0.1\n")
+    assert main(["eval", "--scores", str(dump), "--out", str(tmp_path / "e.csv")]) == 0
+    hist = tmp_path / "hist.csv"
+    assert main(["report", "--scores", str(dump), "--bins", "4", "--out", str(hist)]) == 0
+    rows = [line.split(",") for line in hist.read_text().splitlines()[1:]]
+    assert [(float(a), float(b)) for a, b, _, _ in rows] == [
+        (-1e308, -5e307), (-5e307, 0.0), (0.0, 5e307), (5e307, 1e308)]
+    assert [(int(i), int(o)) for _, _, i, o in rows] == [(0, 1), (0, 0), (1, 1), (1, 0)]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -224,6 +237,20 @@ def _data_file(tmp_path, bad):
     return ["train", "--config", str(write_config(tmp_path, data=data))]
 
 
+def _good_dump(tmp_path):
+    dump = tmp_path / "dump.txt"
+    dump.write_text("ID,0.9\nID,0.8\nOOD,0.1\n")
+    return str(dump)
+
+
+def _eval_out_in_a_missing_directory(tmp_path, bad):
+    return ["eval", "--scores", _good_dump(tmp_path), "--out", str(tmp_path / "missing" / "e.csv")]
+
+
+def _report_out_is_a_directory(tmp_path, bad):
+    return ["report", "--scores", _good_dump(tmp_path), "--out", str(tmp_path)]
+
+
 def _wider_data_than_checkpoint(tmp_path, bad):
     assert main(["train", "--config", str(write_config(tmp_path)), "--quiet"]) == 0
     ckpt = tmp_path / "out" / "checkpoint_cross_entropy_0.txt"
@@ -243,9 +270,12 @@ def _wider_data_than_checkpoint(tmp_path, bad):
     (_data_file, None, 2, "data error: cannot read"),
     (_data_file, NOT_UTF8, 2, "data error: cannot read"),
     (_wider_data_than_checkpoint, None, 2, "data error: input has 5 features, model expects 4"),
+    (_eval_out_in_a_missing_directory, None, 1, "config error: cannot write "),
+    (_report_out_is_a_directory, None, 1, "config error: cannot write "),
 ], ids=["tau grid", "missing config", "non-utf8 config", "missing dump", "non-utf8 dump",
         "missing checkpoint", "non-utf8 checkpoint", "missing data file",
-        "non-utf8 data file", "checkpoint width"])
+        "non-utf8 data file", "checkpoint width", "eval out in a missing directory",
+        "report out is a directory"])
 def test_bad_input_is_one_line_without_traceback(argv, content, code, prefix, tmp_path,
                                                  capsys):
     bad = tmp_path / "bad.txt"
@@ -258,6 +288,25 @@ def test_bad_input_is_one_line_without_traceback(argv, content, code, prefix, tm
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_train_out_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although the output directory cannot be made")
+
+    monkeypatch.setattr("logitbench.harness.train", no_training)
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main(["train", "--config", str(write_config(tmp_path)), "--quiet",
+                 "--out", str(target)]) == 1
+    assert capsys.readouterr().err == f"config error: cannot write {target}: File exists\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_write_that_fails_on_close(tmp_path, capsys):
+    assert main(["eval", "--scores", _good_dump(tmp_path), "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: cannot write output: No space left on device\n")
 
 
 DESK = CONFIGS / "desk.json"
@@ -314,12 +363,21 @@ DESK = CONFIGS / "desk.json"
      "got 1000000000000"),
     (("metrics", "ece_bins"), 10**12,
      "config.metrics: ece_bins must be >= 1 and at most 10000, got 1000000000000"),
+    (("data", "n_train_per_class"), 0, "config.data: n_train_per_class and n_test_per_class "
+     "must be >= 1, got 0 and 200"),
+    (("data", "n_test_per_class"), 0, "config.data: n_train_per_class and n_test_per_class "
+     "must be >= 1, got 500 and 0"),
+    (("data", "n_train_per_class"), 99_801, "config.data: k * (n_train_per_class + "
+     "n_test_per_class) must be at most 1000000, got 1000010"),
+    (("data", "n_train_per_class"), 1,
+     "config.data: val_fraction > 0 needs n_train_per_class >= 2, got 1"),
 ], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "bins_str", "dims_str",
         "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
         "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown",
         "params_hw_neg", "params_hw_big", "params_k_big", "loss_params_unread",
-        "score_params_unread", "score_T_big", "score_eps_big", "ood_m_big", "ece_bins_big"])
+        "score_params_unread", "score_T_big", "score_eps_big", "ood_m_big", "ece_bins_big",
+        "n_train0", "n_test0", "blobs_rows_big", "n_train_val1"])
 @pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate"])
 def test_bad_config_value_is_one_line_naming_its_key(command, path, value, message,
                                                     tmp_path, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from logitbench.data import (LabeledDataset, OodDataset, corrupt_labels,
-                             gen_blobs, gen_ood, load_delimited,
-                             save_delimited, split)
+                             gen_blobs, gen_ood, load_delimited, split)
 from logitbench.errors import ConfigError, DataError
 from logitbench.tensor import Matrix2D
+
+from conftest import save_delimited
 
 
 # ---------------------------------------------------------------------------
@@ -20,6 +21,12 @@ def test_labeled_dataset_validation():
         LabeledDataset(feats, np.array([0, 1]), 2)  # wrong length
     with pytest.raises(DataError):
         LabeledDataset(feats, np.array([0, 1, 2]), 2)  # out of range
+    # The labels the training losses take: checked here, not per step.
+    two_rows = Matrix2D(np.zeros((2, 3)))
+    with pytest.raises(DataError):
+        LabeledDataset(two_rows, np.array([0, 3]), 3)  # label k
+    with pytest.raises(DataError):
+        LabeledDataset(two_rows, np.array([-1, 0]), 3)  # label -1
     ds = LabeledDataset(feats, np.array([0, 1, 1]), 2)
     assert (ds.n, ds.dim) == (3, 2)
     with pytest.raises(ValueError):

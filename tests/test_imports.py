@@ -1,6 +1,8 @@
-"""Every imported name is used, in the package modules and in the tests.
-No linter is configured for this repository, so an `ast` walk checks it.
-The package's __init__.py is left out: its imports are its exports.
+"""Every imported name is used, in the package modules and in the tests,
+and every function, class and method the package defines is used by the
+package itself or exported. No linter is configured for this repository,
+so `ast` walks check both. The package's __init__.py is left out of the
+first check: its imports are its exports.
 The package needs numpy only: scipy stays out of its imports and out of
 the process, because importing scipy.stats alone takes about a second."""
 
@@ -8,6 +10,7 @@ import ast
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +38,54 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: names for path in MODULES
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def definitions(tree: ast.Module) -> list[ast.AST]:
+    """The top-level functions and classes of a module and the methods of
+    its classes, dunder methods left out: Python calls those itself."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node)
+        if isinstance(node, ast.ClassDef):
+            found += [item for item in node.body if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return found
+
+
+def unreferenced(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """"module.name" of every definition in `sources` (module name -> source)
+    that is not in `exported` and that no code reads by name or as an
+    attribute, apart from the code inside the definition itself."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+             for module, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    return [f"{module}.{node.name}" for module, tree in trees.items()
+            for node in definitions(tree)
+            if node.name not in exported
+            and not any(name == node.name and not (where == module and
+                                                   node.lineno <= line <= node.end_lineno)
+                        for where, line, name in reads)]
+
+
+def test_every_package_definition_is_used_or_exported():
+    sample = {"a": "def used():\n    return 1\n\n\ndef alone():\n    return alone\n\n\n"
+                   "class K:\n    def __eq__(self, other):\n        return True\n\n"
+                   "    def get(self):\n        return used()\n",
+              "b": "from .a import K\nK().get\n"}
+    assert unreferenced(sample, set()) == ["a.alone"]
+    assert unreferenced(sample, {"alone"}) == []
+    package = ROOT / "src" / "logitbench"
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse((package / "__init__.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"].values()
+    entry_points = {target.rpartition(":")[2] for target in scripts}
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert len(sources) > 10 and entry_points == {"main"}
+    assert unreferenced(sources, exported | entry_points) == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from logitbench.errors import ConfigError
 from logitbench.losses import (CROSS_ENTROPY, LOGIT_NORM, LOGIT_PENALTY,
                                LossConfig, cross_entropy_values, loss_and_grad,
-                               logitnorm_lower_bound, logitnorm_values)
+                               logitnorm_lower_bound)
 
-from conftest import assert_grad_close, central_difference
+from conftest import assert_grad_close, central_difference, logitnorm_values
 
 
 def _eval_loss(kind, logits_val, labels, **params):

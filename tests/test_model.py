@@ -42,14 +42,14 @@ def test_init_weight_shapes_chain():
 def test_forward_zero_model_gives_zero_logits():
     dims = (3, 4, 2)
     m = MlpModel(dims,
-                 tuple(Matrix2D.zeros(a, b) for a, b in zip(dims, dims[1:])),
-                 tuple(Matrix2D.zeros(1, b) for b in dims[1:]))
+                 tuple(Matrix2D(np.zeros((a, b))) for a, b in zip(dims, dims[1:])),
+                 tuple(Matrix2D(np.zeros((1, b))) for b in dims[1:]))
     out = forward(m, Matrix2D(np.array([[1.0, -2.0, 3.0]])))
     assert np.array_equal(out.data, np.zeros((1, 2)))
 
 
 def test_forward_single_identity_layer():
-    m = MlpModel((2, 2), (Matrix2D(np.eye(2)),), (Matrix2D.zeros(1, 2),))
+    m = MlpModel((2, 2), (Matrix2D(np.eye(2)),), (Matrix2D(np.zeros((1, 2))),))
     out = forward(m, Matrix2D(np.array([[1.0, 2.0]])))
     assert np.array_equal(out.data, [[1.0, 2.0]])
 
@@ -63,7 +63,7 @@ def test_forward_output_shape():
 def test_forward_rejects_wrong_width():
     m = init_model((2, 4, 3), seed=3)
     with pytest.raises(ShapeError):
-        forward(m, Matrix2D.zeros(5, 3))
+        forward(m, Matrix2D(np.zeros((5, 3))))
 
 
 def test_traced_forward_matches_plain():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from logitbench.data import LabeledDataset, OodDataset, gen_blobs, gen_ood
-from logitbench.errors import ConfigError, ContractError, DivergedError
+from logitbench.errors import ConfigError, DivergedError
 from logitbench.harness import csv_table, field_names
 from logitbench.losses import LossConfig, loss_and_grad
 from logitbench.model import _forward, init_model
@@ -61,14 +61,6 @@ def test_lr_schedule_values():
     assert lr_at(cfg, 139) == pytest.approx(0.01)
     assert lr_at(cfg, 140) == pytest.approx(0.001)
     assert lr_at(cfg, 199) == pytest.approx(0.001)
-
-
-def test_lr_at_out_of_range():
-    cfg = OptimConfig(epochs=10, lr_drops=())
-    with pytest.raises(ContractError):
-        lr_at(cfg, -1)
-    with pytest.raises(ContractError):
-        lr_at(cfg, 10)
 
 
 # ---------------------------------------------------------------------------

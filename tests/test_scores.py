@@ -23,7 +23,7 @@ def identity_model(k: int) -> MlpModel:
     return MlpModel(
         layer_dims=(k, k),
         weights=(Matrix2D(np.eye(k)),),
-        biases=(Matrix2D.zeros(1, k),),
+        biases=(Matrix2D(np.zeros((1, k))),),
     )
 
 
@@ -177,7 +177,7 @@ def test_gradnorm_feature_scaling_oracle():
     rng = np.random.default_rng(4)
     w = rng.normal(size=(d, k))
     model = MlpModel(layer_dims=(d, k), weights=(Matrix2D(w),),
-                     biases=(Matrix2D.zeros(1, k),))
+                     biases=(Matrix2D(np.zeros((1, k))),))
     x = rng.normal(size=d)
     logits = x @ w
     p = np.exp(logits - logits.max())
@@ -205,7 +205,7 @@ def test_gradnorm_validation(small_model):
 def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
     x = Matrix2D(x.reshape(1, -1))
     if cfg.kind == MSP:
-        return float(rowwise_softmax(forward(model, x))[0].max())
+        return float(rowwise_softmax(forward(model, x).data)[0].max())
     if cfg.kind == ODIN:
         T = cfg.params["T"]
         if cfg.params["eps"] > 0.0:
@@ -276,7 +276,7 @@ def test_score_batch_matches_oracle(trained_models):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_raise_data_error():
-    model = MlpModel((2, 2), (Matrix2D(1e300 * np.eye(2)),), (Matrix2D.zeros(1, 2),))
+    model = MlpModel((2, 2), (Matrix2D(1e300 * np.eye(2)),), (Matrix2D(np.zeros((1, 2))),))
     for kind in SCORE_PARAMS:
         with pytest.raises(DataError):
             score_batch(model, Matrix2D([[1e10, 0.0]]), ScoreConfig(kind=kind))

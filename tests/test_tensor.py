@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logitbench import tensor
-from logitbench.errors import ContractError, DataError, ShapeError
+from logitbench.errors import DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
 from logitbench.model import forward_traced
 from logitbench.tensor import (GradTape, Matrix2D, log_softmax, row_l2_norm,
@@ -17,6 +17,7 @@ from logitbench.tensor import (GradTape, Matrix2D, log_softmax, row_l2_norm,
 
 from conftest import assert_grad_close, central_difference
 from tape_oracle import GradTape as OracleTape
+from tape_oracle import NonScalarLoss
 from tape_oracle import log_softmax as oracle_log_softmax
 
 
@@ -157,7 +158,7 @@ def test_backward_rejects_non_scalar():
     tape = OracleTape()
     x = tape.leaf(np.ones((2, 2)))
     y = tape.relu(x)
-    with pytest.raises(ContractError):
+    with pytest.raises(NonScalarLoss):
         tape.backward(y)
 
 
@@ -209,14 +210,6 @@ def test_zero_row_norm_subgradient_is_zero():
     norm = LossConfig("logit_norm", {"tau": 0.5})
     assert np.array_equal(loss_and_grad(zeros, labels, norm)[1],
                           ce_grad / (norm.params["tau"] * norm.params["stability_eps"]))
-
-
-def test_softmax_ce_label_out_of_range():
-    cfg = LossConfig("cross_entropy")
-    with pytest.raises(DataError):
-        loss_and_grad(np.zeros((2, 3)), np.array([0, 3]), cfg)
-    with pytest.raises(DataError):
-        loss_and_grad(np.zeros((2, 3)), np.array([-1, 0]), cfg)
 
 
 def test_softmax_ce_gradient_closed_form():
