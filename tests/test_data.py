@@ -21,12 +21,8 @@ def test_labeled_dataset_validation():
         LabeledDataset(feats, np.array([0, 1]), 2)  # wrong length
     with pytest.raises(DataError):
         LabeledDataset(feats, np.array([0, 1, 2]), 2)  # out of range
-    # The labels the training losses take: checked here, not per step.
-    two_rows = Matrix2D(np.zeros((2, 3)))
     with pytest.raises(DataError):
-        LabeledDataset(two_rows, np.array([0, 3]), 3)  # label k
-    with pytest.raises(DataError):
-        LabeledDataset(two_rows, np.array([-1, 0]), 3)  # label -1
+        LabeledDataset(feats, np.array([-1, 0, 1]), 2)  # negative
     ds = LabeledDataset(feats, np.array([0, 1, 1]), 2)
     assert (ds.n, ds.dim) == (3, 2)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from logitbench import tensor
+from logitbench.data import LabeledDataset
 from logitbench.errors import DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
 from logitbench.model import forward_traced
@@ -210,6 +211,16 @@ def test_zero_row_norm_subgradient_is_zero():
     norm = LossConfig("logit_norm", {"tau": 0.5})
     assert np.array_equal(loss_and_grad(zeros, labels, norm)[1],
                           ce_grad / (norm.params["tau"] * norm.params["stability_eps"]))
+
+
+def test_softmax_ce_label_out_of_range():
+    # loss_and_grad takes labels in [0, k) as LabeledDataset holds them;
+    # an out-of-range label is rejected there, once, not on every step.
+    logits = Matrix2D(np.zeros((2, 3)))
+    with pytest.raises(DataError):
+        LabeledDataset(logits, np.array([0, 3]), 3)
+    with pytest.raises(DataError):
+        LabeledDataset(logits, np.array([-1, 0]), 3)
 
 
 def test_softmax_ce_gradient_closed_form():
