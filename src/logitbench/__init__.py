@@ -16,8 +16,7 @@ from .metrics import (CalibrationReport, DetectionReport, aupr, auroc, ece,
 from .model import (MlpModel, forward, forward_traced, init_model,
                     load_checkpoint, save_checkpoint)
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train
-from .scores import (ScoreConfig, ScoredExample, read_scores, score_batch,
-                     write_scores)
+from .scores import ScoreConfig, read_scores, score_batch, write_scores
 from .tensor import (GradTape, Matrix2D, row_l2_norm, rowwise_softmax,
                      use_one_blas_thread)
 

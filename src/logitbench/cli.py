@@ -116,7 +116,7 @@ def _emit(path, text: str) -> int:
 
 def _cmd_eval(args) -> int:
     check_tpr_target(args.tpr_target, ConfigError)
-    report = detection_report(read_scores(args.scores), args.tpr_target)
+    report = detection_report(*read_scores(args.scores), args.tpr_target)
     return _emit(args.out, csv_table(["name", *field_names(DetectionReport)],
                                      [(args.scores, *dataclasses.astuple(report))]))
 
@@ -155,9 +155,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_report(args) -> int:
     check_bins(args.bins)
-    scored = read_scores(args.scores)
     return _emit(args.out, csv_table(["bin_left", "bin_right", "id_count", "ood_count"],
-                                     emit_histogram_data(scored, args.bins)))
+                                     emit_histogram_data(*read_scores(args.scores), args.bins)))
 
 
 COMMANDS = {

@@ -29,7 +29,7 @@ from .metrics import (CalibrationReport, check_tpr_target, detection_report,
                       ece, fit_temperature, fpr_at_tpr)
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, train
-from .scores import ScoreConfig, ScoredExample, score_batch, write_scores
+from .scores import ScoreConfig, score_batch, write_scores
 from .tensor import row_l2_norm, rowwise_softmax
 
 
@@ -302,10 +302,6 @@ class ExperimentResult:
     hash: str
 
 
-def _examples(scores: np.ndarray, origin: str) -> list[ScoredExample]:
-    return [ScoredExample(float(s), origin) for s in scores]
-
-
 def _write(path, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
@@ -376,17 +372,27 @@ def trained_cells(cfg: ExperimentConfig, out: str, warnings: list[str]):
     _record_warnings(out, warnings, trained)
 
 
+def _finite(scores: np.ndarray) -> np.ndarray:
+    """scores, or DataError naming the first non-finite one."""
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise DataError(f"score must be finite, got {float(scores[bad[0]])}")
+    return scores
+
+
 def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
                 out: str, stem: str, seed: int):
     """Score the ID test set once per detector and each OOD set against it;
-    write each dump under out and yield (detector name, OOD tag, scored)."""
+    write each dump under out and yield (detector name, OOD tag, (ID
+    scores, OOD scores)). A non-finite score raises DataError before the
+    dump that would hold it is written."""
     for score_cfg in cfg.scores:
-        id_part = _examples(score_batch(model, bundle.test.features, score_cfg), "ID")
+        id_scores = _finite(score_batch(model, bundle.test.features, score_cfg))
         for tag, ood_ds in bundle.ood_sets:
-            scored = id_part + _examples(score_batch(model, ood_ds.features, score_cfg), "OOD")
-            write_scores(os.path.join(
-                out, f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"), scored)
-            yield score_cfg.kind, tag, scored
+            ood_scores = _finite(score_batch(model, ood_ds.features, score_cfg))
+            write_scores(os.path.join(out, f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"),
+                         id_scores, ood_scores)
+            yield score_cfg.kind, tag, (id_scores, ood_scores)
 
 
 def _record_warnings(out: Optional[str], warnings: list[str], trained: bool) -> None:
@@ -429,8 +435,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             norms[tag] = float(row_l2_norm(forward(model, ood_ds.features).data).mean())
         final_norms[(lname, seed)] = norms
 
-        for sname, tag, scored in dump_scores(cfg, model, bundle, out, lname, seed):
-            report = detection_report(scored, cfg.metrics.tpr_target)
+        for sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle, out,
+                                                                lname, seed):
+            report = detection_report(id_scores, ood_scores, cfg.metrics.tpr_target)
             seed_rows.append(SeedRow(lname, sname, tag, seed, report.fpr_at_95_tpr,
                                      report.auroc, report.aupr, id_acc))
         if not quiet:
@@ -518,13 +525,15 @@ def check_bins(bins: int) -> None:
         raise ConfigError(f"bins must be >= 2 and at most {MAX_BINS}, got {bins}")
 
 
-def emit_histogram_data(scored: Sequence[ScoredExample], bins: int
+def emit_histogram_data(id_scores, ood_scores, bins: int
                         ) -> list[tuple[float, float, int, int]]:
     """Equal-width histogram over [min score, max score]; counts conserve."""
     check_bins(bins)
-    if not scored:
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    ood_scores = np.asarray(ood_scores, dtype=np.float64)
+    values = np.concatenate([id_scores, ood_scores])
+    if not values.size:
         raise DataError("empty score dump")
-    values = np.array([ex.score for ex in scored])
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         hi = lo + 1.0
@@ -532,10 +541,8 @@ def emit_histogram_data(scored: Sequence[ScoredExample], bins: int
         edges = np.linspace(lo, hi, bins + 1)
     else:  # the span overflows; halving is exact above the subnormals
         edges = np.linspace(lo / 2, hi / 2, bins + 1) * 2
-    id_vals = np.array([ex.score for ex in scored if ex.origin == "ID"])
-    ood_vals = np.array([ex.score for ex in scored if ex.origin == "OOD"])
-    id_counts, _ = np.histogram(id_vals, bins=edges)
-    ood_counts, _ = np.histogram(ood_vals, bins=edges)
+    id_counts, _ = np.histogram(id_scores, bins=edges)
+    ood_counts, _ = np.histogram(ood_scores, bins=edges)
     return [(float(edges[i]), float(edges[i + 1]), int(id_counts[i]), int(ood_counts[i]))
             for i in range(bins)]
 

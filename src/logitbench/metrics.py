@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import DataError
 from .losses import cross_entropy_values
-from .scores import ScoredExample
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,6 @@ def check_tpr_target(tpr_target: float, error: type[Exception] = DataError) -> N
     """Raise `error` unless tpr_target lies in (0, 1]."""
     if not 0.0 < tpr_target <= 1.0:
         raise error(f"tpr_target must be in (0, 1], got {tpr_target}")
-
-
-def _split_scores(scored: Sequence[ScoredExample]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([ex.score for ex in scored if ex.origin == "ID"]),
-            np.array([ex.score for ex in scored if ex.origin == "OOD"]))
 
 
 def _arrays(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +87,7 @@ def aupr(id_scores, ood_scores) -> float:
     return float((np.diff(recall, prepend=0.0) * precision).sum())
 
 
-def detection_report(scored: Sequence[ScoredExample],
-                     tpr_target: float = 0.95) -> DetectionReport:
-    id_scores, ood_scores = _split_scores(scored)
+def detection_report(id_scores, ood_scores, tpr_target: float = 0.95) -> DetectionReport:
     return DetectionReport(
         fpr_at_95_tpr=fpr_at_tpr(id_scores, ood_scores, tpr_target),
         auroc=auroc(id_scores, ood_scores),

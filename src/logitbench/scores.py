@@ -18,7 +18,9 @@ activation h and (softmax(f / T) - 1/k) / T, whose L1 norm factorises into
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -48,18 +50,6 @@ class ScoreConfig:
     def __post_init__(self):
         object.__setattr__(self, "params",
                            kind_params(SCORE_PARAMS, "score", self.kind, self.params))
-
-
-@dataclass(frozen=True)
-class ScoredExample:
-    score: float
-    origin: str  # "ID" or "OOD"
-
-    def __post_init__(self):
-        if self.origin not in ("ID", "OOD"):
-            raise DataError(f"origin must be ID or OOD, got {self.origin!r}")
-        if not math.isfinite(self.score):
-            raise DataError(f"score must be finite, got {self.score}")
 
 
 def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Matrix2D:
@@ -94,25 +84,72 @@ def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.nda
     return np.abs(tape.inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / k).sum(axis=1) / T
 
 
-# Score dump interchange: one "<origin>,<decimal>" record per line.
+# Score dump interchange: one "<origin>,<decimal>" record per line, origin
+# ID or OOD, the decimal a finite float with 17 significant digits.
 
-def write_scores(path, scored: list[ScoredExample]) -> None:
+def write_scores(path, id_scores, ood_scores) -> None:
+    """Write the ID records, then the OOD records, in array order."""
+    text = "".join([f"{origin},{v:.17g}\n"
+                    for origin, scores in (("ID", id_scores), ("OOD", ood_scores))
+                    for v in np.asarray(scores, np.float64).tolist()])
     with open(path, "w") as fh:
-        for ex in scored:
-            fh.write(f"{ex.origin},{ex.score:.17g}\n")
+        fh.write(text)
 
 
-def read_scores(path) -> list[ScoredExample]:
-    out = []
+def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
+    """(ID scores, OOD scores) of a dump, each in file order. A dump whose
+    every line is a record, the last ending in a newline, is parsed whole;
+    any other file is read line by line, which names the first bad line."""
+    parsed = _parse_whole(path)
+    return parsed if parsed is not None else _read_by_line(path)
+
+
+# Every line "ID,<v>" or "OOD,<v>", v free of commas; one line at least.
+_RECORDS = re.compile(r"(?:(?:ID|OOD),[^,\n]*\n)+")
+
+
+def _parse_whole(path) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The arrays `_read_by_line` returns, when the file is UTF-8, every
+    line is a record and every value a finite float; None otherwise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if not _RECORDS.fullmatch(text):
+        return None
+    # Origins and values alternate; the last field is the empty one after
+    # the final newline.
+    fields = text.replace(",", "\n").split("\n")
+    del text
+    try:
+        values = np.fromiter(map(float, fields[1::2]), np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    is_id = np.fromiter(map("ID".__eq__, fields[:-1:2]), bool, len(values))
+    return values[is_id], values[~is_id]
+
+
+def _read_by_line(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a dump one line at a time: blank lines are skipped, and the
+    first line that is not a record raises DataError naming it."""
+    found: dict[str, list[float]] = {"ID": [], "OOD": []}
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
         try:
             origin, value = line.split(",")
-            out.append(ScoredExample(float(value), origin))
-        except ValueError as exc:  # DataError included
+            score = float(value)
+        except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
-    if not out:
+        if origin not in found:
+            raise DataError(f"{path}: line {lineno}: origin must be ID or OOD, got {origin!r}")
+        if not math.isfinite(score):
+            raise DataError(f"{path}: line {lineno}: score must be finite, got {score}")
+        found[origin].append(score)
+    if not found["ID"] and not found["OOD"]:
         raise DataError(f"{path}: empty score dump")
-    return out
+    return np.array(found["ID"], np.float64), np.array(found["OOD"], np.float64)

@@ -15,7 +15,7 @@ from logitbench.harness import (DataConfig, config_from_dict, config_hash,
                                 config_to_dict, derive_seed, emit_histogram_data,
                                 load_config, realize_data, run_calibration,
                                 run_experiment, sweep_tau)
-from logitbench.scores import ScoredExample, read_scores, write_scores
+from logitbench.scores import read_scores, write_scores
 
 from conftest import CONFIGS, load_desk, write_file_data
 
@@ -156,10 +156,9 @@ def test_config_full_tpr_target_uses_min_id_threshold(tmp_path):
     result = run_experiment(cfg)
     assert result.seed_rows
     for r in result.seed_rows:
-        dump = read_scores(tmp_path / f"scores_{r.loss_name}_{r.score_name}_"
-                                      f"{r.ood_dataset_tag}_{r.seed}.txt")
-        min_id = min(ex.score for ex in dump if ex.origin == "ID")
-        ood = [ex.score for ex in dump if ex.origin == "OOD"]
+        ids, ood = read_scores(tmp_path / f"scores_{r.loss_name}_{r.score_name}_"
+                                          f"{r.ood_dataset_tag}_{r.seed}.txt")
+        min_id = min(ids)
         assert r.fpr95 == sum(v >= min_id for v in ood) / len(ood)
 
 
@@ -384,6 +383,29 @@ def test_run_experiment_partly_diverged(tmp_path):
     assert not (tmp_path / "warnings.txt").exists()
 
 
+def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeypatch):
+    real = harness.score_batch
+
+    def with_inf(model, features, cfg):
+        scores = real(model, features, cfg).copy()
+        scores[1] = np.inf
+        return scores
+
+    monkeypatch.setattr(harness, "score_batch", with_inf)
+    out = tmp_path / "out"
+    raw = tiny_raw(seeds=[0], output_dir=str(out))
+    cfg = config_from_dict(raw)
+    out.mkdir()
+    model = harness.init_model(cfg.layer_dims, 0)
+    with pytest.raises(DataError, match=r"^score must be finite, got inf$"):
+        next(harness.dump_scores(cfg, model, realize_data(cfg, 0), str(out), "m", 0))
+    assert not list(out.glob("scores_*"))
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bench", "--config", str(path), "--quiet"]) == 2
+    assert list(out.glob("checkpoint_*")) and not list(out.glob("scores_*"))
+
+
 def test_epoch_end_forward_runs_only_where_its_record_is_written(tmp_path, monkeypatch):
     """Per training cell, the number of epoch-end forwards: the calls of
     `_forward` that `optimizer.train` makes (its steps use `forward_traced`).
@@ -468,35 +490,29 @@ def test_sweep_tau_validation():
 # histograms
 
 
-def hist_examples(values, origins):
-    return [ScoredExample(float(v), o) for v, o in zip(values, origins)]
-
-
 def test_histogram_counts_conserved():
     rng = np.random.default_rng(0)
-    scored = hist_examples(rng.normal(size=100), ["ID"] * 60 + ["OOD"] * 40)
-    rows = emit_histogram_data(scored, bins=10)
+    values = rng.normal(size=100)
+    rows = emit_histogram_data(values[:60], values[60:], bins=10)
     assert sum(r[2] for r in rows) == 60
     assert sum(r[3] for r in rows) == 40
     assert len(rows) == 10
 
 
 def test_histogram_degenerate_range():
-    scored = hist_examples([0.5, 0.5], ["ID", "OOD"])
-    rows = emit_histogram_data(scored, bins=4)
+    rows = emit_histogram_data([0.5], [0.5], bins=4)
     assert sum(r[2] + r[3] for r in rows) == 2
 
 
 def test_histogram_validation():
     with pytest.raises(ConfigError):
-        emit_histogram_data(hist_examples([1.0], ["ID"]), bins=1)
+        emit_histogram_data([1.0], [], bins=1)
     with pytest.raises(DataError):
-        emit_histogram_data([], bins=5)
+        emit_histogram_data([], [], bins=5)
 
 
 def test_histogram_csv_shape(tmp_path):
-    scored = hist_examples([0.1, 0.9], ["ID", "OOD"])
-    write_scores(tmp_path / "dump.txt", scored)
+    write_scores(tmp_path / "dump.txt", [0.1], [0.9])
     out = tmp_path / "hist.csv"
     assert main(["report", "--scores", str(tmp_path / "dump.txt"), "--bins", "2",
                  "--out", str(out)]) == 0

@@ -12,12 +12,6 @@ from logitbench.errors import DataError
 from logitbench.metrics import (aupr, auroc, detection_report, ece,
                                 fit_temperature, fpr_at_tpr,
                                 nll_at_temperature)
-from logitbench.scores import ScoredExample
-
-
-def scored(id_scores, ood_scores):
-    return ([ScoredExample(float(s), "ID") for s in id_scores]
-            + [ScoredExample(float(s), "OOD") for s in ood_scores])
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +88,7 @@ def test_fpr_requires_both_origins():
     with pytest.raises(DataError):
         aupr([], [])
     with pytest.raises(DataError):
-        detection_report([ScoredExample(1.0, "ID")])
+        detection_report([1.0], [])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +221,7 @@ def test_fpr_at_full_tpr_uses_min_id_threshold():
     # ID score (1.0) and OOD scores >= 1.0 are admitted: 2 of 4.
     id_scores, ood_scores = [3.0, 1.0, 2.0], [1.0, 0.5, 4.0, 0.9]
     assert fpr_at_tpr(id_scores, ood_scores, 1.0) == 0.5
-    assert detection_report(scored(id_scores, ood_scores), 1.0).fpr_at_95_tpr == 0.5
+    assert detection_report(id_scores, ood_scores, 1.0).fpr_at_95_tpr == 0.5
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,16 +230,16 @@ def test_metrics_invariant_to_monotone_transform(rng_seed):
     rng = np.random.default_rng(rng_seed)
     id_scores = rng.normal(1.0, 1.0, 20)
     ood_scores = rng.normal(0.0, 1.0, 20)
-    before = detection_report(scored(id_scores, ood_scores))
+    before = detection_report(id_scores, ood_scores)
     # exp is strictly increasing, so order statistics are untouched
-    after = detection_report(scored(np.exp(id_scores), np.exp(ood_scores)))
+    after = detection_report(np.exp(id_scores), np.exp(ood_scores))
     assert after.fpr_at_95_tpr == pytest.approx(before.fpr_at_95_tpr, abs=1e-12)
     assert after.auroc == pytest.approx(before.auroc, abs=1e-12)
     assert after.aupr == pytest.approx(before.aupr, abs=1e-12)
 
 
 def test_detection_report_counts():
-    r = detection_report(scored([1.0, 2.0, 3.0], [0.0]))
+    r = detection_report([1.0, 2.0, 3.0], [0.0])
     assert (r.n_id, r.n_ood) == (3, 1)
 
 

@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from logitbench import scores
 from logitbench.data import gen_blobs, gen_ood
 from logitbench.errors import ConfigError, DataError
 from logitbench.losses import LossConfig
 from logitbench.model import MlpModel, forward, init_model
 from logitbench.optimizer import OptimConfig, train
 from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_PARAMS,
-                               ScoreConfig, ScoredExample, read_scores,
-                               score_batch, write_scores)
+                               ScoreConfig, read_scores, score_batch,
+                               write_scores)
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
 from tape_oracle import forward_traced
+from test_readers_fuzz import LINE_ENDS, NUMBERS
 
 
 def identity_model(k: int) -> MlpModel:
@@ -51,11 +55,13 @@ def test_score_config_validation():
         ScoreConfig(ODIN, {"eps": -1.0})
 
 
-def test_scored_example_validation():
-    with pytest.raises(DataError):
-        ScoredExample(1.0, "id")
-    with pytest.raises(DataError):
-        ScoredExample(float("nan"), "ID")
+def test_scored_example_validation(tmp_path):
+    # A record's origin is ID or OOD, and its score is finite.
+    path = tmp_path / "bad.txt"
+    for record in ("id,1.0", "ID,nan"):
+        path.write_text(record + "\n")
+        with pytest.raises(DataError, match="line 1"):
+            read_scores(path)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +302,11 @@ def test_all_scores_finite(small_model):
 
 def test_write_read_scores_round_trip(tmp_path):
     path = tmp_path / "scores.txt"
-    original = [ScoredExample(0.123456789012345678, "ID"),
-                ScoredExample(-3.5, "OOD"),
-                ScoredExample(1e-300, "ID")]
-    write_scores(path, original)
-    loaded = read_scores(path)
-    assert loaded == original
+    id_scores, ood_scores = [0.123456789012345678, 1e-300], [-3.5]
+    write_scores(path, id_scores, ood_scores)
+    loaded_id, loaded_ood = read_scores(path)
+    assert loaded_id.tolist() == id_scores
+    assert loaded_ood.tolist() == ood_scores
 
 
 def test_read_scores_rejects_garbage(tmp_path):
@@ -316,3 +321,127 @@ def test_read_scores_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataError):
         read_scores(path)
+
+
+@pytest.fixture(scope="module")
+def dump_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("dump") / "dump.txt"
+
+
+def per_row_write_scores(path, rows) -> None:
+    """The writer `write_scores` replaced: one write per (origin, score) row."""
+    with open(path, "w") as fh:
+        for origin, score in rows:
+            fh.write(f"{origin},{score:.17g}\n")
+
+
+# Signed zero, tiny and subnormal values, the largest magnitudes, and values
+# whose shortest round-trip form needs all 17 significant digits.
+EDGE_SCORES = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072e-309, 1.7e308, -1.7e308,
+               0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 9007199254740993.0, 123456.78901234567,
+               1.0, -3.5]
+
+
+def assert_same_bytes_as_per_row(tmp_path, id_scores, ood_scores):
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    write_scores(new, id_scores, ood_scores)
+    per_row_write_scores(old, [("ID", float(v)) for v in id_scores]
+                         + [("OOD", float(v)) for v in ood_scores])
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_write_scores_bytes_match_the_per_row_writer(tmp_path):
+    ids = np.array(EDGE_SCORES)
+    assert_same_bytes_as_per_row(tmp_path, ids, -ids[::-1])
+    assert_same_bytes_as_per_row(tmp_path, EDGE_SCORES, [])
+    assert "ID,0.30000000000000004\n" in (tmp_path / "new.txt").read_text()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ids=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+       ood=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+def test_write_scores_bytes_match_the_per_row_writer_on_any_floats(ids, ood, dump_path):
+    assert_same_bytes_as_per_row(dump_path.parent, np.array(ids, np.float64), ood)
+
+
+# ---------------------------------------------------------------------------
+# whole-file dump parse against the line-by-line reader
+
+
+def by_line_or_message(path):
+    """What the line loop makes of a file: the two arrays or the DataError text."""
+    try:
+        return scores._read_by_line(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_bitwise_equal(got, want):
+    assert not isinstance(want, str), want
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype == np.float64
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+VALID_RECORD = st.tuples(st.sampled_from(["ID", "OOD"]),
+                         st.floats(allow_nan=False, allow_infinity=False).map(repr)
+                         | st.sampled_from(["1_0", "٣", " 2", "3 ", "1e-320", "-0.0"])
+                         ).map(",".join)
+# Origins and numbers beside valid ones, one to four fields a line.
+NEAR_RECORD = st.lists(st.sampled_from(["ID", "OOD", "id", "", " ID", "OOD ", "\x1c"])
+                       | NUMBERS, min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def dump_texts(draw):
+    """Valid records with mixed line ends; in about half the files one line
+    is damaged: replaced by a near record, stripped of its comma or joined
+    to the next record by a comma. Every fourth file lacks a final newline."""
+    lines = draw(st.lists(VALID_RECORD, max_size=8))
+    if lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(NEAR_RECORD | st.just(lines[i].replace(",", "", 1))
+                        | st.just(lines[i] + "," + lines[(i + 1) % len(lines)]))
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    return text.rstrip("\r\n") if draw(st.integers(0, 3)) == 0 else text
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(text=dump_texts())
+@example(text="ID,1\r\nOOD,2\r\n")
+@example(text="ID,1\rOOD,2\r")
+@example(text="ID,1\n\nOOD,2\n")
+@example(text="ID,1_0\nOOD,٣\n")
+@example(text="ID,1,OOD\n2\n")
+@example(text="ID,1,OOD,2\n")
+@example(text="ID\nOOD,1,2\n")
+@example(text="ID,nan\n")
+@example(text="OOD,-inf\n")
+@example(text="ID,1e400\n")
+@example(text="ID,1\nOOD,2")
+@example(text="ID,1.5\x1c\n")
+def test_whole_file_parse_matches_the_line_loop(text, dump_path):
+    """Where the whole-file parse takes a file, it gives the line loop's
+    arrays bit for bit; read_scores gives the loop's arrays or its error."""
+    dump_path.write_bytes(text.encode())
+    want = by_line_or_message(dump_path)
+    whole = scores._parse_whole(dump_path)
+    if whole is not None:
+        assert_bitwise_equal(whole, want)
+    try:
+        got = read_scores(dump_path)
+    except DataError as exc:
+        assert str(exc) == want
+    else:
+        assert_bitwise_equal(got, want)
+
+
+def test_whole_file_parse_takes_the_files_write_scores_writes(tmp_path):
+    path = tmp_path / "dump.txt"
+    write_scores(path, EDGE_SCORES, [0.5, -0.25])
+    assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
+    for text in ("ID,1\n\nOOD,2\n", "ID,1\nOOD,2", "ID,inf\n", "", "ID,1,2\n"):
+        path.write_text(text)
+        assert scores._parse_whole(path) is None
