@@ -396,7 +396,8 @@ NEAR_RECORD = st.lists(st.sampled_from(["ID", "OOD", "id", "", " ID", "OOD ", "\
 def dump_texts(draw):
     """Valid records with mixed line ends; in about half the files one line
     is damaged: replaced by a near record, stripped of its comma or joined
-    to the next record by a comma. Every fourth file lacks a final newline."""
+    to the next record by a comma. About one file in four lacks a final
+    newline."""
     lines = draw(st.lists(VALID_RECORD, max_size=8))
     if lines and draw(st.booleans()):
         i = draw(st.integers(0, len(lines) - 1))
