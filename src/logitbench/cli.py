@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -32,7 +33,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(prog="logitbench",
                                      description="OOD-detection training and scoring workbench")
     sub = parser.add_subparsers(dest="command", required=True)

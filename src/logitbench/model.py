@@ -1,5 +1,6 @@
-"""Fully-connected relu classifier: init, forward passes that return the
-gradient tape of their backward pass, and a decimal text checkpoint format."""
+"""Fully-connected relu classifier: init, the forward pass, its backward
+pass to the parameters and to the input, and a decimal text checkpoint
+format."""
 
 from __future__ import annotations
 
@@ -9,16 +10,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, read_lines
-from .tensor import GradTape, Matrix2D
+from .tensor import Matrix2D
 
 ACTIVATION = "relu"
 
 
 @dataclass(frozen=True)
 class MlpModel:
+    """Read-only float64 parameters: `weights[l]` has shape (dims[l], dims[l+1])
+    and `biases[l]` is a row vector (1, dims[l+1])."""
+
     layer_dims: tuple[int, ...]
-    weights: tuple[Matrix2D, ...]   # weights[l] has shape (dims[l], dims[l+1])
-    biases: tuple[Matrix2D, ...]    # row vectors (1, dims[l+1])
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        for p in (*self.weights, *self.biases):
+            p.flags.writeable = False
 
     @property
     def input_dim(self) -> int:
@@ -41,40 +49,33 @@ def init_model(layer_dims, seed: int) -> MlpModel:
     biases = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(Matrix2D(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
-        biases.append(Matrix2D(np.zeros((1, fan_out))))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros((1, fan_out)))
     return MlpModel(dims, tuple(weights), tuple(biases))
 
 
 def forward(model: MlpModel, x: Matrix2D) -> Matrix2D:
     """Plain forward pass."""
-    return forward_layers(model, x)[1]
+    return Matrix2D(forward_layers(model, x)[1])
 
 
-def forward_layers(model: MlpModel, x: Matrix2D) -> tuple[GradTape, Matrix2D]:
-    """Forward pass that also returns its tape, whose `inputs` hold x and
-    then each relu output, so the last entry is the penultimate activation."""
+def forward_layers(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], np.ndarray]:
+    """(layer inputs, logits) of `_forward`, after checking x's width; logits
+    that overflow raise DataError."""
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
-    tape, logits = _forward([w.data for w in model.weights],
-                            [b.data for b in model.biases], x.data)
-    return tape, Matrix2D(logits)
-
-
-def forward_traced(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-                   x: np.ndarray) -> tuple[GradTape, np.ndarray]:
-    """The training forward pass: `forward_layers` on raw arrays, with no
-    shape or finiteness checks. It is a name of its own, apart from
-    `forward_layers`, so that a profiler hooked on it times training steps
-    only, not the epoch-end telemetry forward."""
-    return _forward(weights, biases, x)
+    inputs, logits = _forward(model.weights, model.biases, x.data)
+    if not np.isfinite(logits).all():
+        raise DataError("logits must be finite")
+    return inputs, logits
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
              x: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
-             ) -> tuple[GradTape, np.ndarray]:
-    """The forward pass; layer i's output goes into out[i] if given, else
-    into a new array."""
+             ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The forward pass: (each layer's input, logits). The inputs are x, then
+    each relu output, so the last is the penultimate activation. Layer i's
+    output goes into out[i] if given, else into a new array."""
     inputs = []
     h = x
     last = len(weights) - 1
@@ -84,7 +85,32 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)
-    return GradTape(weights, inputs), h
+    return inputs, h
+
+
+def backward(weights: Sequence[np.ndarray], inputs: Sequence[np.ndarray], grad: np.ndarray,
+             grad_w: Sequence[np.ndarray], grad_b: Sequence[np.ndarray]) -> None:
+    """Reverse pass of `_forward` from `grad` = dL/dlogits, given the layer
+    inputs it returned: writes layer i's weight gradient into grad_w[i] and
+    its bias gradient into grad_b[i]."""
+    for i in range(len(weights) - 1, -1, -1):
+        np.add.reduce(grad, axis=0, keepdims=True, out=grad_b[i])
+        np.matmul(inputs[i].T, grad, out=grad_w[i])
+        if i > 0:
+            grad = grad @ weights[i].T
+            # A relu output is positive exactly where its pre-activation is,
+            # so the layer input gives the relu mask.
+            grad *= inputs[i] > 0.0
+
+
+def input_gradient(weights: Sequence[np.ndarray], inputs: Sequence[np.ndarray],
+                   grad: np.ndarray) -> np.ndarray:
+    """dL/dx from `grad` = dL/dlogits, through the layers of `_forward`."""
+    for i in range(len(weights) - 1, -1, -1):
+        grad = grad @ weights[i].T
+        if i > 0:
+            grad *= inputs[i] > 0.0
+    return grad
 
 
 # --------------------------------------------------------------------------
@@ -104,8 +130,8 @@ def save_checkpoint(model: MlpModel, path, config_hash: str = "") -> None:
         "layer_dims " + " ".join(str(d) for d in model.layer_dims),
     ]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"weight {i} " + _fmt(w.data))
-        lines.append(f"bias {i} " + _fmt(b.data))
+        lines.append(f"weight {i} " + _fmt(w))
+        lines.append(f"bias {i} " + _fmt(b))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -125,20 +151,22 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
         dims = tuple(int(t) for t in lines[3].split()[1:])
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise DataError(f"layer dims must be at least two positive sizes, got {dims}")
-        weights: list[Optional[Matrix2D]] = [None] * (len(dims) - 1)
-        biases: list[Optional[Matrix2D]] = [None] * (len(dims) - 1)
+        weights: list[Optional[np.ndarray]] = [None] * (len(dims) - 1)
+        biases: list[Optional[np.ndarray]] = [None] * (len(dims) - 1)
         for line in lines[4:]:
             kind, idx, rest = line.split(" ", 2)
             i = int(idx)
             if not 0 <= i < len(weights):
                 raise DataError(f"layer index {i} outside [0, {len(weights)})")
             vals = np.array([float(t) for t in rest.split()])
-            if kind == "weight":
-                weights[i] = Matrix2D(vals.reshape(dims[i], dims[i + 1]))
-            elif kind == "bias":
-                biases[i] = Matrix2D(vals.reshape(1, dims[i + 1]))
-            else:
+            if kind not in ("weight", "bias"):
                 raise DataError(f"unknown checkpoint field {kind!r}")
+            if not np.isfinite(vals).all():
+                raise DataError(f"{kind} {i} values must be finite")
+            if kind == "weight":
+                weights[i] = vals.reshape(dims[i], dims[i + 1])
+            else:
+                biases[i] = vals.reshape(1, dims[i + 1])
     except ValueError as exc:  # DataError included
         raise DataError(f"{path}: {exc}") from None
     if any(w is None for w in weights) or any(b is None for b in biases):

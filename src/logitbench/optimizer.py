@@ -13,8 +13,8 @@ import numpy as np
 from .data import LabeledDataset, OodDataset
 from .errors import ConfigError, DivergedError
 from .losses import LossConfig, loss_and_grad
-from .model import MlpModel, _forward, forward_traced
-from .tensor import Matrix2D, row_l2_norm
+from .model import MlpModel, _forward, backward
+from .tensor import row_l2_norm
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ def _layer_views(flat: np.ndarray, model: MlpModel
     consecutive slices of the 1-D array `flat`, the weights first."""
     views, start = [], 0
     for p in (*model.weights, *model.biases):
-        views.append(flat[start:start + p.data.size].reshape(p.shape))
-        start += p.data.size
+        views.append(flat[start:start + p.size].reshape(p.shape))
+        start += p.size
     return views[:len(model.weights)], views[len(model.weights):]
 
 
@@ -89,20 +89,20 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
 
     The weights, then the biases, are views of one flat parameter array, and the velocities and
     gradients are flat arrays laid out the same way, so one SGD update is a few whole-array
-    operations. The model is built from the parameters once, after the last epoch.
+    operations. The model is built once, after the last epoch, on those views, with no copy.
     """
     if dataset.dim != model.input_dim or dataset.k != model.num_classes:
         raise ConfigError(
             f"dataset (d={dataset.dim}, k={dataset.k}) does not match model "
             f"(d={model.input_dim}, k={model.num_classes})")
     rng = np.random.default_rng(seed)
-    params = np.concatenate([p.data.ravel() for p in (*model.weights, *model.biases)])
+    params = np.concatenate([p.ravel() for p in (*model.weights, *model.biases)])
     weights, biases = _layer_views(params, model)
     grads = np.empty_like(params)
     grad_out = _layer_views(grads, model)
     velocity = np.zeros_like(params)
     scratch = np.empty_like(params)
-    n_weights = sum(w.data.size for w in model.weights)
+    n_weights = sum(w.size for w in model.weights)
     momentum = optim_cfg.momentum
     decay = optim_cfg.weight_decay
     x_all = dataset.features.data
@@ -124,7 +124,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
             loss_batches = 0
             for step, start in enumerate(range(0, n, optim_cfg.batch_size)):
                 batch = order[start:start + optim_cfg.batch_size]
-                tape, logits = forward_traced(weights, biases, x_all[batch])
+                inputs, logits = _forward(weights, biases, x_all[batch])
                 loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
                 if not math.isfinite(loss):
                     raise DivergedError(epoch, step)
@@ -132,7 +132,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 loss_batches += 1
                 if lr == 0.0:
                     continue
-                tape.backward(grad, grad_out)
+                backward(weights, inputs, grad, *grad_out)
                 grads[:n_weights] += np.multiply(params[:n_weights], decay,
                                                  out=scratch[:n_weights])
                 velocity *= momentum
@@ -157,5 +157,4 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 mean_logit_norm_ood=norms[1] if x_ood is not None else None,
             ))
 
-    return MlpModel(model.layer_dims, tuple(Matrix2D(w) for w in weights),
-                    tuple(Matrix2D(b) for b in biases)), telemetry
+    return MlpModel(model.layer_dims, tuple(weights), tuple(biases)), telemetry

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, kind_params, read_lines
-from .model import MlpModel, forward, forward_layers
+from .model import MlpModel, forward, forward_layers, input_gradient
 from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
 MSP = "msp"
@@ -56,12 +56,11 @@ def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Ma
     """Step every row against the sign of its input gradient of the
     cross-entropy between softmax(f / T) and the predicted class; that
     cross-entropy is -log S_pred, so the step raises the max softmax."""
-    tape, logits = forward_layers(model, features)
-    f = logits.data
+    inputs, f = forward_layers(model, features)
     grad = np.exp(log_softmax(f * (1.0 / T)))
     grad[np.arange(f.shape[0]), f.argmax(axis=1)] -= 1.0
     grad *= 1.0 / T
-    _, _, grad = tape.backward(grad, params=False, input_grad=True)
+    grad = input_gradient(model.weights, inputs, grad)
     return Matrix2D(features.data - eps * np.sign(grad))
 
 
@@ -78,10 +77,10 @@ def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.nda
         f = forward(model, features).data / T
         m = f.max(axis=1)
         return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
-    tape, logits = forward_layers(model, features)
-    k = logits.cols
-    probs = np.exp(log_softmax(logits.data * (1.0 / T)))
-    return np.abs(tape.inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / k).sum(axis=1) / T
+    inputs, logits = forward_layers(model, features)
+    probs = np.exp(log_softmax(logits * (1.0 / T)))
+    k = model.num_classes
+    return np.abs(inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / k).sum(axis=1) / T
 
 
 # Score dump interchange: one "<origin>,<decimal>" record per line, origin

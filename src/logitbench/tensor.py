@@ -1,5 +1,5 @@
-"""Dense 64-bit matrices, the row-wise softmax and norm helpers, the
-gradient tape of a relu MLP's forward pass, and the BLAS thread count."""
+"""Dense 64-bit matrices, the row-wise softmax and norm helpers, and the
+BLAS thread count."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import functools
 import glob
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,40 +40,6 @@ class Matrix2D:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-
-@dataclass(frozen=True)
-class GradTape:
-    """What a forward pass of a relu MLP keeps for its backward pass: the
-    weight of every layer and its input (x, then each relu output)."""
-
-    weights: Sequence[np.ndarray]
-    inputs: Sequence[np.ndarray]
-
-    def backward(self, grad: np.ndarray, out: Optional[tuple[list, list]] = None, *,
-                 params: bool = True, input_grad: bool = False
-                 ) -> tuple[list[np.ndarray], list[np.ndarray], Optional[np.ndarray]]:
-        """Reverse pass from `grad` = dL/dlogits. Returns the weight and bias
-        gradients (empty lists unless `params`) and dL/dx (None unless
-        `input_grad`). The parameter gradients are written into `out` =
-        (weight gradients, bias gradients) if given, else into new arrays."""
-        if not params:
-            out = ([], [])
-        elif out is None:
-            out = ([np.empty_like(w) for w in self.weights],
-                   [np.empty((1, w.shape[1])) for w in self.weights])
-        grad_w, grad_b = out
-        for i in range(len(self.weights) - 1, -1, -1):
-            if params:
-                np.add.reduce(grad, axis=0, keepdims=True, out=grad_b[i])
-                np.matmul(self.inputs[i].T, grad, out=grad_w[i])
-            if i > 0 or input_grad:
-                grad = grad @ self.weights[i].T
-            if i > 0:
-                # A relu output is positive exactly where its pre-activation
-                # is, so the layer input gives the relu mask.
-                grad *= self.inputs[i] > 0.0
-        return grad_w, grad_b, grad if input_grad else None
 
 
 def rowwise_softmax(arr: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared test helpers: finite-difference oracles, random instances, the
-per-sample logit-norm loss, file-backed data and the committed desk config."""
+"""Shared test helpers: finite-difference oracles, the MLP backward into new
+arrays, random instances, the per-sample logit-norm loss, file-backed data
+and the committed desk config."""
 
 import copy
 import dataclasses
@@ -11,6 +12,7 @@ import pytest
 from logitbench.data import LabeledDataset, gen_blobs, split
 from logitbench.harness import load_config
 from logitbench.losses import LOGIT_NORM, LOSS_PARAMS, cross_entropy_values
+from logitbench.model import backward
 from logitbench.tensor import use_one_blas_thread
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -47,6 +49,14 @@ def assert_grad_close(analytic, numeric, rel=1e-4, abs_tol=1e-6):
     denom = np.maximum(np.abs(numeric), abs_tol / rel)
     err = np.abs(analytic - numeric) / denom
     assert err.max() <= rel, f"max relative gradient error {err.max():.3e}"
+
+
+def param_grads(weights, inputs, grad):
+    """`model.backward` into new arrays: (weight gradients, bias gradients)."""
+    grad_w = [np.empty_like(w) for w in weights]
+    grad_b = [np.empty((1, w.shape[1])) for w in weights]
+    backward(weights, inputs, grad, grad_w, grad_b)
+    return grad_w, grad_b
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """The general reverse-mode gradient tape that training used before its
 gradients were written out, kept as the slow reference for the explicit
-gradients in `losses.loss_and_grad` and `logitbench.tensor.GradTape.backward`.
+gradients in `losses.loss_and_grad` and `logitbench.model.backward`.
 
 The tape records matrix-level operations (matmul, bias add, relu, fused
 softmax cross-entropy, row norms, scaling); one reverse sweep gives every

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from logitbench.cli import build_parser, main
+from logitbench.model import init_model, save_checkpoint
 from logitbench.tensor import _openblas_libraries
 
 from conftest import CONFIGS, replaced, write_file_data
@@ -38,6 +39,14 @@ def write_config(tmp_path, **overrides):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_parser_is_built_once_and_reused():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["report", "--scores", "a.txt", "--bins", "7"])
+    second = parser.parse_args(["report", "--scores", "b.txt"])
+    assert (first.scores, first.bins, second.scores, second.bins) == ("a.txt", 7, "b.txt", 50)
 
 
 def test_train_then_score_then_eval(tmp_path, capsys):
@@ -288,6 +297,17 @@ def test_bad_input_is_one_line_without_traceback(argv, content, code, prefix, tm
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_score_on_a_non_finite_checkpoint_is_one_data_error(value, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(init_model((4, 8, 3), seed=0), ckpt)
+    ckpt.write_text(ckpt.read_text().replace("bias 1 0 ", f"bias 1 {value} ", 1))
+    capsys.readouterr()
+    assert main(["score", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr().err == f"data error: {ckpt}: bias 1 values must be finite\n"
+    assert not list((tmp_path / "out").glob("scores_*"))
 
 
 def test_train_out_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch):

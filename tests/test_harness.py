@@ -408,16 +408,17 @@ def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeyp
 
 def test_epoch_end_forward_runs_only_where_its_record_is_written(tmp_path, monkeypatch):
     """Per training cell, the number of epoch-end forwards: the calls of
-    `_forward` that `optimizer.train` makes (its steps use `forward_traced`).
+    `_forward` that `optimizer.train` makes into its reused output buffers
+    (its steps call `_forward` without them).
     `calibrate` and `sweep-tau` read only the last epoch's record and make
     one. `bench` and `train` write every epoch's telemetry and make two per
     epoch, over the training set and over the validation OOD probe."""
     per_cell = []
     real_forward, real_train = optimizer._forward, harness.train
 
-    def counting_forward(*args, **kwargs):
-        per_cell[-1] += 1
-        return real_forward(*args, **kwargs)
+    def counting_forward(weights, biases, x, out=None):
+        per_cell[-1] += out is not None
+        return real_forward(weights, biases, x, out)
 
     def counting_train(*args, **kwargs):
         per_cell.append(0)

@@ -1,18 +1,23 @@
-"""Classifier init/forward/backward, scaling propositions, and checkpoint
-round trips."""
+"""Classifier init/forward/backward, read-only parameters, scaling
+propositions, and checkpoint round trips."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from logitbench.data import LabeledDataset
 from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
-from logitbench.model import (MlpModel, _forward, forward, forward_traced,
-                              init_model, load_checkpoint, save_checkpoint)
+from logitbench.model import (MlpModel, _forward, backward, forward, init_model,
+                              input_gradient, load_checkpoint, save_checkpoint)
+from logitbench.optimizer import OptimConfig, train
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
 import tape_oracle
+from conftest import param_grads
 from tape_oracle import apply_loss
 
 
@@ -20,9 +25,9 @@ def test_init_is_deterministic():
     a = init_model((2, 10, 3), seed=7)
     b = init_model((2, 10, 3), seed=7)
     for wa, wb in zip(a.weights, b.weights):
-        assert np.array_equal(wa.data, wb.data)
+        assert np.array_equal(wa, wb)
     for ba, bb in zip(a.biases, b.biases):
-        assert np.array_equal(ba.data, bb.data)
+        assert np.array_equal(ba, bb)
 
 
 def test_init_rejects_single_dim():
@@ -36,20 +41,20 @@ def test_init_weight_shapes_chain():
     m = init_model((2, 8, 8, 5), seed=1)
     assert [w.shape for w in m.weights] == [(2, 8), (8, 8), (8, 5)]
     assert [b.shape for b in m.biases] == [(1, 8), (1, 8), (1, 5)]
-    assert all(np.all(b.data == 0.0) for b in m.biases)
+    assert all(np.all(b == 0.0) for b in m.biases)
 
 
 def test_forward_zero_model_gives_zero_logits():
     dims = (3, 4, 2)
     m = MlpModel(dims,
-                 tuple(Matrix2D(np.zeros((a, b))) for a, b in zip(dims, dims[1:])),
-                 tuple(Matrix2D(np.zeros((1, b))) for b in dims[1:]))
+                 tuple(np.zeros((a, b)) for a, b in zip(dims, dims[1:])),
+                 tuple(np.zeros((1, b)) for b in dims[1:]))
     out = forward(m, Matrix2D(np.array([[1.0, -2.0, 3.0]])))
     assert np.array_equal(out.data, np.zeros((1, 2)))
 
 
 def test_forward_single_identity_layer():
-    m = MlpModel((2, 2), (Matrix2D(np.eye(2)),), (Matrix2D(np.zeros((1, 2))),))
+    m = MlpModel((2, 2), (np.eye(2),), (np.zeros((1, 2)),))
     out = forward(m, Matrix2D(np.array([[1.0, 2.0]])))
     assert np.array_equal(out.data, [[1.0, 2.0]])
 
@@ -69,37 +74,42 @@ def test_forward_rejects_wrong_width():
 def test_traced_forward_matches_plain():
     m = init_model((4, 8, 3), seed=11)
     x = Matrix2D(np.random.default_rng(1).standard_normal((6, 4)))
-    tape, logits = forward_traced([w.data for w in m.weights], [b.data for b in m.biases], x.data)
+    inputs, logits = _forward(m.weights, m.biases, x.data)
     assert np.array_equal(logits, forward(m, x).data)
-    assert tape.inputs[0] is x.data and len(tape.inputs) == 2
+    assert inputs[0] is x.data and len(inputs) == 2
 
 
 def test_forward_into_buffers_matches_new_arrays_bitwise():
     """`_forward` with `out` writes each layer's output into out[i] and gives
     the same bits as the forward that allocates, also on reused buffers."""
     m = init_model((16, 64, 64, 10), seed=13)
-    weights = [w.data for w in m.weights]
+    weights = m.weights
     biases = [np.random.default_rng(3).uniform(-0.5, 0.5, b.shape) for b in m.biases]
     out = [np.full((300, d), np.nan) for d in m.layer_dims[1:]]
     for seed in (4, 5):
         x = np.random.default_rng(seed).standard_normal((300, 16))
-        tape, logits = _forward(weights, biases, x, out)
-        new_tape, new_logits = _forward(weights, biases, x)
-        assert all(got is buf for got, buf in zip((*tape.inputs[1:], logits), out))
+        inputs, logits = _forward(weights, biases, x, out)
+        new_inputs, new_logits = _forward(weights, biases, x)
+        assert all(got is buf for got, buf in zip((*inputs[1:], logits), out))
         assert logits.tobytes() == new_logits.tobytes()
-        for got, want in zip(tape.inputs, new_tape.inputs):
+        for got, want in zip(inputs, new_inputs):
             assert got.tobytes() == want.tobytes()
 
 
-def test_traced_input_grad_flag():
+def test_input_gradient_apart_from_parameter_gradients():
+    """`backward` fills the parameter gradients and returns nothing;
+    `input_gradient` returns dL/dx alone."""
     m = init_model((3, 5, 2), seed=2)
     x = np.random.default_rng(2).standard_normal((1, 3))
-    tape, logits = forward_traced([w.data for w in m.weights], [b.data for b in m.biases], x)
+    inputs, logits = _forward(m.weights, m.biases, x)
     upstream = np.full_like(logits, 0.5)
-    grad_w, grad_b, off = tape.backward(upstream)
-    assert off is None and len(grad_w) == len(grad_b) == 2
-    grad_w, grad_b, on = tape.backward(upstream, params=False, input_grad=True)
-    assert grad_w == grad_b == [] and on.shape == (1, 3) and np.any(on != 0.0)
+    grad_w = [np.full_like(w, np.nan) for w in m.weights]
+    grad_b = [np.full_like(b, np.nan) for b in m.biases]
+    assert backward(m.weights, inputs, upstream, grad_w, grad_b) is None
+    assert len(grad_w) == len(grad_b) == 2
+    assert all(np.isfinite(g).all() for g in (*grad_w, *grad_b))
+    on = input_gradient(m.weights, inputs, upstream)
+    assert on.shape == (1, 3) and np.any(on != 0.0)
 
 
 def test_gradients_match_tape_oracle_bitwise():
@@ -113,18 +123,18 @@ def test_gradients_match_tape_oracle_bitwise():
         model = init_model((6, 16, 12, 4), seed=trial)
         if trial % 2:
             model = MlpModel(model.layer_dims, model.weights, tuple(
-                Matrix2D(rng.uniform(-0.5, 0.5, b.shape)) for b in model.biases))
+                rng.uniform(-0.5, 0.5, b.shape) for b in model.biases))
         x = rng.standard_normal((37, 6))
         if trial % 2 == 0:
             x[5] = 0.0
         labels = rng.integers(0, 4, 37)
-        weights = [w.data for w in model.weights]
-        tape, logits = forward_traced(weights, [b.data for b in model.biases], x)
+        weights = model.weights
+        inputs, logits = _forward(weights, model.biases, x)
         zero_rows += int(np.sum(~logits.any(axis=1)))
         for cfg in (LossConfig("cross_entropy"), LossConfig("logit_norm", {"tau": 0.12}),
                     LossConfig("logit_penalty", {"lam": 0.05})):
             loss, grad = loss_and_grad(logits, labels, cfg)
-            grad_w, grad_b, _ = tape.backward(grad)
+            grad_w, grad_b = param_grads(weights, inputs, grad)
             trace = tape_oracle.forward_traced(model, Matrix2D(x))
             node = apply_loss(trace.tape, trace.logits, labels, cfg)
             trace.tape.backward(node)
@@ -133,6 +143,26 @@ def test_gradients_match_tape_oracle_bitwise():
                 assert np.array_equal(grad_w[i], trace.tape.grad(trace.weights[i]))
                 assert np.array_equal(grad_b[i], trace.tape.grad(trace.biases[i]))
     assert zero_rows == 2
+
+
+@pytest.mark.parametrize("source", ["init_model", "train", "load_checkpoint"])
+def test_model_parameters_are_read_only(source, tmp_path):
+    """Every weight and bias is a read-only float64 array, whichever way the
+    model was made; a trained model's are views of one flat array."""
+    model = init_model((4, 8, 3), seed=1)
+    if source == "train":
+        rng = np.random.default_rng(2)
+        data = LabeledDataset(Matrix2D(rng.standard_normal((40, 4))), rng.integers(0, 3, 40), 3)
+        model, _ = train(model, data, LossConfig("cross_entropy"),
+                         OptimConfig(epochs=2, batch_size=16, lr_drops=()), seed=0)
+        assert len({id(p.base) for p in (*model.weights, *model.biases)}) == 1
+    elif source == "load_checkpoint":
+        save_checkpoint(model, tmp_path / "ckpt.txt")
+        model, _ = load_checkpoint(tmp_path / "ckpt.txt")
+    for p in (*model.weights, *model.biases):
+        assert p.dtype == np.float64 and not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 1.0
 
 
 # --------------------------------------------------------------------------
@@ -168,9 +198,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert h == "abc123"
     assert loaded.layer_dims == m.layer_dims
     for wa, wb in zip(m.weights, loaded.weights):
-        assert np.array_equal(wa.data, wb.data)
+        assert np.array_equal(wa, wb)
     for ba, bb in zip(m.biases, loaded.biases):
-        assert np.array_equal(ba.data, bb.data)
+        assert np.array_equal(ba, bb)
     # Save-of-load reproduces the exact bytes.
     path2 = tmp_path / "ckpt2.txt"
     save_checkpoint(loaded, path2, config_hash="abc123")
@@ -212,4 +242,18 @@ def test_checkpoint_non_integer_layer_dims_is_data_error(tmp_path):
 def test_checkpoint_rejects_non_relu_activation(tmp_path):
     path = _corrupt_checkpoint(tmp_path, "activation relu", "activation tanh")
     with pytest.raises(DataError, match="activation"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, line, value", [("weight 0", 4, "inf"), ("bias 1", 7, "nan")])
+def test_checkpoint_rejects_non_finite_value(tmp_path, field, line, value):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(init_model((4, 3, 2), seed=1), path)
+    lines = path.read_text().splitlines()
+    assert lines[line].startswith(field + " ")
+    tokens = lines[line].split()
+    tokens[3] = value
+    lines[line] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {field} values must be finite$"):
         load_checkpoint(path)

@@ -12,6 +12,7 @@ from logitbench.model import _forward, init_model
 from logitbench.optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from logitbench.tensor import Matrix2D, row_l2_norm
 
+from conftest import param_grads
 from tape_oracle import apply_loss, forward_traced
 
 
@@ -90,7 +91,7 @@ def test_train_zero_lr_freezes_parameters():
                              small_optim(lr0=0.0, epochs=3, batch_size=ds.n,
                                          lr_drops=()), SGD_SEED)
     for w0, w1 in zip(model.weights, trained.weights):
-        assert np.array_equal(w0.data, w1.data)
+        assert np.array_equal(w0, w1)
     # telemetry still recorded, with a flat loss curve
     assert len(history) == 3
     assert history[0].train_loss == history[-1].train_loss
@@ -106,7 +107,7 @@ def test_train_is_deterministic():
         runs.append((trained, telemetry_text(history)))
     assert runs[0][1] == runs[1][1]
     for w0, w1 in zip(runs[0][0].weights, runs[1][0].weights):
-        assert np.array_equal(w0.data, w1.data)
+        assert np.array_equal(w0, w1)
 
 
 def test_momentum_zero_matches_plain_sgd():
@@ -123,8 +124,8 @@ def test_momentum_zero_matches_plain_sgd():
     loss = apply_loss(trace.tape, trace.logits, ds.labels, LossConfig("cross_entropy"))
     trace.tape.backward(loss)
     for i, w in enumerate(model.weights):
-        expected = w.data - cfg.lr0 * trace.tape.grad(trace.weights[i])
-        assert np.allclose(trained.weights[i].data, expected, atol=1e-12)
+        expected = w - cfg.lr0 * trace.tape.grad(trace.weights[i])
+        assert np.allclose(trained.weights[i], expected, atol=1e-12)
 
 
 def test_weight_decay_shrinks_weights_only():
@@ -139,8 +140,8 @@ def test_weight_decay_shrinks_weights_only():
                      small_optim(weight_decay=0.05, epochs=20, lr_drops=()), SGD_SEED)
     free, _ = train(model, ds, LossConfig("cross_entropy"),
                     small_optim(weight_decay=0.0, epochs=20, lr_drops=()), SGD_SEED)
-    heavy_norm = sum(np.linalg.norm(w.data) for w in heavy.weights)
-    free_norm = sum(np.linalg.norm(w.data) for w in free.weights)
+    heavy_norm = sum(np.linalg.norm(w) for w in heavy.weights)
+    free_norm = sum(np.linalg.norm(w) for w in free.weights)
     assert heavy_norm < free_norm
 
 
@@ -158,8 +159,8 @@ def per_array_train(model, dataset, loss_cfg, optim_cfg, seed, probe_ood):
     one momentum and decay update per parameter array, and an epoch-end
     forward into new arrays. Returns (weights, biases, telemetry)."""
     rng = np.random.default_rng(seed)
-    weights = [w.data.copy() for w in model.weights]
-    biases = [b.data.copy() for b in model.biases]
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
     vel_w = [np.zeros_like(w) for w in weights]
     vel_b = [np.zeros_like(b) for b in biases]
     x_all, y_all = dataset.features.data, dataset.labels
@@ -171,11 +172,11 @@ def per_array_train(model, dataset, loss_cfg, optim_cfg, seed, probe_ood):
         loss_batches = 0
         for start in range(0, dataset.n, optim_cfg.batch_size):
             batch = order[start:start + optim_cfg.batch_size]
-            tape, logits = _forward(weights, biases, x_all[batch])
+            inputs, logits = _forward(weights, biases, x_all[batch])
             loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
             loss_sum += loss
             loss_batches += 1
-            grad_w, grad_b, _ = tape.backward(grad)
+            grad_w, grad_b = param_grads(weights, inputs, grad)
             for w, b, vw, vb, gw, gb in zip(weights, biases, vel_w, vel_b, grad_w, grad_b):
                 gw += optim_cfg.weight_decay * w
                 vw *= optim_cfg.momentum
@@ -207,7 +208,7 @@ def test_train_matches_per_array_sgd_bitwise(loss_cfg):
     weights, biases, expected = per_array_train(model, ds, loss_cfg, cfg, SGD_SEED, ood)
     assert history == expected
     for got, want in zip((*trained.weights, *trained.biases), (*weights, *biases)):
-        assert got.data.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("loss_cfg", [LossConfig("cross_entropy"),
@@ -229,7 +230,7 @@ def test_last_epoch_only_matches_full_telemetry_bitwise(loss_cfg):
     header, *lines = telemetry_text(history).splitlines()
     assert telemetry_text(record).splitlines() == [header, lines[-1]]
     for got, want in zip((*last.weights, *last.biases), (*full.weights, *full.biases)):
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from logitbench import scores
 from logitbench.data import gen_blobs, gen_ood
-from logitbench.errors import ConfigError, DataError
+from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LossConfig
 from logitbench.model import MlpModel, forward, init_model
 from logitbench.optimizer import OptimConfig, train
@@ -26,8 +26,8 @@ def identity_model(k: int) -> MlpModel:
     """Single linear layer with identity weights, so logits == input."""
     return MlpModel(
         layer_dims=(k, k),
-        weights=(Matrix2D(np.eye(k)),),
-        biases=(Matrix2D(np.zeros((1, k))),),
+        weights=(np.eye(k),),
+        biases=(np.zeros((1, k)),),
     )
 
 
@@ -182,8 +182,7 @@ def test_gradnorm_feature_scaling_oracle():
     k, d = 3, 3
     rng = np.random.default_rng(4)
     w = rng.normal(size=(d, k))
-    model = MlpModel(layer_dims=(d, k), weights=(Matrix2D(w),),
-                     biases=(Matrix2D(np.zeros((1, k))),))
+    model = MlpModel(layer_dims=(d, k), weights=(w,), biases=(np.zeros((1, k)),))
     x = rng.normal(size=d)
     logits = x @ w
     p = np.exp(logits - logits.max())
@@ -257,13 +256,13 @@ def trained_models():
                                 LossConfig(kind=kind), optim, 2)
     ce = models["cross_entropy"]
     models["high_norm"] = MlpModel(ce.layer_dims,
-                                   tuple(Matrix2D(3.0 * w.data) for w in ce.weights),
+                                   tuple(3.0 * w for w in ce.weights),
                                    ce.biases)
     ln = models["logit_norm"]
     energies = np.sort(score_batch(ln, Matrix2D(oracle_rows()), ScoreConfig(kind=ENERGY)))
     shift = energies[len(energies) // 2]
     models["energy_near_zero"] = MlpModel(
-        ln.layer_dims, ln.weights, (*ln.biases[:-1], Matrix2D(ln.biases[-1].data - shift)))
+        ln.layer_dims, ln.weights, (*ln.biases[:-1], ln.biases[-1] - shift))
     return models
 
 
@@ -282,10 +281,16 @@ def test_score_batch_matches_oracle(trained_models):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_raise_data_error():
-    model = MlpModel((2, 2), (Matrix2D(1e300 * np.eye(2)),), (Matrix2D(np.zeros((1, 2))),))
+    model = MlpModel((2, 2), (1e300 * np.eye(2),), (np.zeros((1, 2)),))
     for kind in SCORE_PARAMS:
         with pytest.raises(DataError):
             score_batch(model, Matrix2D([[1e10, 0.0]]), ScoreConfig(kind=kind))
+
+
+@pytest.mark.parametrize("kind", SCORE_PARAMS)
+def test_score_batch_rejects_wrong_width(small_model, kind):
+    with pytest.raises(ShapeError, match="^input has 3 features, model expects 4$"):
+        score_batch(small_model, Matrix2D(np.zeros((5, 3))), ScoreConfig(kind=kind))
 
 
 def test_all_scores_finite(small_model):

@@ -12,11 +12,11 @@ from logitbench import tensor
 from logitbench.data import LabeledDataset
 from logitbench.errors import DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
-from logitbench.model import forward_traced
-from logitbench.tensor import (GradTape, Matrix2D, log_softmax, row_l2_norm,
+from logitbench.model import _forward, backward, input_gradient
+from logitbench.tensor import (Matrix2D, log_softmax, row_l2_norm,
                                rowwise_softmax, use_one_blas_thread)
 
-from conftest import assert_grad_close, central_difference
+from conftest import assert_grad_close, central_difference, param_grads
 from tape_oracle import GradTape as OracleTape
 from tape_oracle import NonScalarLoss
 from tape_oracle import log_softmax as oracle_log_softmax
@@ -120,7 +120,7 @@ def test_direct_reduction_kernels_match_numpy_wrappers_bitwise(seed):
     call gives the bytes of the numpy wrapper it stands for: np.linalg.norm,
     ndarray.mean (over the picked log-probabilities and over the (rows, 1)
     norms), ndarray.sum, np.sum into `out` (the backward's bias gradient,
-    checked through GradTape.backward) and ndarray.max (through log_softmax,
+    checked through model.backward) and ndarray.max (through log_softmax,
     against the oracle's copy written with the wrappers)."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for x in reduction_draws(seed):
@@ -133,8 +133,7 @@ def test_direct_reduction_kernels_match_numpy_wrappers_bitwise(seed):
                               x.sum(axis=1, keepdims=True))
             assert same_bytes(np.maximum.reduce(x, axis=1, keepdims=True),
                               x.max(axis=1, keepdims=True))
-            _, (grad_b,), _ = GradTape([np.ones((1, x.shape[1]))],
-                                       [np.ones((len(x), 1))]).backward(x)
+            _, (grad_b,) = param_grads([np.ones((1, x.shape[1]))], [np.ones((len(x), 1))], x)
             assert same_bytes(grad_b, np.sum(x, axis=0, keepdims=True))
             assert same_bytes(log_softmax(x), oracle_log_softmax(x))
 
@@ -240,28 +239,27 @@ def test_backward_is_deterministic():
     biases = [np.zeros((1, 5)), np.zeros((1, 2))]
     grads = []
     for _ in range(2):
-        tape, logits = forward_traced(weights, biases, x_val)
+        inputs, logits = _forward(weights, biases, x_val)
         _, grad = loss_and_grad(logits, np.array([0, 1, 1]), LossConfig("cross_entropy"))
-        grad_w, grad_b, grad_x = tape.backward(grad, input_grad=True)
-        grads.append([*grad_w, *grad_b, grad_x])
+        grad_w, grad_b = param_grads(weights, inputs, grad)
+        grads.append([*grad_w, *grad_b, input_gradient(weights, inputs, grad)])
     assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
 
 def test_backward_writes_into_given_arrays():
-    """With `out`, the parameter gradients land in the given arrays (here
-    views of one flat buffer, as in training) with the bits of a call
-    without it."""
+    """The parameter gradients land in the given arrays (here views of one
+    flat buffer, as in training) with the bits of a backward into separate
+    new arrays."""
     rng = np.random.default_rng(8)
     weights = [rng.standard_normal((4, 5)), rng.standard_normal((5, 2))]
-    tape, logits = forward_traced(weights, [np.zeros((1, 5)), np.zeros((1, 2))],
-                                  rng.standard_normal((6, 4)))
+    inputs, logits = _forward(weights, [np.zeros((1, 5)), np.zeros((1, 2))],
+                              rng.standard_normal((6, 4)))
     upstream = rng.standard_normal(logits.shape)
     flat = np.full(20 + 10 + 5 + 2, np.nan)
-    out = ([flat[:20].reshape(4, 5), flat[20:30].reshape(5, 2)],
-           [flat[30:35].reshape(1, 5), flat[35:].reshape(1, 2)])
-    grad_w, grad_b, _ = tape.backward(upstream, out)
-    assert grad_w is out[0] and grad_b is out[1]
-    new_w, new_b, _ = tape.backward(upstream)
+    backward(weights, inputs, upstream,
+             [flat[:20].reshape(4, 5), flat[20:30].reshape(5, 2)],
+             [flat[30:35].reshape(1, 5), flat[35:].reshape(1, 2)])
+    new_w, new_b = param_grads(weights, inputs, upstream)
     assert flat.tobytes() == np.concatenate([g.ravel() for g in (*new_w, *new_b)]).tobytes()
 
 
@@ -270,7 +268,7 @@ def test_backward_writes_into_given_arrays():
 # --------------------------------------------------------------------------
 
 def _mlp_scalar(weights, biases, x, reduce):
-    return reduce(forward_traced(weights, biases, x)[1])
+    return reduce(_forward(weights, biases, x)[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -280,7 +278,8 @@ def test_fd_matmul_chain(seed, rng):
     w_val = local.uniform(-2, 2, size=(4, 5))
     b_val = np.zeros((1, 5))
     upstream = np.full((3, 5), 1.0 / 15)
-    grad_w, _, grad_x = GradTape([w_val], [x_val]).backward(upstream, input_grad=True)
+    grad_w, _ = param_grads([w_val], [x_val], upstream)
+    grad_x = input_gradient([w_val], [x_val], upstream)
     assert_grad_close(grad_x, central_difference(
         lambda x: _mlp_scalar([w_val], [b_val], x, np.mean), x_val))
     assert_grad_close(grad_w[0], central_difference(
@@ -296,8 +295,8 @@ def test_fd_relu(seed):
     x_val[np.abs(x_val) < 1e-3] += 0.01
     weights = [np.eye(3), local.uniform(-1, 1, size=(3, 2))]
     biases = [np.zeros((1, 3)), np.zeros((1, 2))]
-    tape, _ = forward_traced(weights, biases, x_val)
-    _, _, grad_x = tape.backward(np.full((4, 2), 1.0 / 8), params=False, input_grad=True)
+    inputs, _ = _forward(weights, biases, x_val)
+    grad_x = input_gradient(weights, inputs, np.full((4, 2), 1.0 / 8))
     assert_grad_close(grad_x, central_difference(
         lambda x: _mlp_scalar(weights, biases, x, np.mean), x_val))
 
@@ -308,7 +307,7 @@ def test_fd_add_row_and_scale(seed):
     x_val = local.uniform(-2, 2, size=(3, 4))
     w_val = local.uniform(-1, 1, size=(4, 4))
     b_val = local.uniform(-1, 1, size=(1, 4))
-    _, grad_b, _ = GradTape([w_val], [x_val]).backward(np.full((3, 4), 0.3))
+    _, grad_b = param_grads([w_val], [x_val], np.full((3, 4), 0.3))
     assert_grad_close(grad_b[0], central_difference(
         lambda b: _mlp_scalar([w_val], [b], x_val, lambda f: 0.3 * f.sum()), b_val))
 
@@ -348,9 +347,9 @@ def test_fd_uniform_ce(seed):
     def uniform_ce(f):
         return -log_softmax(f).mean(axis=1).mean()
 
-    tape, logits = forward_traced(weights, biases, x_val)
+    inputs, logits = _forward(weights, biases, x_val)
     upstream = (rowwise_softmax(logits) - 1.0 / 3) / 4
-    grad_w, _, _ = tape.backward(upstream)
+    grad_w, _ = param_grads(weights, inputs, upstream)
     assert_grad_close(grad_w[-1], central_difference(
         lambda w: _mlp_scalar([weights[0], w], biases, x_val, uniform_ce), weights[-1]))
 
@@ -361,8 +360,8 @@ def test_fd_bias_gradient():
     b_val = local.uniform(-1, 1, size=(1, 3))
     labels = np.array([0, 2, 1, 1])
     cfg = LossConfig("cross_entropy")
-    tape, logits = forward_traced([np.eye(3)], [b_val], x_val)
-    _, grad_b, _ = tape.backward(loss_and_grad(logits, labels, cfg)[1])
+    inputs, logits = _forward([np.eye(3)], [b_val], x_val)
+    _, grad_b = param_grads([np.eye(3)], inputs, loss_and_grad(logits, labels, cfg)[1])
     assert_grad_close(grad_b[0], central_difference(
         lambda b: loss_and_grad(x_val @ np.eye(3) + b, labels, cfg)[0], b_val))
 
