@@ -3,8 +3,8 @@ classifiers with cross-entropy, logit-norm, and logit-penalty losses, scores
 inputs with four post-hoc OOD detectors, and reports detection/calibration
 metrics."""
 
-from .data import (LabeledDataset, OodDataset, corrupt_labels, gen_blobs,
-                   gen_ood, load_delimited, split)
+from .data import (LabeledDataset, corrupt_labels, gen_blobs, gen_ood,
+                   load_delimited, split)
 from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
                      ShapeError)
 from .harness import (BenchmarkRow, ExperimentConfig, config_from_dict,

@@ -138,7 +138,7 @@ def _cmd_sweep_tau(args) -> int:
         grid = [float(t) for t in args.tau_grid.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--tau-grid: {exc}") from None
-    rows, selected = sweep_tau(cfg, grid, out_dir=cfg.output_dir)
+    rows, selected = sweep_tau(cfg, grid)
     if not args.quiet:
         for r in rows:
             print(f"tau={r.tau:g} val_fpr95={r.val_fpr95_mean:.4f}")
@@ -148,7 +148,7 @@ def _cmd_sweep_tau(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _load(args)
-    rows = run_calibration(cfg, out_dir=cfg.output_dir)
+    rows = run_calibration(cfg)
     if not args.quiet:
         for r in rows:
             print(f"{r.loss_name}: T={r.fitted_T:.4f} "

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -51,23 +51,6 @@ class LabeledDataset:
         return self.features.cols
 
 
-@dataclass(frozen=True)
-class OodDataset:
-    features: Matrix2D
-
-    def __post_init__(self):
-        if self.features.rows < 1:
-            raise DataError("dataset must be nonempty")
-
-    @property
-    def n(self) -> int:
-        return self.features.rows
-
-    @property
-    def dim(self) -> int:
-        return self.features.cols
-
-
 def _class_means(k: int, d: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """k deterministic (given rng state) directions scaled to the given radius."""
     dirs = rng.standard_normal((k, d))
@@ -91,8 +74,8 @@ def gen_blobs(k: int, d: int, n_per_class: int, cluster_spread: float,
 
 
 def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
-            seed: int = 0) -> OodDataset:
-    """OOD sample generators (parameters and defaults in OOD_PARAMS).
+            seed: int = 0) -> Matrix2D:
+    """m OOD rows of width d (parameters and defaults in OOD_PARAMS).
 
     uniform_box:    hypercube [-half_width, half_width]^d
     gaussian_noise: isotropic N(mean, std^2)
@@ -100,6 +83,8 @@ def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
     shifted_blobs:  blob machinery with displaced class means (near-OOD)
     """
     p = kind_params(OOD_PARAMS, "OOD", kind, params)
+    if m < 1:
+        raise ConfigError(f"m must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     if kind == "uniform_box":
         feats = rng.uniform(-p["half_width"], p["half_width"], size=(m, d))
@@ -117,7 +102,7 @@ def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
         means = means + p["shift"] * offsets
         idx = np.arange(m) % k
         feats = means[idx] + p["cluster_spread"] * rng.standard_normal((m, d))
-    return OodDataset(Matrix2D(feats))
+    return Matrix2D(feats)
 
 
 def split(dataset: LabeledDataset, fractions: tuple[float, float],
@@ -167,9 +152,8 @@ def corrupt_labels(dataset: LabeledDataset, fraction: float,
     return LabeledDataset(dataset.features, labels, dataset.k)
 
 
-def load_delimited(path, has_label: bool, k: Optional[int] = None
-                   ) -> Union[LabeledDataset, OodDataset]:
-    """Comma-separated rows, optional trailing integer label, '#' comments.
+def load_delimited(path, k: Optional[int] = None) -> LabeledDataset:
+    """Comma-separated rows, each ending in an integer label, '#' comments.
     A label is a class index in [0, k), or in [0, 2**31) without k."""
     rows = []
     labels = []
@@ -182,7 +166,7 @@ def load_delimited(path, has_label: bool, k: Optional[int] = None
         cells = line.split(",")
         if width is None:
             width = len(cells)
-            if has_label and width < 2:
+            if width < 2:
                 raise DataError(f"{path}: line {lineno}: no feature before the label")
         elif len(cells) != width:
             raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(cells)}")
@@ -192,18 +176,13 @@ def load_delimited(path, has_label: bool, k: Optional[int] = None
             raise DataError(f"{path}: line {lineno}: non-numeric cell ({exc})") from None
         if not all(map(math.isfinite, values)):
             raise DataError(f"{path}: line {lineno}: non-finite value")
-        if has_label:
-            label = values.pop()
-            if not (label.is_integer() and 0 <= label < label_limit):
-                raise DataError(f"{path}: line {lineno}: label {label} is not a class "
-                                f"index in [0, {label_limit})")
-            labels.append(int(label))
+        label = values.pop()
+        if not (label.is_integer() and 0 <= label < label_limit):
+            raise DataError(f"{path}: line {lineno}: label {label} is not a class "
+                            f"index in [0, {label_limit})")
+        labels.append(int(label))
         rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    features = Matrix2D(np.array(rows))
-    if has_label:
-        k_eff = k if k is not None else max(labels) + 1
-        return LabeledDataset(features, np.array(labels), k_eff)
-    return OodDataset(features)
-
+    k_eff = k if k is not None else max(labels) + 1
+    return LabeledDataset(Matrix2D(np.array(rows)), np.array(labels), k_eff)

@@ -20,8 +20,8 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (OOD_PARAMS, LabeledDataset, OodDataset, corrupt_labels,
-                   gen_blobs, gen_ood, load_delimited, split)
+from .data import (OOD_PARAMS, LabeledDataset, corrupt_labels, gen_blobs,
+                   gen_ood, load_delimited, split)
 from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
                      kind_params, read_lines)
 from .losses import LOGIT_NORM, LossConfig
@@ -30,7 +30,7 @@ from .metrics import (CalibrationReport, check_tpr_target, detection_report,
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, train
 from .scores import ScoreConfig, score_batch, write_scores
-from .tensor import row_l2_norm, rowwise_softmax
+from .tensor import Matrix2D, row_l2_norm, rowwise_softmax
 
 
 # --------------------------------------------------------------------------
@@ -76,6 +76,11 @@ class DataConfig:
                               f"got {self.n_train_per_class}")
         if not 0.0 <= self.label_noise < 1.0:
             raise ConfigError(f"label_noise must be in [0, 1), got {self.label_noise}")
+        # The range OOD_PARAMS gives the scales of the OOD sets.
+        for name in ("cluster_spread", "cluster_radius"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1e6:
+                raise ConfigError(f"{name} must be in [0, 1e6], got {value}")
 
 
 @dataclass(frozen=True)
@@ -224,8 +229,8 @@ class SeedData:
     train: LabeledDataset
     test: LabeledDataset
     val: Optional[LabeledDataset]
-    ood_sets: list[tuple[str, OodDataset]]
-    validation_ood: OodDataset
+    ood_sets: list[tuple[str, Matrix2D]]
+    validation_ood: Matrix2D
 
 
 def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
@@ -238,8 +243,8 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
         train_ds, test_ds = split(full, (f_train, 1.0 - f_train),
                                   derive_seed(seed, "split"))
     else:
-        train_ds = load_delimited(dc.train_path, has_label=True, k=dc.k or None)
-        test_ds = load_delimited(dc.test_path, has_label=True, k=train_ds.k)
+        train_ds = load_delimited(dc.train_path, k=dc.k or None)
+        test_ds = load_delimited(dc.test_path, k=train_ds.k)
         if test_ds.dim != train_ds.dim:
             raise DataError(f"{dc.test_path}: {test_ds.dim} features per row, "
                             f"{dc.train_path} has {train_ds.dim}")
@@ -333,7 +338,7 @@ def csv_table(columns: Sequence[str], rows) -> str:
 
 def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
                loss_cfg: LossConfig, warnings: list[str],
-               probe_ood: Optional[OodDataset] = None, *, every_epoch: bool = True
+               probe_ood: Optional[Matrix2D] = None, *, every_epoch: bool = True
                ) -> Optional[tuple[MlpModel, list[EpochTelemetry]]]:
     """Train one (loss, seed) cell from the seed's init and SGD streams.
     Returns (model, telemetry), or None after a warning if it diverged.
@@ -388,33 +393,31 @@ def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
     dump that would hold it is written."""
     for score_cfg in cfg.scores:
         id_scores = _finite(score_batch(model, bundle.test.features, score_cfg))
-        for tag, ood_ds in bundle.ood_sets:
-            ood_scores = _finite(score_batch(model, ood_ds.features, score_cfg))
+        for tag, ood in bundle.ood_sets:
+            ood_scores = _finite(score_batch(model, ood, score_cfg))
             write_scores(os.path.join(out, f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"),
                          id_scores, ood_scores)
             yield score_cfg.kind, tag, (id_scores, ood_scores)
 
 
-def _record_warnings(out: Optional[str], warnings: list[str], trained: bool) -> None:
+def _record_warnings(out: str, warnings: list[str], trained: bool) -> None:
     """Write the diverged cells to out/warnings.txt (removing a stale one
     when none diverged); raise AllSeedsDiverged if no cell trained."""
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "warnings.txt")
-        if warnings:
-            _write(path, "\n".join(warnings) + "\n")
-        elif os.path.exists(path):
-            os.remove(path)
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "warnings.txt")
+    if warnings:
+        _write(path, "\n".join(warnings) + "\n")
+    elif os.path.exists(path):
+        os.remove(path)
     if not trained:
         raise AllSeedsDiverged("; ".join(warnings))
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
-                   quiet: bool = True) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> ExperimentResult:
     """Train / score / evaluate the full loss x score x OOD-set grid over all
-    seeds, writing every artifact under out_dir. Diverged cells are recorded
-    and excluded; if every cell diverges, AllSeedsDiverged is raised."""
-    out = out_dir if out_dir is not None else cfg.output_dir
+    seeds, writing every artifact under cfg.output_dir. Diverged cells are
+    recorded and excluded; if every cell diverges, AllSeedsDiverged is raised."""
+    out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     chash = config_hash(cfg)
     _write(os.path.join(out, "config.json"),
@@ -428,11 +431,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
     for seed, bundle, lname, model, history in trained_cells(cfg, out, warnings):
         telemetry[(lname, seed)] = history
-        test_logits = forward(model, bundle.test.features).data
+        test_logits = forward(model, bundle.test.features)[1]
         id_acc = float((np.argmax(test_logits, axis=1) == bundle.test.labels).mean())
         norms = {"ID": float(row_l2_norm(test_logits).mean())}
-        for tag, ood_ds in bundle.ood_sets:
-            norms[tag] = float(row_l2_norm(forward(model, ood_ds.features).data).mean())
+        for tag, ood in bundle.ood_sets:
+            norms[tag] = float(row_l2_norm(forward(model, ood)[1]).mean())
         final_norms[(lname, seed)] = norms
 
         for sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle, out,
@@ -480,11 +483,12 @@ class TauSweepRow:
     final_train_loss_mean: float
 
 
-def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
-              out_dir: Optional[str] = None) -> tuple[list[TauSweepRow], float]:
+def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float]
+              ) -> tuple[list[TauSweepRow], float]:
     """Train one logit-norm model per (tau, seed), evaluate MSP FPR95 against
     the Gaussian-noise validation OOD set, and select the tau minimizing the
-    mean validation FPR95 (ties break to the smaller tau)."""
+    mean validation FPR95 (ties break to the smaller tau). Writes
+    sweep_tau.csv under cfg.output_dir."""
     if not tau_grid:
         raise ConfigError("tau grid must be nonempty")
     cells = {tau: LossConfig(LOGIT_NORM, {"tau": tau}) for tau in tau_grid}
@@ -501,17 +505,16 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float],
                 continue
             model, history = cell
             fprs[tau].append(fpr_at_tpr(score_batch(model, bundle.test.features, msp),
-                                        score_batch(model, bundle.validation_ood.features, msp),
+                                        score_batch(model, bundle.validation_ood, msp),
                                         cfg.metrics.tpr_target))
             losses[tau].append(history[-1].train_loss)
     rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
             for tau in taus if fprs[tau]]
-    _record_warnings(out_dir, warnings, bool(rows))
+    _record_warnings(cfg.output_dir, warnings, bool(rows))
     best = min(rows, key=lambda r: (r.val_fpr95_mean, r.tau))
-    if out_dir is not None:
-        _write(os.path.join(out_dir, "sweep_tau.csv"), csv_table(
-            [*field_names(TauSweepRow), "selected"],
-            ((*dataclasses.astuple(r), int(r.tau == best.tau)) for r in rows)))
+    _write(os.path.join(cfg.output_dir, "sweep_tau.csv"), csv_table(
+        [*field_names(TauSweepRow), "selected"],
+        ((*dataclasses.astuple(r), int(r.tau == best.tau)) for r in rows)))
     return rows, best.tau
 
 
@@ -555,10 +558,10 @@ class CalibrationRow:
     post: CalibrationReport
 
 
-def run_calibration(cfg: ExperimentConfig, out_dir: Optional[str] = None
-                    ) -> list[CalibrationRow]:
+def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
     """Per loss: fit the temperature on held-out validation logits, then
-    report test ECE before and after scaling. Uses the first seed."""
+    report test ECE before and after scaling, written to calibration.csv
+    under cfg.output_dir. Uses the first seed."""
     if cfg.data.val_fraction <= 0.0:
         raise ConfigError("run_calibration requires data.val_fraction > 0")
     seed = cfg.seeds[0]
@@ -571,18 +574,16 @@ def run_calibration(cfg: ExperimentConfig, out_dir: Optional[str] = None
         if cell is None:
             continue
         model, _ = cell
-        val_logits = forward(model, bundle.val.features)
-        fitted = fit_temperature(val_logits.data, bundle.val.labels)
-        test_logits = forward(model, bundle.test.features).data
+        fitted = fit_temperature(forward(model, bundle.val.features)[1], bundle.val.labels)
+        test_logits = forward(model, bundle.test.features)[1]
         correct = np.argmax(test_logits, axis=1) == bundle.test.labels
         conf_pre = rowwise_softmax(test_logits).max(axis=1)
         conf_post = rowwise_softmax(test_logits / fitted).max(axis=1)
         rows.append(CalibrationRow(loss_cfg.kind, fitted,
                                    ece(conf_pre, correct, cfg.metrics.ece_bins),
                                    ece(conf_post, correct, cfg.metrics.ece_bins)))
-    _record_warnings(out_dir, warnings, bool(rows))
-    if out_dir is not None:
-        _write(os.path.join(out_dir, "calibration.csv"), csv_table(
-            ["loss_name", "fitted_T", "ece_pre_ts", "ece_post_ts"],
-            ((r.loss_name, r.fitted_T, r.pre.ece, r.post.ece) for r in rows)))
+    _record_warnings(cfg.output_dir, warnings, bool(rows))
+    _write(os.path.join(cfg.output_dir, "calibration.csv"), csv_table(
+        ["loss_name", "fitted_T", "ece_pre_ts", "ece_post_ts"],
+        ((r.loss_name, r.fitted_T, r.pre.ece, r.post.ece) for r in rows)))
     return rows

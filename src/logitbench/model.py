@@ -54,14 +54,9 @@ def init_model(layer_dims, seed: int) -> MlpModel:
     return MlpModel(dims, tuple(weights), tuple(biases))
 
 
-def forward(model: MlpModel, x: Matrix2D) -> Matrix2D:
-    """Plain forward pass."""
-    return Matrix2D(forward_layers(model, x)[1])
-
-
-def forward_layers(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], np.ndarray]:
-    """(layer inputs, logits) of `_forward`, after checking x's width; logits
-    that overflow raise DataError."""
+def forward(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], np.ndarray]:
+    """The checked forward pass: (layer inputs, logits) of `_forward` as plain
+    arrays, after checking x's width; logits that overflow raise DataError."""
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
     inputs, logits = _forward(model.weights, model.biases, x.data)

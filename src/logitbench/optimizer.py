@@ -10,11 +10,11 @@ from typing import Optional
 
 import numpy as np
 
-from .data import LabeledDataset, OodDataset
+from .data import LabeledDataset
 from .errors import ConfigError, DivergedError
 from .losses import LossConfig, loss_and_grad
 from .model import MlpModel, _forward, backward
-from .tensor import row_l2_norm
+from .tensor import Matrix2D, row_l2_norm
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def _layer_views(flat: np.ndarray, model: MlpModel
 
 
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
-          optim_cfg: OptimConfig, seed: int, probe_ood: Optional[OodDataset] = None,
+          optim_cfg: OptimConfig, seed: int, probe_ood: Optional[Matrix2D] = None,
           *, every_epoch: bool = True) -> tuple[MlpModel, list[EpochTelemetry]]:
     """Train and return (new model, telemetry): one record per epoch, or with `every_epoch`
     false the last epoch's record alone.
@@ -107,7 +107,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
     decay = optim_cfg.weight_decay
     x_all = dataset.features.data
     y_all = dataset.labels
-    x_ood = probe_ood.features.data if probe_ood is not None else None
+    x_ood = probe_ood.data if probe_ood is not None else None
     # Allocated once: a fresh output per epoch-end forward would fault in new pages each epoch.
     probes = [(x, [np.empty((len(x), w.shape[1])) for w in weights])
               for x in (x_all, x_ood) if x is not None]

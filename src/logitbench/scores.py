@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, kind_params, read_lines
-from .model import MlpModel, forward, forward_layers, input_gradient
+from .model import MlpModel, forward, input_gradient
 from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
 MSP = "msp"
@@ -56,7 +56,7 @@ def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Ma
     """Step every row against the sign of its input gradient of the
     cross-entropy between softmax(f / T) and the predicted class; that
     cross-entropy is -log S_pred, so the step raises the max softmax."""
-    inputs, f = forward_layers(model, features)
+    inputs, f = forward(model, features)
     grad = np.exp(log_softmax(f * (1.0 / T)))
     grad[np.arange(f.shape[0]), f.argmax(axis=1)] -= 1.0
     grad *= 1.0 / T
@@ -67,17 +67,17 @@ def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Ma
 def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.ndarray:
     """Score every row of `features` under `cfg`; one value per row."""
     if cfg.kind == MSP:
-        return rowwise_softmax(forward(model, features).data).max(axis=1)
+        return rowwise_softmax(forward(model, features)[1]).max(axis=1)
     T = cfg.params["T"]
     if cfg.kind == ODIN:
         if cfg.params["eps"] > 0.0:
             features = _odin_input(model, features, T, cfg.params["eps"])
-        return rowwise_softmax(forward(model, features).data / T).max(axis=1)
+        return rowwise_softmax(forward(model, features)[1] / T).max(axis=1)
     if cfg.kind == ENERGY:
-        f = forward(model, features).data / T
+        f = forward(model, features)[1] / T
         m = f.max(axis=1)
         return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
-    inputs, logits = forward_layers(model, features)
+    inputs, logits = forward(model, features)
     probs = np.exp(log_softmax(logits * (1.0 / T)))
     k = model.num_classes
     return np.abs(inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / k).sum(axis=1) / T

@@ -37,10 +37,6 @@ class Matrix2D:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
 
 def rowwise_softmax(arr: np.ndarray) -> np.ndarray:
     """Row-stable softmax (max-subtraction)."""

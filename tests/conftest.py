@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logitbench.data import LabeledDataset, gen_blobs, split
+from logitbench.data import gen_blobs, split
 from logitbench.harness import load_config
 from logitbench.losses import LOGIT_NORM, LOSS_PARAMS, cross_entropy_values
 from logitbench.model import backward
@@ -73,14 +73,11 @@ def logitnorm_values(logits, labels, tau: float) -> np.ndarray:
 
 
 def save_delimited(dataset, path) -> None:
-    """Write a LabeledDataset or OodDataset in the format load_delimited
-    reads: one row per line, 17 significant digits, the label last."""
+    """Write a LabeledDataset in the format load_delimited reads: one row
+    per line, 17 significant digits, the label last."""
     with open(path, "w") as fh:
-        for i, row in enumerate(dataset.features.data):
-            cells = [f"{v:.17g}" for v in row]
-            if isinstance(dataset, LabeledDataset):
-                cells.append(str(int(dataset.labels[i])))
-            fh.write(",".join(cells) + "\n")
+        for row, label in zip(dataset.features.data, dataset.labels):
+            fh.write(",".join([*(f"{v:.17g}" for v in row), str(int(label))]) + "\n")
 
 
 def write_file_data(tmp_path, test_dim=4):

@@ -18,7 +18,7 @@ from logitbench.harness import run_calibration, run_experiment, sweep_tau
 from logitbench.losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from logitbench.metrics import (aupr, auroc, fit_temperature, fpr_at_tpr,
                                 nll_at_temperature)
-from logitbench.model import forward, forward_layers, init_model, input_gradient
+from logitbench.model import forward, init_model, input_gradient
 from logitbench.scores import GRADNORM, ScoreConfig, score_batch
 from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
 
@@ -94,10 +94,10 @@ def test_criterion_1_gradients_match_finite_differences():
         label = np.array([int(rng.integers(0, k))])
 
         def value(flat):
-            logits = forward(model, Matrix2D(flat.reshape(1, d))).data
+            logits = forward(model, Matrix2D(flat.reshape(1, d)))[1]
             return loss_and_grad(logits * (1.0 / 3.0), label, nll)[0]
 
-        inputs, logits = forward_layers(model, Matrix2D(x0))
+        inputs, logits = forward(model, Matrix2D(x0))
         grad = loss_and_grad(logits * (1.0 / 3.0), label, nll)[1] * (1.0 / 3.0)
         grad_x = input_gradient(model.weights, inputs, grad)
         numeric = central_difference(value, x0.ravel())
@@ -117,7 +117,7 @@ def test_criterion_1_gradients_match_finite_differences():
             w = flat.reshape(w0.shape)
             patched = dataclasses.replace(
                 model, weights=model.weights[:-1] + (w,))
-            return -log_softmax(forward(patched, x).data).mean()
+            return -log_softmax(forward(patched, x)[1]).mean()
 
         score = score_batch(model, x, ScoreConfig(GRADNORM))
         numeric = np.abs(central_difference(value, w0.ravel())).sum()
@@ -352,7 +352,7 @@ def test_criterion_8_calibration(tmp_path):
                      if l.kind == "logit_norm" else l for l in cfg.losses),
         optim=dataclasses.replace(cfg.optim, weight_decay=5e-4),
     )
-    rows = {r.loss_name: r for r in run_calibration(cfg, out_dir=str(tmp_path))}
+    rows = {r.loss_name: r for r in run_calibration(cfg)}
     ce, ln = rows["cross_entropy"], rows["logit_norm"]
     assert ln.pre.ece > ce.pre.ece, \
         f"logit_norm pre-TS ECE {ln.pre.ece:.3f} not above CE {ce.pre.ece:.3f}"
@@ -390,7 +390,7 @@ def test_criterion_9_tau_sweep(tmp_path):
         data=dataclasses.replace(cfg.data, label_noise=0.0, cluster_radius=6.0),
         optim=dataclasses.replace(cfg.optim, weight_decay=5e-4),
     )
-    rows, selected = sweep_tau(cfg, list(TAU_GRID), out_dir=str(tmp_path))
+    rows, selected = sweep_tau(cfg, list(TAU_GRID))
     by_tau = {r.tau: r for r in rows}
     assert 2.0 in by_tau, "tau=2 run diverged"
     assert selected < 2.0, f"selected tau {selected} is the largest value"
@@ -411,10 +411,13 @@ def test_criterion_9_tau_sweep(tmp_path):
 def test_criterion_10_determinism(tmp_path):
     """A reduced desk run repeated with the same config produces
     byte-identical CSV outputs (and score dumps and checkpoints)."""
-    cfg = load_desk(seeds=(0,), epochs=20, output_dir=str(tmp_path / "a"))
-    run_experiment(cfg)
-    run_experiment(cfg, out_dir=str(tmp_path / "b"))
+    out = tmp_path / "out"
+    cfg = load_desk(seeds=(0,), epochs=20, output_dir=str(out))
     a, b = tmp_path / "a", tmp_path / "b"
+    run_experiment(cfg)
+    out.rename(a)
+    run_experiment(cfg)
+    out.rename(b)
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted(p.name for p in b.iterdir())
     compared = 0

@@ -391,13 +391,18 @@ DESK = CONFIGS / "desk.json"
      "n_test_per_class) must be at most 1000000, got 1000010"),
     (("data", "n_train_per_class"), 1,
      "config.data: val_fraction > 0 needs n_train_per_class >= 2, got 1"),
+    (("data", "cluster_spread"), 1e308,
+     "config.data: cluster_spread must be in [0, 1e6], got 1e+308"),
+    (("data", "cluster_radius"), 1e308,
+     "config.data: cluster_radius must be in [0, 1e6], got 1e+308"),
 ], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "bins_str", "dims_str",
         "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
         "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown",
         "params_hw_neg", "params_hw_big", "params_k_big", "loss_params_unread",
         "score_params_unread", "score_T_big", "score_eps_big", "ood_m_big", "ece_bins_big",
-        "n_train0", "n_test0", "blobs_rows_big", "n_train_val1"])
+        "n_train0", "n_test0", "blobs_rows_big", "n_train_val1", "blob_spread_big",
+        "blob_radius_big"])
 @pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate"])
 def test_bad_config_value_is_one_line_naming_its_key(command, path, value, message,
                                                     tmp_path, capsys):

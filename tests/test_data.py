@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logitbench.data import (LabeledDataset, OodDataset, corrupt_labels,
+from logitbench.data import (OOD_PARAMS, LabeledDataset, corrupt_labels,
                              gen_blobs, gen_ood, load_delimited, split)
 from logitbench.errors import ConfigError, DataError
 from logitbench.tensor import Matrix2D
@@ -79,22 +79,22 @@ def test_gen_blobs_validation():
 
 
 def test_gen_ood_uniform_box_bounds():
-    ds = gen_ood("uniform_box", d=4, m=500, params={"half_width": 2.5}, seed=0)
-    assert ds.features.data.min() >= -2.5
-    assert ds.features.data.max() <= 2.5
-    assert (ds.n, ds.dim) == (500, 4)
+    ood = gen_ood("uniform_box", d=4, m=500, params={"half_width": 2.5}, seed=0)
+    assert ood.data.min() >= -2.5
+    assert ood.data.max() <= 2.5
+    assert (ood.rows, ood.cols) == (500, 4)
 
 
 def test_gen_ood_gaussian_noise_moments():
-    ds = gen_ood("gaussian_noise", d=6, m=5000, params={"mean": 1.0, "std": 2.0},
-                 seed=1)
-    assert ds.features.data.mean() == pytest.approx(1.0, abs=0.1)
-    assert ds.features.data.std() == pytest.approx(2.0, abs=0.1)
+    ood = gen_ood("gaussian_noise", d=6, m=5000, params={"mean": 1.0, "std": 2.0},
+                  seed=1)
+    assert ood.data.mean() == pytest.approx(1.0, abs=0.1)
+    assert ood.data.std() == pytest.approx(2.0, abs=0.1)
 
 
 def test_gen_ood_ring_radii():
-    ds = gen_ood("ring", d=5, m=1000, params={"radius": 4.0, "jitter": 0.1}, seed=2)
-    radii = np.linalg.norm(ds.features.data, axis=1)
+    ood = gen_ood("ring", d=5, m=1000, params={"radius": 4.0, "jitter": 0.1}, seed=2)
+    radii = np.linalg.norm(ood.data, axis=1)
     assert radii.mean() == pytest.approx(4.0, abs=0.05)
     assert radii.std() == pytest.approx(0.1, abs=0.05)
 
@@ -106,15 +106,21 @@ def test_ring_far_outside_blobs():
                       cluster_radius=radius, seed=3)
     ring = gen_ood("ring", d=6, m=200, params={"radius": 10 * radius}, seed=4)
     dists = np.linalg.norm(
-        ring.features.data[:, None, :] - blobs.features.data[None], axis=2)
+        ring.data[:, None, :] - blobs.features.data[None], axis=2)
     assert dists.min() > 5 * radius
 
 
 def test_gen_ood_shifted_blobs():
-    ds = gen_ood("shifted_blobs", d=4, m=100,
-                 params={"k": 5, "cluster_radius": 2.0, "cluster_spread": 0.5,
-                         "shift": 1.0}, seed=5)
-    assert (ds.n, ds.dim) == (100, 4)
+    ood = gen_ood("shifted_blobs", d=4, m=100,
+                  params={"k": 5, "cluster_radius": 2.0, "cluster_spread": 0.5,
+                          "shift": 1.0}, seed=5)
+    assert (ood.rows, ood.cols) == (100, 4)
+
+
+@pytest.mark.parametrize("kind", OOD_PARAMS)
+def test_gen_ood_rejects_an_empty_set(kind):
+    with pytest.raises(ConfigError, match="^m must be >= 1, got 0$"):
+        gen_ood(kind, d=4, m=0, seed=0)
 
 
 def test_gen_ood_unknown_kind():
@@ -130,7 +136,7 @@ def test_gen_ood_unknown_param():
 def test_gen_ood_deterministic():
     a = gen_ood("gaussian_noise", d=3, m=20, seed=9)
     b = gen_ood("gaussian_noise", d=3, m=20, seed=9)
-    assert np.array_equal(a.features.data, b.features.data)
+    assert np.array_equal(a.data, b.data)
 
 
 # ---------------------------------------------------------------------------
@@ -225,25 +231,16 @@ def test_save_load_labeled_round_trip(tmp_path):
                    cluster_radius=2.0, seed=18)
     path = tmp_path / "labeled.csv"
     save_delimited(ds, path)
-    loaded = load_delimited(path, has_label=True, k=3)
+    loaded = load_delimited(path, k=3)
     assert np.array_equal(loaded.features.data, ds.features.data)
     assert np.array_equal(loaded.labels, ds.labels)
     assert loaded.k == 3
 
 
-def test_save_load_ood_round_trip(tmp_path):
-    ds = gen_ood("gaussian_noise", d=3, m=7, seed=19)
-    path = tmp_path / "ood.csv"
-    save_delimited(ds, path)
-    loaded = load_delimited(path, has_label=False)
-    assert isinstance(loaded, OodDataset)
-    assert np.array_equal(loaded.features.data, ds.features.data)
-
-
 def test_load_delimited_comments_and_blanks(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("# header comment\n1.0,2.0,0\n\n3.0,4.0,1\n")
-    ds = load_delimited(path, has_label=True)
+    ds = load_delimited(path)
     assert ds.n == 2 and ds.k == 2
 
 
@@ -251,21 +248,21 @@ def test_load_delimited_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0,0\n1.0,0\n")
     with pytest.raises(DataError, match="line 2"):
-        load_delimited(path, has_label=True)
+        load_delimited(path)
 
 
 def test_load_delimited_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,two,0\n")
     with pytest.raises(DataError, match="line 1"):
-        load_delimited(path, has_label=True)
+        load_delimited(path)
 
 
 def test_load_delimited_fractional_label(tmp_path):
     path = tmp_path / "fraclabel.csv"
     path.write_text("1.0,2.0,0.5\n")
     with pytest.raises(DataError):
-        load_delimited(path, has_label=True)
+        load_delimited(path)
 
 
 @pytest.mark.parametrize("row", ["1.0,2.0,nan", "1.0,2.0,inf", "1.0,2.0,1e300",
@@ -277,18 +274,18 @@ def test_load_delimited_rejects_bad_values_and_labels(row, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(f"# features, label\n{row}\n")
     with pytest.raises(DataError, match="line 2"):
-        load_delimited(path, has_label=True)
+        load_delimited(path)
 
 
 def test_load_delimited_label_out_of_range(tmp_path):
     path = tmp_path / "range.csv"
     path.write_text("1.0,2.0,5\n")
     with pytest.raises(DataError):
-        load_delimited(path, has_label=True, k=3)
+        load_delimited(path, k=3)
 
 
 def test_load_delimited_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# nothing here\n")
     with pytest.raises(DataError):
-        load_delimited(path, has_label=False)
+        load_delimited(path)

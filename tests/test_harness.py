@@ -236,8 +236,8 @@ def test_realize_data_shapes():
     assert bundle.val.n == 24
     assert bundle.test.n == 30
     assert [tag for tag, _ in bundle.ood_sets] == ["uniform_box", "gaussian_noise"]
-    assert all(ds.dim == 4 for _, ds in bundle.ood_sets)
-    assert bundle.validation_ood.n == 50
+    assert all(ood.cols == 4 for _, ood in bundle.ood_sets)
+    assert bundle.validation_ood.rows == 50
 
 
 def test_realize_data_no_val_split():
@@ -267,7 +267,7 @@ def test_realize_data_from_files(tmp_path):
     assert bundle.train.n + bundle.val.n == train_ds.n
     assert np.array_equal(bundle.test.features.data, test_ds.features.data)
     assert np.array_equal(bundle.test.labels, test_ds.labels)
-    assert all(ds.dim == 4 for _, ds in bundle.ood_sets)
+    assert all(ood.cols == 4 for _, ood in bundle.ood_sets)
 
 
 def test_realize_data_rejects_mismatched_file_widths(tmp_path):
@@ -281,8 +281,7 @@ def test_realize_data_deterministic():
     a = realize_data(cfg, 3)
     b = realize_data(cfg, 3)
     assert np.array_equal(a.train.features.data, b.train.features.data)
-    assert np.array_equal(a.ood_sets[0][1].features.data,
-                          b.ood_sets[0][1].features.data)
+    assert np.array_equal(a.ood_sets[0][1].data, b.ood_sets[0][1].data)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +346,7 @@ def test_run_experiment_bench_csv_header(tiny_run):
 def test_run_experiment_rerun_is_byte_identical(tiny_run, tmp_path):
     cfg, _, out = tiny_run
     rerun_dir = tmp_path / "rerun"
-    run_experiment(cfg, out_dir=str(rerun_dir))
+    run_experiment(dataclasses.replace(cfg, output_dir=str(rerun_dir)))
     for name in ("bench.csv", "bench_per_seed.csv",
                  "telemetry_cross_entropy_0.csv",
                  "scores_logit_norm_energy_gaussian_noise_1.txt"):
@@ -448,7 +447,7 @@ def test_epoch_end_forward_runs_only_where_its_record_is_written(tmp_path, monke
 def test_sweep_tau_singleton(tmp_path):
     raw = tiny_raw(output_dir=str(tmp_path), seeds=[0])
     cfg = config_from_dict(raw)
-    rows, selected = sweep_tau(cfg, [0.04], out_dir=str(tmp_path))
+    rows, selected = sweep_tau(cfg, [0.04])
     assert selected == 0.04
     assert len(rows) == 1
     text = (tmp_path / "sweep_tau.csv").read_text()
@@ -460,24 +459,24 @@ def test_sweep_tau_singleton(tmp_path):
 
 
 def test_sweep_tau_selects_argmin(tmp_path):
-    cfg = config_from_dict(tiny_raw(seeds=[0]))
+    cfg = config_from_dict(tiny_raw(seeds=[0], output_dir=str(tmp_path)))
     rows, selected = sweep_tau(cfg, [0.05, 0.1])
     best = min(rows, key=lambda r: (r.val_fpr95_mean, r.tau))
     assert selected == best.tau
 
 
-def test_sweep_tau_realizes_each_seed_once(monkeypatch):
+def test_sweep_tau_realizes_each_seed_once(monkeypatch, tmp_path):
     calls = []
     real = harness.realize_data
     monkeypatch.setattr(harness, "realize_data",
                         lambda cfg, seed: calls.append(seed) or real(cfg, seed))
-    rows, _ = sweep_tau(config_from_dict(tiny_raw()), [0.05, 0.1, 0.5])
+    rows, _ = sweep_tau(config_from_dict(tiny_raw(output_dir=str(tmp_path))), [0.05, 0.1, 0.5])
     assert calls == [0, 1]
     assert [r.tau for r in rows] == [0.05, 0.1, 0.5]
 
 
-def test_sweep_tau_validation():
-    cfg = config_from_dict(tiny_raw())
+def test_sweep_tau_validation(tmp_path):
+    cfg = config_from_dict(tiny_raw(output_dir=str(tmp_path)))
     with pytest.raises(ConfigError):
         sweep_tau(cfg, [])
     with pytest.raises(ConfigError):
@@ -526,16 +525,16 @@ def test_histogram_csv_shape(tmp_path):
 # calibration
 
 
-def test_run_calibration_requires_val_split():
-    cfg = config_from_dict(tiny_raw())
+def test_run_calibration_requires_val_split(tmp_path):
+    cfg = config_from_dict(tiny_raw(output_dir=str(tmp_path)))
     cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, val_fraction=0.0))
     with pytest.raises(ConfigError):
         run_calibration(cfg)
 
 
 def test_run_calibration_outputs(tmp_path):
-    cfg = config_from_dict(tiny_raw(seeds=[0]))
-    rows = run_calibration(cfg, out_dir=str(tmp_path))
+    cfg = config_from_dict(tiny_raw(seeds=[0], output_dir=str(tmp_path)))
+    rows = run_calibration(cfg)
     assert [r.loss_name for r in rows] == ["cross_entropy", "logit_norm"]
     for r in rows:
         assert r.fitted_T > 0

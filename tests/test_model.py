@@ -49,20 +49,20 @@ def test_forward_zero_model_gives_zero_logits():
     m = MlpModel(dims,
                  tuple(np.zeros((a, b)) for a, b in zip(dims, dims[1:])),
                  tuple(np.zeros((1, b)) for b in dims[1:]))
-    out = forward(m, Matrix2D(np.array([[1.0, -2.0, 3.0]])))
-    assert np.array_equal(out.data, np.zeros((1, 2)))
+    _, logits = forward(m, Matrix2D(np.array([[1.0, -2.0, 3.0]])))
+    assert np.array_equal(logits, np.zeros((1, 2)))
 
 
 def test_forward_single_identity_layer():
     m = MlpModel((2, 2), (np.eye(2),), (np.zeros((1, 2)),))
-    out = forward(m, Matrix2D(np.array([[1.0, 2.0]])))
-    assert np.array_equal(out.data, [[1.0, 2.0]])
+    _, logits = forward(m, Matrix2D(np.array([[1.0, 2.0]])))
+    assert np.array_equal(logits, [[1.0, 2.0]])
 
 
 def test_forward_output_shape():
     m = init_model((2, 4, 3), seed=3)
-    out = forward(m, Matrix2D(np.random.default_rng(0).standard_normal((5, 2))))
-    assert out.shape == (5, 3)
+    _, logits = forward(m, Matrix2D(np.random.default_rng(0).standard_normal((5, 2))))
+    assert logits.shape == (5, 3)
 
 
 def test_forward_rejects_wrong_width():
@@ -72,11 +72,17 @@ def test_forward_rejects_wrong_width():
 
 
 def test_traced_forward_matches_plain():
-    m = init_model((4, 8, 3), seed=11)
+    """`forward` gives the logits of `_forward` bit for bit, and its layer
+    inputs as a list of plain arrays: x, then each relu output."""
+    m = init_model((4, 8, 6, 3), seed=11)
     x = Matrix2D(np.random.default_rng(1).standard_normal((6, 4)))
-    inputs, logits = _forward(m.weights, m.biases, x.data)
-    assert np.array_equal(logits, forward(m, x).data)
-    assert inputs[0] is x.data and len(inputs) == 2
+    want_inputs, want_logits = _forward(m.weights, m.biases, x.data)
+    inputs, logits = forward(m, x)
+    assert type(logits) is np.ndarray and logits.tobytes() == want_logits.tobytes()
+    assert type(inputs) is list and len(inputs) == len(want_inputs) == 3
+    assert inputs[0] is x.data
+    for got, want in zip(inputs, want_inputs):
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
 
 
 def test_forward_into_buffers_matches_new_arrays_bitwise():

@@ -4,7 +4,7 @@ problem, and telemetry output."""
 import numpy as np
 import pytest
 
-from logitbench.data import LabeledDataset, OodDataset, gen_blobs, gen_ood
+from logitbench.data import LabeledDataset, gen_blobs, gen_ood
 from logitbench.errors import ConfigError, DivergedError
 from logitbench.harness import csv_table, field_names
 from logitbench.losses import LossConfig, loss_and_grad
@@ -185,7 +185,7 @@ def per_array_train(model, dataset, loss_cfg, optim_cfg, seed, probe_ood):
                 vb += gb
                 w -= lr * vw
                 b -= lr * vb
-        outputs = [_forward(weights, biases, x)[1] for x in (x_all, probe_ood.features.data)]
+        outputs = [_forward(weights, biases, x)[1] for x in (x_all, probe_ood.data)]
         norms = [float(row_l2_norm(f).mean()) for f in outputs]
         telemetry.append(EpochTelemetry(
             epoch + 1, loss_sum / loss_batches,
@@ -240,7 +240,7 @@ def test_last_epoch_only_still_checks_the_final_forward():
     every_epoch the last epoch's forward is the only one, and it must still
     raise, naming the last epoch and its last step."""
     ds = easy_dataset()
-    probe = OodDataset(Matrix2D(np.full((3, 4), 1e308) * [[1.0], [-1.0], [0.5]]))
+    probe = Matrix2D(np.full((3, 4), 1e308) * [[1.0], [-1.0], [0.5]])
     model = init_model((4, 16, 8, 2), seed=12)
     cfg = small_optim(epochs=5, lr_drops=())
     with pytest.raises(DivergedError) as full:

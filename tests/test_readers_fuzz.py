@@ -44,9 +44,8 @@ def records(fields):
 READERS = {
     "read_scores": read_scores,
     "load_checkpoint": load_checkpoint,
-    "load_delimited labeled": lambda p: load_delimited(p, has_label=True),
-    "load_delimited labeled k=3": lambda p: load_delimited(p, has_label=True, k=3),
-    "load_delimited unlabeled": lambda p: load_delimited(p, has_label=False),
+    "load_delimited labeled": load_delimited,
+    "load_delimited labeled k=3": lambda p: load_delimited(p, k=3),
 }
 
 
@@ -64,12 +63,12 @@ def test_near_valid_score_dumps(text, path):
     only_data_error(read_scores, path, text)
 
 
-@pytest.mark.parametrize("has_label, k", [(True, None), (True, 3), (False, None)])
+@pytest.mark.parametrize("k", [None, 3])
 @FUZZ
 @given(text=records(st.lists(NUMBERS | st.sampled_from(["#", "# c"]), min_size=1,
                              max_size=4)))
-def test_near_valid_delimited_files(has_label, k, text, path):
-    only_data_error(lambda p: load_delimited(p, has_label=has_label, k=k), path, text)
+def test_near_valid_delimited_files(k, text, path):
+    only_data_error(lambda p: load_delimited(p, k=k), path, text)
 
 
 @pytest.fixture(scope="module")

@@ -210,7 +210,7 @@ def test_gradnorm_validation(small_model):
 def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
     x = Matrix2D(x.reshape(1, -1))
     if cfg.kind == MSP:
-        return float(rowwise_softmax(forward(model, x).data)[0].max())
+        return float(rowwise_softmax(forward(model, x)[1])[0].max())
     if cfg.kind == ODIN:
         T = cfg.params["T"]
         if cfg.params["eps"] > 0.0:
@@ -221,10 +221,10 @@ def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
             trace.tape.backward(nll)
             grad = trace.tape.grad(trace.input)
             x = Matrix2D(x.data - cfg.params["eps"] * np.sign(grad))
-        return float(rowwise_softmax(forward(model, x).data / T)[0].max())
+        return float(rowwise_softmax(forward(model, x)[1] / T)[0].max())
     if cfg.kind == ENERGY:
         T = cfg.params["T"]
-        logits = forward(model, x).data[0] / T
+        logits = forward(model, x)[1][0] / T
         m = logits.max()
         return float(T * (m + np.log(np.exp(logits - m).sum())))
     trace = forward_traced(model, x)
@@ -237,7 +237,7 @@ def oracle_rows() -> np.ndarray:
     """200 ID rows and 100 OOD rows."""
     id_rows = gen_blobs(k=4, d=6, n_per_class=50, cluster_spread=1.0,
                         cluster_radius=3.0, seed=4).features.data
-    ood_rows = gen_ood("uniform_box", 6, 100, {"half_width": 6.0}, seed=5).features.data
+    ood_rows = gen_ood("uniform_box", 6, 100, {"half_width": 6.0}, seed=5).data
     return np.concatenate([id_rows, ood_rows])
 
 
@@ -283,7 +283,7 @@ def test_score_batch_matches_oracle(trained_models):
 def test_non_finite_logits_raise_data_error():
     model = MlpModel((2, 2), (1e300 * np.eye(2),), (np.zeros((1, 2)),))
     for kind in SCORE_PARAMS:
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^logits must be finite$"):
             score_batch(model, Matrix2D([[1e10, 0.0]]), ScoreConfig(kind=kind))
 
 
