@@ -16,7 +16,8 @@ from .metrics import (CalibrationReport, DetectionReport, aupr, auroc, ece,
 from .model import (MlpModel, forward, init_model, load_checkpoint,
                     save_checkpoint)
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train
-from .scores import ScoreConfig, read_scores, score_batch, write_scores
+from .scores import (ScoreConfig, dump_records, read_scores, score_batch,
+                     write_scores)
 from .tensor import (Matrix2D, row_l2_norm, rowwise_softmax,
                      use_one_blas_thread)
 

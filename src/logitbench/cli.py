@@ -88,7 +88,7 @@ def _echo_warnings(args, cfg) -> int:
 def _cmd_train(args) -> int:
     cfg = _load(args)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    for seed, _, lname, _, history in trained_cells(cfg, cfg.output_dir, []):
+    for seed, _, lname, _, history in trained_cells(cfg, []):
         if not args.quiet:
             print(f"trained {lname}_{seed}: final acc {history[-1].train_acc:.4f}")
     return _echo_warnings(args, cfg)
@@ -101,7 +101,7 @@ def _cmd_score(args) -> int:
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     for seed in cfg.seeds:
         bundle = realize_data(cfg, seed)
-        for sname, tag, _ in dump_scores(cfg, model, bundle, cfg.output_dir, stem, seed):
+        for sname, tag, _ in dump_scores(cfg, model, bundle, stem, seed):
             if not args.quiet:
                 print(f"wrote scores_{stem}_{sname}_{tag}_{seed}.txt")
     return 0

@@ -29,7 +29,7 @@ from .metrics import (CalibrationReport, check_tpr_target, detection_report,
                       ece, fit_temperature, fpr_at_tpr)
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, train
-from .scores import ScoreConfig, score_batch, write_scores
+from .scores import ScoreConfig, dump_records, score_batch, write_scores
 from .tensor import Matrix2D, row_l2_norm, rowwise_softmax
 
 
@@ -354,10 +354,12 @@ def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
         return None
 
 
-def trained_cells(cfg: ExperimentConfig, out: str, warnings: list[str]):
+def trained_cells(cfg: ExperimentConfig, warnings: list[str]):
     """Train every (seed, loss) cell, write its telemetry and checkpoint
-    under out and yield (seed, data, loss name, model, telemetry). Diverged
-    cells are skipped and, after the last cell, recorded (_record_warnings)."""
+    under cfg.output_dir and yield (seed, data, loss name, model,
+    telemetry). Diverged cells are skipped and, after the last cell,
+    recorded (_record_warnings)."""
+    out = cfg.output_dir
     chash = config_hash(cfg)
     trained = False
     for seed in cfg.seeds:
@@ -386,17 +388,18 @@ def _finite(scores: np.ndarray) -> np.ndarray:
 
 
 def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
-                out: str, stem: str, seed: int):
+                stem: str, seed: int):
     """Score the ID test set once per detector and each OOD set against it;
-    write each dump under out and yield (detector name, OOD tag, (ID
-    scores, OOD scores)). A non-finite score raises DataError before the
-    dump that would hold it is written."""
+    write each dump under cfg.output_dir and yield (detector name, OOD tag,
+    (ID scores, OOD scores)). A non-finite score raises DataError before
+    the dump that would hold it is written."""
     for score_cfg in cfg.scores:
         id_scores = _finite(score_batch(model, bundle.test.features, score_cfg))
+        id_records = dump_records("ID", id_scores)
         for tag, ood in bundle.ood_sets:
             ood_scores = _finite(score_batch(model, ood, score_cfg))
-            write_scores(os.path.join(out, f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"),
-                         id_scores, ood_scores)
+            name = f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"
+            write_scores(os.path.join(cfg.output_dir, name), id_records, ood_scores)
             yield score_cfg.kind, tag, (id_scores, ood_scores)
 
 
@@ -429,7 +432,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> ExperimentResul
     final_norms: dict[tuple[str, int], dict[str, float]] = {}
     warnings: list[str] = []
 
-    for seed, bundle, lname, model, history in trained_cells(cfg, out, warnings):
+    for seed, bundle, lname, model, history in trained_cells(cfg, warnings):
         telemetry[(lname, seed)] = history
         test_logits = forward(model, bundle.test.features)[1]
         id_acc = float((np.argmax(test_logits, axis=1) == bundle.test.labels).mean())
@@ -438,7 +441,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> ExperimentResul
             norms[tag] = float(row_l2_norm(forward(model, ood)[1]).mean())
         final_norms[(lname, seed)] = norms
 
-        for sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle, out,
+        for sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle,
                                                                 lname, seed):
             report = detection_report(id_scores, ood_scores, cfg.metrics.tpr_target)
             seed_rows.append(SeedRow(lname, sname, tag, seed, report.fpr_at_95_tpr,

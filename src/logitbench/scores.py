@@ -18,7 +18,6 @@ activation h and (softmax(f / T) - 1/k) / T, whose L1 norm factorises into
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,13 +85,18 @@ def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.nda
 # Score dump interchange: one "<origin>,<decimal>" record per line, origin
 # ID or OOD, the decimal a finite float with 17 significant digits.
 
-def write_scores(path, id_scores, ood_scores) -> None:
-    """Write the ID records, then the OOD records, in array order."""
-    text = "".join([f"{origin},{v:.17g}\n"
-                    for origin, scores in (("ID", id_scores), ("OOD", ood_scores))
-                    for v in np.asarray(scores, np.float64).tolist()])
+def dump_records(origin: str, scores) -> str:
+    """The dump records of `scores` under `origin`, in array order."""
+    return "".join([f"{origin},{v:.17g}\n" for v in np.asarray(scores, np.float64).tolist()])
+
+
+def write_scores(path, id_records: str, ood_scores) -> None:
+    """Write `id_records`, the `dump_records` of the ID scores, then the
+    records of the OOD scores. A detector's ID records are the same in
+    every dump that scores it, so callers format them once."""
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(id_records)
+        fh.write(dump_records("OOD", ood_scores))
 
 
 def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +107,6 @@ def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
     return parsed if parsed is not None else _read_by_line(path)
 
 
-# Every line "ID,<v>" or "OOD,<v>", v free of commas; one line at least.
-_RECORDS = re.compile(r"(?:(?:ID|OOD),[^,\n]*\n)+")
-
-
 def _parse_whole(path) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The arrays `_read_by_line` returns, when the file is UTF-8, every
     line is a record and every value a finite float; None otherwise."""
@@ -115,20 +115,49 @@ def _parse_whole(path) -> Optional[tuple[np.ndarray, np.ndarray]]:
             text = fh.read()
     except (OSError, UnicodeDecodeError):
         return None
-    if not _RECORDS.fullmatch(text):
+    is_id = _record_origins(np.frombuffer(text.encode(), np.uint8))
+    if is_id is None:
         return None
     # Origins and values alternate; the last field is the empty one after
     # the final newline.
     fields = text.replace(",", "\n").split("\n")
     del text
     try:
-        values = np.fromiter(map(float, fields[1::2]), np.float64)
+        values = np.fromiter(map(float, fields[1::2]), np.float64, len(is_id))
     except ValueError:
         return None
     if not np.isfinite(values).all():
         return None
-    is_id = np.fromiter(map("ID".__eq__, fields[:-1:2]), bool, len(values))
     return values[is_id], values[~is_id]
+
+
+_COMMA, _NEWLINE = ord(","), ord("\n")
+_I, _O, _D = ord("I"), ord("O"), ord("D")
+
+
+def _record_origins(data: np.ndarray) -> Optional[np.ndarray]:
+    """Whether each line of the UTF-8 bytes `data` is an ID record, when
+    every line is "ID,<v>" or "OOD,<v>" with v free of commas and the last
+    line ends in a newline; None otherwise. That holds when comma and
+    newline bytes alternate, comma first, and each line's bytes before its
+    comma are exactly ID or OOD. UTF-8 encodes every non-ASCII character in
+    bytes of 0x80 and above, so it never holds a comma or newline byte."""
+    seps = np.flatnonzero((data == _COMMA) | (data == _NEWLINE))
+    commas, newlines = seps[0::2], seps[1::2]
+    if (not data.size or data[-1] != _NEWLINE
+            or (data[commas] != _COMMA).any() or (data[newlines] != _NEWLINE).any()):
+        return None
+    starts = np.concatenate(([0], newlines[:-1] + 1))
+    head = commas - starts
+    is_id = head == 2
+    # A head of 2 or 3 bytes is ID or OOD when its first two bytes are ID or
+    # OO, as its length says, and its last byte is D.
+    if not ((is_id | (head == 3)).all()
+            and (data[starts] == np.where(is_id, _I, _O)).all()
+            and (data[starts + 1] == np.where(is_id, _D, _O)).all()
+            and (data[commas - 1] == _D).all()):
+        return None
+    return is_id
 
 
 def _read_by_line(path) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from logitbench.harness import (DataConfig, config_from_dict, config_hash,
                                 config_to_dict, derive_seed, emit_histogram_data,
                                 load_config, realize_data, run_calibration,
                                 run_experiment, sweep_tau)
-from logitbench.scores import read_scores, write_scores
+from logitbench.scores import dump_records, read_scores, write_scores
 
 from conftest import CONFIGS, load_desk, write_file_data
 
@@ -397,7 +397,7 @@ def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeyp
     out.mkdir()
     model = harness.init_model(cfg.layer_dims, 0)
     with pytest.raises(DataError, match=r"^score must be finite, got inf$"):
-        next(harness.dump_scores(cfg, model, realize_data(cfg, 0), str(out), "m", 0))
+        next(harness.dump_scores(cfg, model, realize_data(cfg, 0), "m", 0))
     assert not list(out.glob("scores_*"))
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(raw))
@@ -512,7 +512,7 @@ def test_histogram_validation():
 
 
 def test_histogram_csv_shape(tmp_path):
-    write_scores(tmp_path / "dump.txt", [0.1], [0.9])
+    write_scores(tmp_path / "dump.txt", dump_records("ID", [0.1]), [0.9])
     out = tmp_path / "hist.csv"
     assert main(["report", "--scores", str(tmp_path / "dump.txt"), "--bins", "2",
                  "--out", str(out)]) == 0

@@ -14,8 +14,8 @@ from logitbench.losses import LossConfig
 from logitbench.model import MlpModel, forward, init_model
 from logitbench.optimizer import OptimConfig, train
 from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_PARAMS,
-                               ScoreConfig, read_scores, score_batch,
-                               write_scores)
+                               ScoreConfig, dump_records, read_scores,
+                               score_batch, write_scores)
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
 from tape_oracle import forward_traced
@@ -308,7 +308,7 @@ def test_all_scores_finite(small_model):
 def test_write_read_scores_round_trip(tmp_path):
     path = tmp_path / "scores.txt"
     id_scores, ood_scores = [0.123456789012345678, 1e-300], [-3.5]
-    write_scores(path, id_scores, ood_scores)
+    write_scores(path, dump_records("ID", id_scores), ood_scores)
     loaded_id, loaded_ood = read_scores(path)
     assert loaded_id.tolist() == id_scores
     assert loaded_ood.tolist() == ood_scores
@@ -349,7 +349,7 @@ EDGE_SCORES = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072e-309, 1.7e308, -1.7e30
 
 def assert_same_bytes_as_per_row(tmp_path, id_scores, ood_scores):
     new, old = tmp_path / "new.txt", tmp_path / "old.txt"
-    write_scores(new, id_scores, ood_scores)
+    write_scores(new, dump_records("ID", id_scores), ood_scores)
     per_row_write_scores(old, [("ID", float(v)) for v in id_scores]
                          + [("OOD", float(v)) for v in ood_scores])
     assert new.read_bytes() == old.read_bytes()
@@ -426,6 +426,16 @@ def dump_texts(draw):
 @example(text="ID,1e400\n")
 @example(text="ID,1\nOOD,2")
 @example(text="ID,1.5\x1c\n")
+@example(text="I,1\n")
+@example(text="OODD,1\n")
+@example(text="IDO,1\n")
+@example(text="OD,1\n")
+@example(text="OXD,1\n")
+@example(text="OOX,1\n")
+@example(text=",1\n")
+@example(text="ID,1\nO,\n")
+@example(text="ÌD,1\n")
+@example(text="\ufeffID,1\n")
 def test_whole_file_parse_matches_the_line_loop(text, dump_path):
     """Where the whole-file parse takes a file, it gives the line loop's
     arrays bit for bit; read_scores gives the loop's arrays or its error."""
@@ -444,7 +454,7 @@ def test_whole_file_parse_matches_the_line_loop(text, dump_path):
 
 def test_whole_file_parse_takes_the_files_write_scores_writes(tmp_path):
     path = tmp_path / "dump.txt"
-    write_scores(path, EDGE_SCORES, [0.5, -0.25])
+    write_scores(path, dump_records("ID", EDGE_SCORES), [0.5, -0.25])
     assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
