@@ -42,59 +42,56 @@ def check_tpr_target(tpr_target: float, error: type[Exception] = DataError) -> N
         raise error(f"tpr_target must be in (0, 1], got {tpr_target}")
 
 
-def _arrays(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
+def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
+    """The ID and OOD scores ranked together, highest first. For each group
+    of tied scores, returns the count of ID scores (tp) and of OOD scores
+    (fp) at or above it: a group enters the sweep as a whole."""
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if len(id_scores) == 0 or len(ood_scores) == 0:
         raise DataError("need at least one ID and one OOD example")
-    return id_scores, ood_scores
+    values = np.concatenate([id_scores, ood_scores])
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
+    tp = np.cumsum(order < len(id_scores))[ends]
+    return tp, ends + 1 - tp
+
+
+def detection_report(id_scores, ood_scores, tpr_target: float = 0.95) -> DetectionReport:
+    """FPR at tpr_target TPR, AUROC and AUPR (ID positive, score >= threshold
+    counts as ID), all three read off one ranking of the scores."""
+    check_tpr_target(tpr_target)
+    tp, fp = _ranking(id_scores, ood_scores)
+    n, m = int(tp[-1]), int(fp[-1])
+    # FPR: the OOD fraction admitted by the first group that admits
+    # ceil(tpr_target * n) ID scores, the largest threshold keeping that many.
+    fpr = fp[np.argmax(tp >= math.ceil(tpr_target * n))] / m
+    # AUROC: P(random ID score > random OOD score), ties counted half. The
+    # Mann-Whitney U in exact integers: each ID score of a group adds
+    # (#OOD below + #OOD at or below) / 2.
+    u = (np.diff(tp, prepend=0) * (2 * (m - fp) + np.diff(fp, prepend=0))).sum() / 2
+    # AUPR: precision-recall area with step interpolation.
+    recall = tp / n
+    area = (np.diff(recall, prepend=0.0) * (tp / (tp + fp))).sum()
+    return DetectionReport(float(fpr), float(u / (n * m)), float(area), n, m)
 
 
 def fpr_at_tpr(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
     """OOD fraction admitted at the largest threshold that keeps at least
-    tpr_target of the ID examples (score >= threshold counts as ID)."""
-    check_tpr_target(tpr_target)
-    id_scores, ood_scores = _arrays(id_scores, ood_scores)
-    need = math.ceil(tpr_target * len(id_scores))
-    threshold = np.sort(id_scores)[::-1][need - 1]
-    return float((ood_scores >= threshold).mean())
+    tpr_target of the ID examples (detection_report)."""
+    return detection_report(id_scores, ood_scores, tpr_target).fpr_at_95_tpr
 
 
 def auroc(id_scores, ood_scores) -> float:
-    """P(random ID score > random OOD score), ties counted half: the
-    Mann-Whitney U, each ID score adding (#OOD below + #OOD at or below) / 2,
-    both counted exactly by binary search in the sorted OOD scores."""
-    id_scores, ood_scores = _arrays(id_scores, ood_scores)
-    ood_sorted = np.sort(ood_scores)
-    below = np.searchsorted(ood_sorted, id_scores, "left")
-    at_or_below = np.searchsorted(ood_sorted, id_scores, "right")
-    u = (below + at_or_below).sum() / 2
-    return float(u / (len(id_scores) * len(ood_scores)))
+    """P(random ID score > random OOD score), ties counted half
+    (detection_report)."""
+    return detection_report(id_scores, ood_scores).auroc
 
 
 def aupr(id_scores, ood_scores) -> float:
-    """Area under precision-recall (ID positive), descending-score sweep
-    with step interpolation; tied scores enter together."""
-    id_scores, ood_scores = _arrays(id_scores, ood_scores)
-    values = np.concatenate([id_scores, ood_scores])
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    # Each tied group enters the sweep at once: evaluate at the group ends.
-    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
-    tp = np.cumsum(order < len(id_scores))[ends]
-    recall = tp / len(id_scores)
-    precision = tp / (ends + 1)
-    return float((np.diff(recall, prepend=0.0) * precision).sum())
-
-
-def detection_report(id_scores, ood_scores, tpr_target: float = 0.95) -> DetectionReport:
-    return DetectionReport(
-        fpr_at_95_tpr=fpr_at_tpr(id_scores, ood_scores, tpr_target),
-        auroc=auroc(id_scores, ood_scores),
-        aupr=aupr(id_scores, ood_scores),
-        n_id=len(id_scores),
-        n_ood=len(ood_scores),
-    )
+    """Area under precision-recall, ID positive (detection_report)."""
+    return detection_report(id_scores, ood_scores).aupr
 
 
 def ece(confidences: Sequence[float], correct: Sequence[bool],

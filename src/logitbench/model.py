@@ -114,7 +114,7 @@ def input_gradient(weights: Sequence[np.ndarray], inputs: Sequence[np.ndarray],
 # --------------------------------------------------------------------------
 
 def _fmt(values: np.ndarray) -> str:
-    return " ".join([f"{v:.17g}" for v in values.ravel().tolist()])
+    return " ".join(["%.17g"] * values.size) % tuple(values.ravel().tolist())
 
 
 def save_checkpoint(model: MlpModel, path, config_hash: str = "") -> None:

@@ -41,6 +41,8 @@ class OptimConfig:
         if epochs_seen != sorted(set(epochs_seen)) or any(
                 e < 0 or e >= self.epochs for e in epochs_seen):
             raise ConfigError(f"lr_drop epochs must be strictly increasing and < epochs, got {self.lr_drops}")
+        if any(factor < 0 for _, factor in self.lr_drops):
+            raise ConfigError(f"lr_drop factors must be nonnegative, got {self.lr_drops}")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,8 @@ def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.nda
 
 def dump_records(origin: str, scores) -> str:
     """The dump records of `scores` under `origin`, in array order."""
-    return "".join([f"{origin},{v:.17g}\n" for v in np.asarray(scores, np.float64).tolist()])
+    values = np.asarray(scores, np.float64).tolist()
+    return (f"{origin},%.17g\n" * len(values)) % tuple(values)
 
 
 def write_scores(path, id_records: str, ood_scores) -> None:

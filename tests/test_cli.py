@@ -337,6 +337,8 @@ DESK = CONFIGS / "desk.json"
     (("optim", "epochs"), 2.5, "config.optim.epochs: expected int, got 2.5"),
     (("optim", "batch_size"), "128", "config.optim.batch_size: expected int, got '128'"),
     (("optim", "lr_drops"), [[1]], "config.optim.lr_drops[0]: expected list of 2, got [1]"),
+    (("optim", "lr_drops"), [[0, -2.0]],
+     "config.optim: lr_drop factors must be nonnegative, got ((0, -2.0),)"),
     (("metrics", "ece_bins"), "15", "config.metrics.ece_bins: expected int, got '15'"),
     (("layer_dims",), [16, "a", 10], "config.layer_dims[1]: expected int, got 'a'"),
     (("losses",), {"kind": "cross_entropy"}, "config.losses: expected list, got {"),
@@ -395,8 +397,8 @@ DESK = CONFIGS / "desk.json"
      "config.data: cluster_spread must be in [0, 1e6], got 1e+308"),
     (("data", "cluster_radius"), 1e308,
      "config.data: cluster_radius must be in [0, 1e6], got 1e+308"),
-], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "bins_str", "dims_str",
-        "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
+], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "drops_negative", "bins_str",
+        "dims_str", "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
         "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown",
         "params_hw_neg", "params_hw_big", "params_k_big", "loss_params_unread",

@@ -140,8 +140,10 @@ def auroc_draw(shape: str, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
     return np.round(id_scores), np.round(ood_scores)   # integer-valued, heavy ties
 
 
-@pytest.mark.parametrize("seed, shape", enumerate(["integer", "continuous", "single",
-                                                   "all_tied"]))
+DRAW_SHAPES = list(enumerate(["integer", "continuous", "single", "all_tied"]))
+
+
+@pytest.mark.parametrize("seed, shape", DRAW_SHAPES)
 def test_auroc_matches_rank_sum_and_pairwise_bit_for_bit(seed, shape):
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -149,6 +151,56 @@ def test_auroc_matches_rank_sum_and_pairwise_bit_for_bit(seed, shape):
         got = auroc(id_scores, ood_scores)
         assert got.hex() == rank_sum_auroc(id_scores, ood_scores).hex()
         assert got.hex() == brute_auroc(id_scores, ood_scores).hex()
+
+
+def threshold_fpr(id_scores, ood_scores, tpr_target):
+    """The threshold form `fpr_at_tpr` replaced: the ceil(t * n)-th largest
+    ID score is the threshold, found by sorting the ID scores alone."""
+    need = math.ceil(tpr_target * len(id_scores))
+    threshold = np.sort(id_scores)[::-1][need - 1]
+    return float((np.asarray(ood_scores) >= threshold).mean())
+
+
+def sweep_aupr(id_scores, ood_scores):
+    """The form `aupr` replaced: the stable descending sweep, precision from
+    the count of scores admitted."""
+    values = np.concatenate([id_scores, ood_scores])
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
+    tp = np.cumsum(order < len(id_scores))[ends]
+    recall = tp / len(id_scores)
+    precision = tp / (ends + 1)
+    return float((np.diff(recall, prepend=0.0) * precision).sum())
+
+
+TPR_TARGETS = (1e-300, 0.01, 0.5, 0.95, 0.999, 1.0)
+
+
+@pytest.mark.parametrize("seed, shape", DRAW_SHAPES)
+def test_fpr_and_aupr_match_their_replaced_forms_bit_for_bit(seed, shape):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        id_scores, ood_scores = auroc_draw(shape, rng)
+        for tpr_target in TPR_TARGETS:
+            assert (fpr_at_tpr(id_scores, ood_scores, tpr_target).hex()
+                    == threshold_fpr(id_scores, ood_scores, tpr_target).hex())
+        assert aupr(id_scores, ood_scores).hex() == sweep_aupr(id_scores, ood_scores).hex()
+
+
+@pytest.mark.parametrize("seed, shape", DRAW_SHAPES)
+def test_detection_report_is_the_three_metrics_bit_for_bit(seed, shape):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        id_scores, ood_scores = auroc_draw(shape, rng)
+        for tpr_target in TPR_TARGETS:
+            report = detection_report(id_scores, ood_scores, tpr_target)
+            assert ((report.fpr_at_95_tpr.hex(), report.auroc.hex(), report.aupr.hex(),
+                     report.n_id, report.n_ood)
+                    == (fpr_at_tpr(id_scores, ood_scores, tpr_target).hex(),
+                        auroc(id_scores, ood_scores).hex(),
+                        aupr(id_scores, ood_scores).hex(),
+                        len(id_scores), len(ood_scores)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ def test_optim_config_validation():
         OptimConfig(epochs=100, lr_drops=((120, 0.1),))
     with pytest.raises(ConfigError):
         OptimConfig(epochs=100, lr_drops=((50, 0.1), (30, 0.1)))
+    with pytest.raises(ConfigError, match="factors must be nonnegative"):
+        OptimConfig(epochs=100, lr_drops=((30, 0.1), (50, -2.0)))
 
 
 def test_lr_schedule_values():
