@@ -43,14 +43,17 @@ def check_tpr_target(tpr_target: float, error: type[Exception] = DataError) -> N
 
 
 def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
-    """The ID and OOD scores ranked together, highest first. For each group
-    of tied scores, returns the count of ID scores (tp) and of OOD scores
-    (fp) at or above it: a group enters the sweep as a whole."""
+    """The ID and OOD scores ranked together, highest first; DataError when
+    either is empty or a score is not finite. For each group of tied scores,
+    returns the count of ID scores (tp) and of OOD scores (fp) at or above
+    it: a group enters the sweep as a whole."""
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if len(id_scores) == 0 or len(ood_scores) == 0:
         raise DataError("need at least one ID and one OOD example")
     values = np.concatenate([id_scores, ood_scores])
+    if not np.isfinite(values).all():
+        raise DataError("ID and OOD scores must be finite")
     order = np.argsort(-values, kind="stable")
     values = values[order]
     ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))

@@ -116,30 +116,90 @@ def _parse_whole(path) -> Optional[tuple[np.ndarray, np.ndarray]]:
             text = fh.read()
     except (OSError, UnicodeDecodeError):
         return None
-    is_id = _record_origins(np.frombuffer(text.encode(), np.uint8))
-    if is_id is None:
+    data = np.frombuffer(text.encode(), np.uint8)
+    records = _record_origins(data)
+    if records is None:
         return None
-    # Origins and values alternate; the last field is the empty one after
-    # the final newline.
-    fields = text.replace(",", "\n").split("\n")
-    del text
-    try:
-        values = np.fromiter(map(float, fields[1::2]), np.float64, len(is_id))
-    except ValueError:
-        return None
+    is_id, commas, newlines = records
+    values = _decimals(data, commas + 1, newlines) if _EXTENDED else None
+    if values is None:
+        fields = text.replace(",", "\n").split("\n")  # origin, value, ..., ""
+        try:
+            values = np.fromiter(map(float, fields[1::2]), np.float64, len(is_id))
+        except ValueError:
+            return None
     if not np.isfinite(values).all():
         return None
     return values[is_id], values[~is_id]
+
+
+# The decimal kernel reads -?D+(.D+)?(e[+-]D+)? as m * 10**e10, m the digits. For
+# m < 10**19 and |e10| <= 27 both are exact in x87 extended precision's 64-bit
+# significand, so one rounding there (Clinger 1990) and one to float64 give float()'s
+# double unless the first lands halfway, its 11 bits below a double's 53 being 0x400.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_POW10_U64 = np.array([10**min(k, 19) for k in range(25)], np.uint64)
+# Row k keeps the low nibble of the last k of 24 bytes, as three uint64 lanes.
+_MASK24 = np.where(np.arange(24) >= 24 - np.arange(25)[:, None], 15, 0).astype(np.uint8).view("<u8")
+
+
+def _decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """float() of each field data[starts[i]:ends[i]], bit for bit, if every field
+    matches -?D+(.D+)?(e[+-]D+)? with any dot in its mantissa's last 24 bytes."""
+    n_digits, n_dot, n_minus, n_plus = map(np.count_nonzero, (
+        data - np.uint8(ord("0")) < 10, data == ord("."), data == ord("-"), data == ord("+")))
+    exps = np.flatnonzero(data == ord("e"))
+    f_exp, neg, sign = np.searchsorted(ends, exps), data[starts] == ord("-"), data[exps + 1]
+    first, last, e_minus = starts + neg, ends.copy(), sign == ord("-")
+    last[f_exp] = exps
+    # Digits and .e-+ only; at most one e, then a sign and a digit; a '-' only
+    # first or as that sign, a '+' only as that sign.
+    n, lengths = len(ends), np.concatenate((last - first, ends[f_exp] - exps - 2))
+    if (n_digits + n_dot + len(exps) + n_minus + n_plus != (ends - starts).sum()
+            or not ((lengths > 0).all() and (np.diff(f_exp) > 0).all())
+            or not (e_minus | (sign == ord("+"))).all()
+            or (n_minus, n_plus) != (neg.sum() + e_minus.sum(), len(exps) - e_minus.sum())):
+        return None
+    # The last 24 bytes of each mantissa, then of each exponent, as digits, the
+    # bytes before them cleared; every dot inside a mantissa, at neither end.
+    blobs = np.ndarray((len(data) + 1,), "V24", np.r_[np.zeros(24, np.uint8), data], strides=(1,))
+    lanes = blobs[np.concatenate((last, ends[f_exp]))].view("<u8").reshape(-1, 3)
+    lanes &= _MASK24.take(np.minimum(lengths, 24), axis=0)
+    digits = lanes.view(np.uint8).reshape(-1)
+    dots = np.flatnonzero(digits == ord(".") & 15)
+    row, col = np.divmod(dots, 24)
+    if (len(dots) != n_dot or not (np.diff(row) > 0).all()
+            or not ((row < n) & (col > 24 - lengths[row]) & (col < 23)).all()):
+        return None
+    digits[dots] = 0  # the dot read as a 0 digit, which the divmod drops
+    frac = np.bincount(row, 23 - col, n).astype(np.int64)  # digits after the dot
+    lanes = lanes * 10 + (lanes >> 8)  # eight digits per lane (Lemire 2021)
+    lanes = ((lanes & 0xFF000000FF) * 0xF424000000064
+             + ((lanes >> 16) & 0xFF000000FF) * 0x271000000001) >> 32
+    whole = lanes @ _POW10_U64[[16, 8, 0]]
+    q, r = np.divmod(whole[:n], _POW10_U64[frac + (frac > 0)])
+    e10 = -frac
+    e10[f_exp] += np.where(e_minus, -1, 1) * whole[n:].astype(np.int64)
+    x = (q * _POW10_U64[frac] + r).astype(np.longdouble) / _POW10[np.clip(-e10, 0, 27)]
+    up = np.flatnonzero(e10 > 0)
+    x[up] *= _POW10[np.minimum(e10[up], 27)]
+    slow = ((lengths[:n] > 24) | (lanes[:n, 0] >= 1000) | (np.abs(e10) > 27)
+            | (x.view(np.uint64)[::2] & 0x7FF == 0x400))
+    slow[f_exp] |= lengths[n:] > 8  # float() reads these one by one
+    values = np.where(neg, -x, x).astype(np.float64)
+    values[slow] = [float(data[s:e].tobytes()) for s, e in zip(starts[slow], ends[slow])]
+    return values
 
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
 _I, _O, _D = ord("I"), ord("O"), ord("D")
 
 
-def _record_origins(data: np.ndarray) -> Optional[np.ndarray]:
-    """Whether each line of the UTF-8 bytes `data` is an ID record, when
-    every line is "ID,<v>" or "OOD,<v>" with v free of commas and the last
-    line ends in a newline; None otherwise. That holds when comma and
+def _record_origins(data: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Whether each line of the UTF-8 bytes `data` is an ID record, and its
+    comma and newline positions, when every line is "ID,<v>" or "OOD,<v>"
+    with v free of commas and the last line ends in a newline; else None. That holds when comma and
     newline bytes alternate, comma first, and each line's bytes before its
     comma are exactly ID or OOD. UTF-8 encodes every non-ASCII character in
     bytes of 0x80 and above, so it never holds a comma or newline byte."""
@@ -158,7 +218,7 @@ def _record_origins(data: np.ndarray) -> Optional[np.ndarray]:
             and (data[starts + 1] == np.where(is_id, _D, _O)).all()
             and (data[commas - 1] == _D).all()):
         return None
-    return is_id
+    return is_id, commas, newlines
 
 
 def _read_by_line(path) -> tuple[np.ndarray, np.ndarray]:

@@ -91,6 +91,18 @@ def test_fpr_requires_both_origins():
         detection_report([1.0], [])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["ID", "OOD"])
+@pytest.mark.parametrize("metric", [detection_report, fpr_at_tpr, auroc, aupr])
+def test_non_finite_score_raises_data_error(metric, side, bad):
+    # Where the sort put a NaN decided what these returned before.
+    id_scores, ood_scores = [bad, 1.0], [0.5, 0.25]
+    if side == "OOD":
+        id_scores, ood_scores = ood_scores[::-1], id_scores
+    with pytest.raises(DataError, match="^ID and OOD scores must be finite$"):
+        metric(id_scores, ood_scores)
+
+
 # ---------------------------------------------------------------------------
 # AUROC
 

@@ -1,6 +1,8 @@
 """Tests for the post-hoc detection scores (MSP, ODIN, Energy, GradNorm)."""
 
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -388,13 +390,21 @@ def assert_bitwise_equal(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+# Tokens beside the decimal kernel's grammar -?D+(.D+)?(e[+-]D+)?, in it or
+# just outside it, which float() may still take.
+GRAMMAR_EDGES = ["1.2.3", "1e", "1e+", "e5", "--1", "1-2", "+1", ".5", "5.", "1E5", "1e5", "-0",
+                 "00.5", "1.5e-0300", "1e+5.5", "1e5+", "1e+5e+5", "1.e+5", "-.5", "1-", "1e+99999999999",
+                 "123456789012345678901234567890", "1.23456789012345678901234567890",
+                 "0.000000000000000000000000000001", "1234567890123456789.5e-10",
+                 "1e+9223372036854775808", "1e-9223372036854775809", "1e+00000000000000000000000000001"]
 VALID_RECORD = st.tuples(st.sampled_from(["ID", "OOD"]),
                          st.floats(allow_nan=False, allow_infinity=False).map(repr)
-                         | st.sampled_from(["1_0", "٣", " 2", "3 ", "1e-320", "-0.0"])
+                         | st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format)
+                         | st.sampled_from(["1_0", "٣", " 2", "3 ", "1e-320", "-0.0"] + GRAMMAR_EDGES)
                          ).map(",".join)
 # Origins and numbers beside valid ones, one to four fields a line.
 NEAR_RECORD = st.lists(st.sampled_from(["ID", "OOD", "id", "", " ID", "OOD ", "\x1c"])
-                       | NUMBERS, min_size=1, max_size=4).map(",".join)
+                       | NUMBERS | st.sampled_from(GRAMMAR_EDGES), min_size=1, max_size=4).map(",".join)
 
 
 @st.composite
@@ -436,9 +446,22 @@ def dump_texts(draw):
 @example(text="ID,1\nO,\n")
 @example(text="ÌD,1\n")
 @example(text="\ufeffID,1\n")
+@example(text="ID,1.5e-0300\nOOD,-0\nID,00.5\nOOD,1e+5\n")
+@example(text="ID,0.1\nOOD,1e5\n")
+@example(text="ID,0.1\nOOD,1e+\n")
+@example(text="ID,1.23456789012345678901234567890\nOOD,1\n")
 def test_whole_file_parse_matches_the_line_loop(text, dump_path):
     """Where the whole-file parse takes a file, it gives the line loop's
     arrays bit for bit; read_scores gives the loop's arrays or its error."""
+    assert_whole_file_parse_matches_the_line_loop(text, dump_path)
+
+
+@pytest.mark.parametrize("token", GRAMMAR_EDGES)
+def test_whole_file_parse_matches_the_line_loop_beside_the_grammar(token, dump_path):
+    assert_whole_file_parse_matches_the_line_loop(f"ID,0.5\nOOD,{token}\nID,-2e-05\n", dump_path)
+
+
+def assert_whole_file_parse_matches_the_line_loop(text, dump_path):
     dump_path.write_bytes(text.encode())
     want = by_line_or_message(dump_path)
     whole = scores._parse_whole(dump_path)
@@ -461,3 +484,83 @@ def test_whole_file_parse_takes_the_files_write_scores_writes(tmp_path):
     for text in ("ID,1\n\nOOD,2\n", "ID,1\nOOD,2", "ID,inf\n", "", "ID,1,2\n"):
         path.write_text(text)
         assert scores._parse_whole(path) is None
+
+
+# ---------------------------------------------------------------------------
+# the decimal kernel against float()
+
+needs_extended = pytest.mark.skipif(not scores._EXTENDED, reason="no x87 extended precision")
+
+
+def assert_kernel_reads_as_float(texts: list[str]):
+    """The kernel takes a dump of these decimals and reads each one as
+    float() does, bit for bit."""
+    data = np.frombuffer(("ID," + "\nID,".join(texts) + "\n").encode(), np.uint8)
+    _, commas, newlines = scores._record_origins(data)
+    got = scores._decimals(data, commas + 1, newlines)
+    assert got is not None
+    want = np.array([float(t) for t in texts])
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert not bad.size, [(texts[i], got[i].hex(), want[i].hex()) for i in bad[:5]]
+
+
+def sampled_doubles(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Normal, uniform and log-uniform (1e-30 to 1e30, both signs) values,
+    and random finite bit patterns, n of each kind at most."""
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    return np.concatenate([rng.normal(0.0, 1.0, n), rng.uniform(0.0, 1.0, n),
+                           rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30, 30, n),
+                           bits[np.isfinite(bits)]])
+
+
+@needs_extended
+def test_decimal_kernel_reads_what_float_reads_bit_for_bit():
+    values = np.concatenate([sampled_doubles(np.random.default_rng(19), 125_000), EDGE_SCORES,
+                             [5e-324, -2.225073858507201e-308, 2.2250738585072014e-308,
+                              1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]])
+    floats = values.tolist()
+    for form in ("%.17g", "%r"):  # dump_records' form and repr's
+        assert_kernel_reads_as_float(((form + "\n") * len(floats) % tuple(floats)).split())
+    rng = np.random.default_rng(20)
+    # Integers of 19 digits (the kernel's) and of 20 (float()'s), exponents
+    # beyond |e10| = 27, long exponents and the halfway integer 2**53 + 1.
+    assert_kernel_reads_as_float(
+        [str(v) for v in rng.integers(10**18, 2**63, 1000, dtype=np.int64).tolist()]
+        + [str(10**19 + v) for v in rng.integers(0, 2**63, 1000, dtype=np.int64).tolist()]
+        + ["99999999999999999999", "18446744073709551615", "18446744073709551616", "-0",
+           "1e+27", "1e+28", "1e-27", "1e-28", "9999999999999999999e-27", "1.5e+0300", "0e+0",
+           "0.0e-99999", "1e+000000027", "2.4703282292062327e-324", "1.7976931348623158e+308",
+           "9007199254740993", "-9007199254740993.0"])
+
+
+@needs_extended
+def test_decimal_kernel_sends_halfway_cases_to_float(monkeypatch):
+    # 18-digit decimals of points halfway between sampled doubles: some round
+    # to the halfway point itself in extended precision, where rounding it
+    # again to float64 can go the wrong way.
+    rng = np.random.default_rng(21)
+    low = np.abs(rng.normal(0.0, 1.0, 3000)) * 10.0 ** rng.integers(-10, 10, 3000)
+    halfway = low.astype(np.longdouble) + np.spacing(low).astype(np.longdouble) / 2
+    texts = [np.format_float_scientific(h, precision=17, unique=False) for h in halfway]
+    sent = []
+    monkeypatch.setattr(scores, "float", lambda b: sent.append(b) or float(b), raising=False)
+    assert_kernel_reads_as_float(texts)
+    assert sent
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or sys.platform == "win32",
+                    reason="long double is x87 extended precision on x86-64 outside Windows")
+def test_decimal_kernel_is_active_on_x86_64():
+    assert scores._EXTENDED
+
+
+def test_whole_file_parse_reads_through_float_without_extended_precision(tmp_path, monkeypatch):
+    path = tmp_path / "dump.txt"
+    rng = np.random.default_rng(22)
+    write_scores(path, dump_records("ID", np.r_[EDGE_SCORES, rng.normal(size=500)]),
+                 rng.uniform(size=500))
+    want = scores._read_by_line(path)
+    assert_bitwise_equal(scores._parse_whole(path), want)
+    monkeypatch.setattr(scores, "_EXTENDED", False)
+    monkeypatch.setattr(scores, "_decimals", None)  # not called
+    assert_bitwise_equal(scores._parse_whole(path), want)
