@@ -537,15 +537,16 @@ def test_decimal_kernel_reads_what_float_reads_bit_for_bit():
 def test_decimal_kernel_sends_halfway_cases_to_float(monkeypatch):
     # 18-digit decimals of points halfway between sampled doubles: some round
     # to the halfway point itself in extended precision, where rounding it
-    # again to float64 can go the wrong way.
+    # again to float64 can go the wrong way. All are inside the kernel's other
+    # bounds (|e10| <= 25), so only a halfway case goes to float().
     rng = np.random.default_rng(21)
-    low = np.abs(rng.normal(0.0, 1.0, 3000)) * 10.0 ** rng.integers(-10, 10, 3000)
+    low = rng.uniform(1.0, 10.0, 3000) * 10.0 ** rng.integers(-8, 9, 3000)
     halfway = low.astype(np.longdouble) + np.spacing(low).astype(np.longdouble) / 2
     texts = [np.format_float_scientific(h, precision=17, unique=False) for h in halfway]
     sent = []
     monkeypatch.setattr(scores, "float", lambda b: sent.append(b) or float(b), raising=False)
     assert_kernel_reads_as_float(texts)
-    assert sent
+    assert 0 < len(sent) < len(texts) / 10
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or sys.platform == "win32",
