@@ -46,7 +46,8 @@ def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     """The ID and OOD scores ranked together, highest first; DataError when
     either is empty or a score is not finite. For each group of tied scores,
     returns the count of ID scores (tp) and of OOD scores (fp) at or above
-    it: a group enters the sweep as a whole."""
+    it, counted by binary search in each side sorted alone: a group enters
+    the sweep as a whole."""
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if len(id_scores) == 0 or len(ood_scores) == 0:
@@ -54,11 +55,9 @@ def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     values = np.concatenate([id_scores, ood_scores])
     if not np.isfinite(values).all():
         raise DataError("ID and OOD scores must be finite")
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    ends = np.flatnonzero(np.append(values[1:] != values[:-1], True))
-    tp = np.cumsum(order < len(id_scores))[ends]
-    return tp, ends + 1 - tp
+    groups = np.unique(values)[::-1]
+    return tuple(len(side) - np.searchsorted(np.sort(side), groups)
+                 for side in (id_scores, ood_scores))
 
 
 def detection_report(id_scores, ood_scores, tpr_target: float = 0.95) -> DetectionReport:

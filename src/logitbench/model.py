@@ -138,6 +138,9 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
         raise DataError(f"{path}: not a logitbench checkpoint")
     if len(lines) < 4:
         raise DataError(f"{path}: truncated checkpoint header")
+    for i, keyword in enumerate(("config_hash", "activation", "layer_dims"), start=1):
+        if lines[i].partition(" ")[0] != keyword:
+            raise DataError(f"{path}: line {i + 1}: expected {keyword!r}, got {lines[i]!r}")
     config_hash = lines[1].partition(" ")[2]
     activation = lines[2].partition(" ")[2]
     if activation != ACTIVATION:
@@ -158,10 +161,10 @@ def load_checkpoint(path) -> tuple[MlpModel, str]:
                 raise DataError(f"unknown checkpoint field {kind!r}")
             if not np.isfinite(vals).all():
                 raise DataError(f"{kind} {i} values must be finite")
-            if kind == "weight":
-                weights[i] = vals.reshape(dims[i], dims[i + 1])
-            else:
-                biases[i] = vals.reshape(1, dims[i + 1])
+            arrays = weights if kind == "weight" else biases
+            if arrays[i] is not None:
+                raise DataError(f"repeated checkpoint field {kind} {i}")
+            arrays[i] = vals.reshape((dims[i] if kind == "weight" else 1, dims[i + 1]))
     except ValueError as exc:  # DataError included
         raise DataError(f"{path}: {exc}") from None
     if any(w is None for w in weights) or any(b is None for b in biases):

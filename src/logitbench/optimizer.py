@@ -110,9 +110,10 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
     x_all = dataset.features.data
     y_all = dataset.labels
     x_ood = probe_ood.data if probe_ood is not None else None
-    # Allocated once: a fresh output per epoch-end forward would fault in new pages each epoch.
-    probes = [(x, [np.empty((len(x), w.shape[1])) for w in weights])
-              for x in (x_all, x_ood) if x is not None]
+    probes = [x for x in (x_all, x_ood) if x is not None]
+    # Allocated once, for the larger set: the epoch-end forwards run in turn through row slices
+    # of it, and a fresh output per forward would fault in new pages each epoch.
+    buffers = [np.empty((max(map(len, probes)), w.shape[1])) for w in weights]
     n = dataset.n
     telemetry: list[EpochTelemetry] = []
 
@@ -147,14 +148,18 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 continue
             # Finite weights can still overflow the forward pass once the
             # parameters are large enough; that too is divergence.
-            outputs = [_forward(weights, biases, x, out)[1] for x, out in probes]
-            if not all(np.isfinite(f).all() for f in outputs):
-                raise DivergedError(epoch, loss_batches - 1)
-            norms = [float(row_l2_norm(f).mean()) for f in outputs]
+            norms = []
+            for x in probes:  # each read before the next forward overwrites the buffers
+                logits = _forward(weights, biases, x, [b[:len(x)] for b in buffers])[1]
+                if not np.isfinite(logits).all():
+                    raise DivergedError(epoch, loss_batches - 1)
+                if not norms:
+                    train_acc = float((np.argmax(logits, axis=1) == y_all).mean())
+                norms.append(float(row_l2_norm(logits).mean()))
             telemetry.append(EpochTelemetry(
                 epoch=epoch + 1,
                 train_loss=loss_sum / loss_batches,
-                train_acc=float((np.argmax(outputs[0], axis=1) == y_all).mean()),
+                train_acc=train_acc,
                 mean_logit_norm_id=norms[0],
                 mean_logit_norm_ood=norms[1] if x_ood is not None else None,
             ))

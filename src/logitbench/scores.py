@@ -109,21 +109,23 @@ def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _parse_whole(path) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The arrays `_read_by_line` returns, when the file is UTF-8, every
-    line is a record and every value a finite float; None otherwise."""
+    """`_read_by_line`'s arrays when every line, ended by LF, CRLF or a lone CR as
+    text mode reads them, is a record and every value an ASCII finite float; else None."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError:
         return None
-    data = np.frombuffer(text.encode(), np.uint8)
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = np.frombuffer(raw, np.uint8)
     records = _record_origins(data)
     if records is None:
         return None
     is_id, commas, newlines = records
     values = _decimals(data, commas + 1, newlines) if _EXTENDED else None
     if values is None:
-        fields = text.replace(",", "\n").split("\n")  # origin, value, ..., ""
+        fields = raw.replace(b",", b"\n").split(b"\n")  # origin, value, ..., b""
         try:
             values = np.fromiter(map(float, fields[1::2]), np.float64, len(is_id))
         except ValueError:
@@ -197,7 +199,7 @@ _I, _O, _D = ord("I"), ord("O"), ord("D")
 
 
 def _record_origins(data: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Whether each line of the UTF-8 bytes `data` is an ID record, and its
+    """Whether each line of the bytes `data` is an ID record, and its
     comma and newline positions, when every line is "ID,<v>" or "OOD,<v>"
     with v free of commas and the last line ends in a newline; else None. That holds when comma and
     newline bytes alternate, comma first, and each line's bytes before its

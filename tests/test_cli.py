@@ -310,6 +310,20 @@ def test_score_on_a_non_finite_checkpoint_is_one_data_error(value, tmp_path, cap
     assert not list((tmp_path / "out").glob("scores_*"))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("config_hash \n", "nonsense abc\n", "line 2: expected 'config_hash', got 'nonsense abc'"),
+    ("bias 0 ", "weight 0 0\nbias 0 ", "repeated checkpoint field weight 0"),
+], ids=["header keyword", "repeated field"])
+def test_score_on_a_malformed_checkpoint_is_one_data_error(old, new, message, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(init_model((4, 8, 3), seed=0), ckpt)
+    ckpt.write_text(ckpt.read_text().replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["score", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt)]) == 2
+    assert capsys.readouterr().err == f"data error: {ckpt}: {message}\n"
+    assert not list((tmp_path / "out").glob("scores_*"))
+
+
 def test_train_out_is_a_file_fails_before_training(tmp_path, capsys, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("trained although the output directory cannot be made")

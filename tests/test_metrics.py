@@ -145,6 +145,9 @@ def auroc_draw(shape: str, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
         n, m = (1, m) if rng.integers(2) else (n, 1)
     if shape == "all_tied":
         return np.full(n, 2.5), np.full(m, 2.5)
+    if shape == "signed_zero":      # -0.0 and 0.0 tie: one group, whichever sign
+        levels = np.array([-0.0, 0.0, -1.0, 1.0, 2.0])
+        return rng.choice(levels, n), rng.choice(levels, m)
     shift = rng.uniform(-2.0, 2.0)
     id_scores, ood_scores = rng.normal(shift, 1.0, n), rng.normal(0.0, 1.0, m)
     if shape == "continuous":
@@ -152,7 +155,7 @@ def auroc_draw(shape: str, rng: np.random.Generator) -> tuple[np.ndarray, np.nda
     return np.round(id_scores), np.round(ood_scores)   # integer-valued, heavy ties
 
 
-DRAW_SHAPES = list(enumerate(["integer", "continuous", "single", "all_tied"]))
+DRAW_SHAPES = list(enumerate(["integer", "continuous", "single", "all_tied", "signed_zero"]))
 
 
 @pytest.mark.parametrize("seed, shape", DRAW_SHAPES)

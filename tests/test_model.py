@@ -245,6 +245,31 @@ def test_checkpoint_non_integer_layer_dims_is_data_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("line, bad", [(1, "nonsense abc"), (2, "kind relu"), (3, "dims 4 3 2")])
+def test_checkpoint_rejects_a_header_line_without_its_keyword(tmp_path, line, bad):
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(init_model((4, 3, 2), seed=1), path, "abc")
+    lines = path.read_text().splitlines()
+    keyword = lines[line].split(" ")[0]
+    lines[line] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line {line + 1}: "
+                                        f"expected '{keyword}', got '{bad}'$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["weight 0", "bias 1"])
+def test_checkpoint_rejects_a_repeated_field(tmp_path, field):
+    """A second line for a field would silently replace the first."""
+    path = tmp_path / "ckpt.txt"
+    save_checkpoint(init_model((4, 3, 2), seed=1), path)
+    lines = path.read_text().splitlines()
+    (repeat,) = [line for line in lines if line.startswith(field + " ")]
+    path.write_text("\n".join(lines + [repeat]) + "\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: repeated checkpoint field {field}$"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_non_relu_activation(tmp_path):
     path = _corrupt_checkpoint(tmp_path, "activation relu", "activation tanh")
     with pytest.raises(DataError, match="activation"):

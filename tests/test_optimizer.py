@@ -1,6 +1,9 @@
 """SGD trainer tests: schedule arithmetic, determinism, learning on an easy
 problem, and telemetry output."""
 
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -201,16 +204,46 @@ def per_array_train(model, dataset, loss_cfg, optim_cfg, seed, probe_ood):
 def test_train_matches_per_array_sgd_bitwise(loss_cfg):
     """The flat-buffer update and the buffered epoch-end forward do the same
     floating-point operations as the per-array loop, element for element:
-    momentum, weight decay, an lr drop, a short last batch and a probe set."""
+    momentum, weight decay, an lr drop, a short last batch and a probe set,
+    smaller and then larger than the training set, whose forward shares the
+    training set's buffers."""
     ds = easy_dataset()
-    ood = gen_ood("gaussian_noise", d=4, m=50, seed=2)
     model = init_model((4, 16, 8, 2), seed=12)
     cfg = small_optim(epochs=6, lr_drops=((3, 0.1),))
-    trained, history = train(model, ds, loss_cfg, cfg, SGD_SEED, probe_ood=ood)
-    weights, biases, expected = per_array_train(model, ds, loss_cfg, cfg, SGD_SEED, ood)
-    assert history == expected
-    for got, want in zip((*trained.weights, *trained.biases), (*weights, *biases)):
-        assert got.tobytes() == want.tobytes()
+    for m in (50, 3 * ds.n // 2):
+        ood = gen_ood("gaussian_noise", d=4, m=m, seed=2)
+        trained, history = train(model, ds, loss_cfg, cfg, SGD_SEED, probe_ood=ood)
+        weights, biases, expected = per_array_train(model, ds, loss_cfg, cfg, SGD_SEED, ood)
+        assert [[v.hex() for v in astuple(t)[1:]] for t in history] == [
+            [v.hex() for v in astuple(t)[1:]] for t in expected]
+        for got, want in zip((*trained.weights, *trained.biases), (*weights, *biases)):
+            assert got.tobytes() == want.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_probe_forward_shares_the_training_forwards_buffers():
+    """A probe set no larger than the training set runs its epoch-end forward
+    through the training set's layer buffers: it raises train's traced peak
+    by well under one more set of buffers, m rows of every layer's width."""
+    ds = easy_dataset()
+    ood = gen_ood("gaussian_noise", d=4, m=ds.n, seed=2)
+    model = init_model((4, 64, 32, 2), seed=12)
+    cfg = small_optim(epochs=2, lr_drops=())
+    loss_cfg = LossConfig("cross_entropy")
+    assert ds.features.data.shape == ood.data.shape
+    without = traced_peak(lambda: train(model, ds, loss_cfg, cfg, SGD_SEED))
+    with_probe = traced_peak(lambda: train(model, ds, loss_cfg, cfg, SGD_SEED, probe_ood=ood))
+    buffer_set = ood.rows * sum(w.shape[1] for w in model.weights) * 8
+    assert with_probe - without < buffer_set / 2
 
 
 @pytest.mark.parametrize("loss_cfg", [LossConfig("cross_entropy"),

@@ -427,6 +427,8 @@ def dump_texts(draw):
 @example(text="ID,1\r\nOOD,2\r\n")
 @example(text="ID,1\rOOD,2\r")
 @example(text="ID,1\n\nOOD,2\n")
+@example(text="ID,1\r\nOOD,2\rID,3\nOOD,4\r\r\n")
+@example(text="ID,٣\n")
 @example(text="ID,1_0\nOOD,٣\n")
 @example(text="ID,1,OOD\n2\n")
 @example(text="ID,1,OOD,2\n")
@@ -479,8 +481,12 @@ def test_whole_file_parse_takes_the_files_write_scores_writes(tmp_path):
     path = tmp_path / "dump.txt"
     write_scores(path, dump_records("ID", EDGE_SCORES), [0.5, -0.25])
     assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
+    text = path.read_bytes()
+    for newline in (b"\r\n", b"\r"):
+        path.write_bytes(text.replace(b"\n", newline))
+        assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
+    path.write_bytes(b"ID,\xff\n")
+    assert scores._parse_whole(path) is None
     for text in ("ID,1\n\nOOD,2\n", "ID,1\nOOD,2", "ID,inf\n", "", "ID,1,2\n"):
         path.write_text(text)
         assert scores._parse_whole(path) is None
