@@ -481,9 +481,9 @@ def test_whole_file_parse_takes_the_files_write_scores_writes(tmp_path):
     path = tmp_path / "dump.txt"
     write_scores(path, dump_records("ID", EDGE_SCORES), [0.5, -0.25])
     assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
-    text = path.read_bytes()
+    lf_dump = path.read_bytes()
     for newline in (b"\r\n", b"\r"):
-        path.write_bytes(text.replace(b"\n", newline))
+        path.write_bytes(lf_dump.replace(b"\n", newline))
         assert_bitwise_equal(scores._parse_whole(path), scores._read_by_line(path))
     path.write_bytes(b"ID,\xff\n")
     assert scores._parse_whole(path) is None
