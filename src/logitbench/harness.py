@@ -379,14 +379,6 @@ def trained_cells(cfg: ExperimentConfig, warnings: list[str]):
     _record_warnings(out, warnings, trained)
 
 
-def _finite(scores: np.ndarray) -> np.ndarray:
-    """scores, or DataError naming the first non-finite one."""
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise DataError(f"score must be finite, got {float(scores[bad[0]])}")
-    return scores
-
-
 def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
                 stem: str, seed: int):
     """Score the ID test set once per detector and each OOD set against it;
@@ -394,10 +386,10 @@ def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
     (ID scores, OOD scores)). A non-finite score raises DataError before
     the dump that would hold it is written."""
     for score_cfg in cfg.scores:
-        id_scores = _finite(score_batch(model, bundle.test.features, score_cfg))
+        id_scores = score_batch(model, bundle.test.features, score_cfg)
         id_records = dump_records("ID", id_scores)
         for tag, ood in bundle.ood_sets:
-            ood_scores = _finite(score_batch(model, ood, score_cfg))
+            ood_scores = score_batch(model, ood, score_cfg)
             name = f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"
             write_scores(os.path.join(cfg.output_dir, name), id_records, ood_scores)
             yield score_cfg.kind, tag, (id_scores, ood_scores)
@@ -533,13 +525,15 @@ def check_bins(bins: int) -> None:
 
 def emit_histogram_data(id_scores, ood_scores, bins: int
                         ) -> list[tuple[float, float, int, int]]:
-    """Equal-width histogram over [min score, max score]; counts conserve."""
+    """Equal-width histogram of finite scores over [min score, max score]; counts conserve."""
     check_bins(bins)
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     values = np.concatenate([id_scores, ood_scores])
     if not values.size:
         raise DataError("empty score dump")
+    if not np.isfinite(values).all():
+        raise DataError("ID and OOD scores must be finite")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
         hi = lo + 1.0

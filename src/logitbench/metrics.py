@@ -46,8 +46,8 @@ def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     """The ID and OOD scores ranked together, highest first; DataError when
     either is empty or a score is not finite. For each group of tied scores,
     returns the count of ID scores (tp) and of OOD scores (fp) at or above
-    it, counted by binary search in each side sorted alone: a group enters
-    the sweep as a whole."""
+    it, counted per group on each side and summed from the top: a group
+    enters the sweep as a whole."""
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if len(id_scores) == 0 or len(ood_scores) == 0:
@@ -55,9 +55,9 @@ def _ranking(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     values = np.concatenate([id_scores, ood_scores])
     if not np.isfinite(values).all():
         raise DataError("ID and OOD scores must be finite")
-    groups = np.unique(values)[::-1]
-    return tuple(len(side) - np.searchsorted(np.sort(side), groups)
-                 for side in (id_scores, ood_scores))
+    groups, group = np.unique(values, return_inverse=True)
+    return tuple(np.bincount(side, minlength=len(groups))[::-1].cumsum()
+                 for side in np.split(group, [len(id_scores)]))
 
 
 def detection_report(id_scores, ood_scores, tpr_target: float = 0.95) -> DetectionReport:
@@ -98,14 +98,16 @@ def aupr(id_scores, ood_scores) -> float:
 
 def ece(confidences: Sequence[float], correct: Sequence[bool],
         M: int = 15) -> CalibrationReport:
-    """Expected calibration error over M equal-width bins on [0, 1]; bins are
-    right-closed except the first, which also contains 0."""
+    """Expected calibration error over M equal-width bins on [0, 1], which must hold every
+    confidence; bins are right-closed except the first, which also contains 0."""
     conf = np.asarray(confidences, dtype=np.float64)
     corr = np.asarray(correct, dtype=bool)
     if conf.shape != corr.shape or conf.size == 0:
         raise DataError(f"confidences {conf.shape} / correct {corr.shape} mismatch or empty")
     if M < 1:
         raise DataError(f"M must be >= 1, got {M}")
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        raise DataError("confidences must lie in [0, 1]")
     idx = np.clip(np.ceil(conf * M).astype(int) - 1, 0, M - 1)
     n = conf.size
     total = 0.0
@@ -140,6 +142,8 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> float:
     """
     if logits.shape[0] == 0:
         raise DataError("validation set must be nonempty")
+    if not np.isfinite(logits).all():
+        raise DataError("validation logits must be finite")
 
     def nll_log(t_log: float) -> float:
         return nll_at_temperature(logits, labels, 10.0 ** t_log)

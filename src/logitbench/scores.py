@@ -86,31 +86,37 @@ def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.nda
 # ID or OOD, the decimal a finite float with 17 significant digits.
 
 def dump_records(origin: str, scores) -> str:
-    """The dump records of `scores` under `origin`, in array order."""
-    values = np.asarray(scores, np.float64).tolist()
+    """The dump records of `scores` under `origin`, in array order; DataError
+    naming the first score that is not finite."""
+    values = np.asarray(scores, np.float64)
+    if not np.isfinite(values).all():
+        raise DataError(f"score must be finite, got {values[~np.isfinite(values)][0]}")
+    values = values.tolist()
     return (f"{origin},%.17g\n" * len(values)) % tuple(values)
 
 
 def write_scores(path, id_records: str, ood_scores) -> None:
-    """Write `id_records`, the `dump_records` of the ID scores, then the
-    records of the OOD scores. A detector's ID records are the same in
-    every dump that scores it, so callers format them once."""
+    """Write `id_records`, the `dump_records` of the ID scores, then those of
+    the OOD scores, formatted (and so checked finite) before the file opens. A
+    detector's ID records are the same in every dump, so callers format them once."""
+    ood_records = dump_records("OOD", ood_scores)
     with open(path, "w") as fh:
-        fh.write(id_records)
-        fh.write(dump_records("OOD", ood_scores))
+        fh.writelines((id_records, ood_records))
 
 
 def read_scores(path) -> tuple[np.ndarray, np.ndarray]:
-    """(ID scores, OOD scores) of a dump, each in file order. A dump whose
-    every line is a record, the last ending in a newline, is parsed whole;
-    any other file is read line by line, which names the first bad line."""
+    """(ID scores, OOD scores) of a dump, each in file order. On x87 hosts a dump whose
+    every line is a record, the last ending in a newline, is parsed whole; any
+    other file is read line by line, which names the first bad line."""
     parsed = _parse_whole(path)
     return parsed if parsed is not None else _read_by_line(path)
 
 
 def _parse_whole(path) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """`_read_by_line`'s arrays when every line, ended by LF, CRLF or a lone CR as
-    text mode reads them, is a record and every value an ASCII finite float; else None."""
+    """`_read_by_line`'s arrays when the kernel runs on this host and every line, ended by
+    LF, CRLF or a lone CR as text mode reads them, is a record it reads as finite; else None."""
+    if not _EXTENDED:
+        return None
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -123,14 +129,8 @@ def _parse_whole(path) -> Optional[tuple[np.ndarray, np.ndarray]]:
     if records is None:
         return None
     is_id, commas, newlines = records
-    values = _decimals(data, commas + 1, newlines) if _EXTENDED else None
-    if values is None:
-        fields = raw.replace(b",", b"\n").split(b"\n")  # origin, value, ..., b""
-        try:
-            values = np.fromiter(map(float, fields[1::2]), np.float64, len(is_id))
-        except ValueError:
-            return None
-    if not np.isfinite(values).all():
+    values = _decimals(data, commas + 1, newlines)
+    if values is None or not np.isfinite(values).all():
         return None
     return values[is_id], values[~is_id]
 

@@ -4,6 +4,7 @@ the benchmark grid, tau sweep, histogram and calibration emission."""
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -509,6 +510,17 @@ def test_histogram_validation():
         emit_histogram_data([1.0], [], bins=1)
     with pytest.raises(DataError):
         emit_histogram_data([], [], bins=5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["ID", "OOD"])
+def test_histogram_rejects_a_non_finite_score(side, bad):
+    # A NaN gave NaN edges and dropped scores; an inf gave a count of -1.
+    id_scores, ood_scores = [bad, 1.0], [0.5]
+    if side == "OOD":
+        id_scores, ood_scores = ood_scores, id_scores
+    with pytest.raises(DataError, match="^ID and OOD scores must be finite$"):
+        emit_histogram_data(id_scores, ood_scores, bins=4)
 
 
 def test_histogram_csv_shape(tmp_path):

@@ -362,6 +362,12 @@ def test_ece_validation():
         ece([0.5, 0.6], [True], M=15)
 
 
+@pytest.mark.parametrize("conf", [[math.nan, 0.5], [math.inf, 0.5], [1.5, 0.5], [0.5, -0.25]])
+def test_ece_rejects_a_confidence_outside_the_unit_interval(conf):
+    with pytest.raises(DataError, match=r"^confidences must lie in \[0, 1\]$"):
+        ece(conf, [True, False])
+
+
 def test_ece_bin_count_conserved():
     rng = np.random.default_rng(3)
     conf = rng.uniform(size=200)
@@ -414,6 +420,12 @@ def test_fit_temperature_degenerate_labels():
 def test_fit_temperature_empty_raises():
     with pytest.raises(DataError):
         fit_temperature(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_temperature_rejects_non_finite_logits(bad):
+    with pytest.raises(DataError, match="^validation logits must be finite$"):
+        fit_temperature(np.array([[bad, 1.0]]), np.array([0]))
 
 
 def test_nll_at_temperature_matches_direct():

@@ -316,6 +316,19 @@ def test_write_read_scores_round_trip(tmp_path):
     assert loaded_ood.tolist() == ood_scores
 
 
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_dump_records_rejects_a_non_finite_score(bad, shown):
+    with pytest.raises(DataError, match=f"^score must be finite, got {shown}$"):
+        dump_records("ID", [0.5, bad, math.nan])
+
+
+def test_write_scores_leaves_no_file_for_a_non_finite_ood_score(tmp_path):
+    path = tmp_path / "dump.txt"
+    with pytest.raises(DataError, match="^score must be finite, got inf$"):
+        write_scores(path, dump_records("ID", [0.5]), [1.0, math.inf])
+    assert not path.exists()
+
+
 def test_read_scores_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("ID,0.5\nnot a record\n")
@@ -477,6 +490,10 @@ def assert_whole_file_parse_matches_the_line_loop(text, dump_path):
         assert_bitwise_equal(got, want)
 
 
+needs_extended = pytest.mark.skipif(not scores._EXTENDED, reason="no x87 extended precision")
+
+
+@needs_extended
 def test_whole_file_parse_takes_the_files_write_scores_writes(tmp_path):
     path = tmp_path / "dump.txt"
     write_scores(path, dump_records("ID", EDGE_SCORES), [0.5, -0.25])
@@ -494,8 +511,6 @@ def test_whole_file_parse_takes_the_files_write_scores_writes(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the decimal kernel against float()
-
-needs_extended = pytest.mark.skipif(not scores._EXTENDED, reason="no x87 extended precision")
 
 
 def assert_kernel_reads_as_float(texts: list[str]):
@@ -561,13 +576,13 @@ def test_decimal_kernel_is_active_on_x86_64():
     assert scores._EXTENDED
 
 
-def test_whole_file_parse_reads_through_float_without_extended_precision(tmp_path, monkeypatch):
+def test_read_scores_reads_by_line_without_extended_precision(tmp_path, monkeypatch):
     path = tmp_path / "dump.txt"
     rng = np.random.default_rng(22)
     write_scores(path, dump_records("ID", np.r_[EDGE_SCORES, rng.normal(size=500)]),
                  rng.uniform(size=500))
     want = scores._read_by_line(path)
-    assert_bitwise_equal(scores._parse_whole(path), want)
     monkeypatch.setattr(scores, "_EXTENDED", False)
     monkeypatch.setattr(scores, "_decimals", None)  # not called
-    assert_bitwise_equal(scores._parse_whole(path), want)
+    assert scores._parse_whole(path) is None
+    assert_bitwise_equal(read_scores(path), want)
