@@ -9,7 +9,7 @@ from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
                      ShapeError)
 from .harness import (BenchmarkRow, ExperimentConfig, config_from_dict,
                       config_hash, emit_histogram_data, load_config,
-                      run_calibration, run_experiment, sweep_tau, train_cell)
+                      run_calibration, run_experiment, sweep_tau)
 from .losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from .metrics import (CalibrationReport, DetectionReport, aupr, auroc, ece,
                       fit_temperature, fpr_at_tpr)

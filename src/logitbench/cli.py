@@ -18,8 +18,8 @@ import sys
 from .errors import AllSeedsDiverged, ConfigError, DataError
 from .harness import (ExperimentConfig, check_bins, csv_table, dump_scores,
                       emit_histogram_data, field_names, load_config,
-                      realize_data, run_calibration, run_experiment, sweep_tau,
-                      trained_cells)
+                      realize_data, run_calibration, run_experiment, save_cell,
+                      sweep_tau, trained_cells)
 from .metrics import DetectionReport, check_tpr_target, detection_report
 from .model import load_checkpoint
 from .scores import read_scores
@@ -87,10 +87,10 @@ def _echo_warnings(args, cfg) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    for seed, _, lname, _, history in trained_cells(cfg, []):
+    for seed, _, loss_cfg, model, history in trained_cells(cfg, []):
+        save_cell(cfg, seed, loss_cfg.kind, model, history)
         if not args.quiet:
-            print(f"trained {lname}_{seed}: final acc {history[-1].train_acc:.4f}")
+            print(f"trained {loss_cfg.kind}_{seed}: final acc {history[-1].train_acc:.4f}")
     return _echo_warnings(args, cfg)
 
 

@@ -3,7 +3,7 @@ that maps a missing or undecodable file into it, and kind_params.
 
 Exit-code mapping for the CLI lives in cli.py: ConfigError -> 1,
 DataError (ShapeError included) -> 2, AllSeedsDiverged -> 3;
-harness.train_cell catches DivergedError.
+harness.trained_cells catches DivergedError.
 """
 
 from typing import Iterator, Optional
@@ -22,10 +22,11 @@ class ShapeError(DataError):
 
 
 class DivergedError(RuntimeError):
-    """Training produced a non-finite loss, parameter or logit."""
+    """Training produced a non-finite `what`: "loss", "parameters" or "epoch-end logits"."""
 
-    def __init__(self, epoch: int, step: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, step {step}")
+    def __init__(self, what: str, epoch: int, step: int):
+        super().__init__(f"non-finite {what} at epoch {epoch}, step {step}")
+        self.what = what
         self.epoch = epoch
         self.step = step
 

@@ -336,47 +336,42 @@ def csv_table(columns: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def train_cell(cfg: ExperimentConfig, bundle: SeedData, seed: int,
-               loss_cfg: LossConfig, warnings: list[str],
-               probe_ood: Optional[Matrix2D] = None, *, every_epoch: bool = True
-               ) -> Optional[tuple[MlpModel, list[EpochTelemetry]]]:
-    """Train one (loss, seed) cell from the seed's init and SGD streams.
-    Returns (model, telemetry), or None after a warning if it diverged.
-    Without `every_epoch` the telemetry is the last epoch's record only."""
-    model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
-    try:
-        return train(model0, bundle.train, loss_cfg, cfg.optim,
-                     derive_seed(seed, "sgd"), probe_ood=probe_ood,
-                     every_epoch=every_epoch)
-    except DivergedError as exc:
-        tau = f" tau={loss_cfg.params['tau']}" if loss_cfg.kind == LOGIT_NORM else ""
-        warnings.append(f"loss={loss_cfg.kind}{tau} seed={seed}: diverged ({exc})")
-        return None
-
-
-def trained_cells(cfg: ExperimentConfig, warnings: list[str]):
-    """Train every (seed, loss) cell, write its telemetry and checkpoint
-    under cfg.output_dir and yield (seed, data, loss name, model,
-    telemetry). Diverged cells are skipped and, after the last cell,
-    recorded (_record_warnings)."""
-    out = cfg.output_dir
-    chash = config_hash(cfg)
+def trained_cells(cfg: ExperimentConfig, warnings: list[str],
+                  losses: Sequence[LossConfig] = (), seeds: Sequence[int] = (), *,
+                  every_epoch: bool = True):
+    """Make cfg.output_dir and train each (seed, loss) cell, cfg's seeds and losses
+    unless given, on the seed's data, realised once, from its init and SGD streams.
+    Yield (seed, data, loss config, model, telemetry): a record per epoch probing the
+    validation OOD set, or without `every_epoch` the last epoch's alone, unprobed. A
+    diverged cell adds a line to `warnings`; after the last cell, _record_warnings runs."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
     trained = False
-    for seed in cfg.seeds:
+    for seed in seeds or cfg.seeds:
         bundle = realize_data(cfg, seed)
-        for loss_cfg in cfg.losses:
-            cell = train_cell(cfg, bundle, seed, loss_cfg, warnings,
-                              probe_ood=bundle.validation_ood)
-            if cell is None:
+        model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
+        for loss_cfg in losses or cfg.losses:
+            try:
+                model, history = train(
+                    model0, bundle.train, loss_cfg, cfg.optim, derive_seed(seed, "sgd"),
+                    probe_ood=bundle.validation_ood if every_epoch else None,
+                    every_epoch=every_epoch)
+            except DivergedError as exc:
+                tau = f" tau={loss_cfg.params['tau']}" if loss_cfg.kind == LOGIT_NORM else ""
+                warnings.append(f"loss={loss_cfg.kind}{tau} seed={seed}: diverged ({exc})")
                 continue
-            model, history = cell
-            base = f"{loss_cfg.kind}_{seed}"
-            _write(os.path.join(out, f"telemetry_{base}.csv"),
-                   csv_table(field_names(EpochTelemetry), history))
-            save_checkpoint(model, os.path.join(out, f"checkpoint_{base}.txt"), chash)
             trained = True
-            yield seed, bundle, loss_cfg.kind, model, history
-    _record_warnings(out, warnings, trained)
+            yield seed, bundle, loss_cfg, model, history
+    _record_warnings(cfg.output_dir, warnings, trained)
+
+
+def save_cell(cfg: ExperimentConfig, seed: int, loss_name: str, model: MlpModel,
+              history: list[EpochTelemetry]) -> None:
+    """Write a trained cell's telemetry and checkpoint under cfg.output_dir."""
+    base = f"{loss_name}_{seed}"
+    _write(os.path.join(cfg.output_dir, f"telemetry_{base}.csv"),
+           csv_table(field_names(EpochTelemetry), history))
+    save_checkpoint(model, os.path.join(cfg.output_dir, f"checkpoint_{base}.txt"),
+                    config_hash(cfg))
 
 
 def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
@@ -398,7 +393,6 @@ def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
 def _record_warnings(out: str, warnings: list[str], trained: bool) -> None:
     """Write the diverged cells to out/warnings.txt (removing a stale one
     when none diverged); raise AllSeedsDiverged if no cell trained."""
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "warnings.txt")
     if warnings:
         _write(path, "\n".join(warnings) + "\n")
@@ -424,7 +418,9 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> ExperimentResul
     final_norms: dict[tuple[str, int], dict[str, float]] = {}
     warnings: list[str] = []
 
-    for seed, bundle, lname, model, history in trained_cells(cfg, warnings):
+    for seed, bundle, loss_cfg, model, history in trained_cells(cfg, warnings):
+        lname = loss_cfg.kind
+        save_cell(cfg, seed, lname, model, history)
         telemetry[(lname, seed)] = history
         test_logits = forward(model, bundle.test.features)[1]
         id_acc = float((np.argmax(test_logits, axis=1) == bundle.test.labels).mean())
@@ -480,32 +476,26 @@ class TauSweepRow:
 
 def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float]
               ) -> tuple[list[TauSweepRow], float]:
-    """Train one logit-norm model per (tau, seed), evaluate MSP FPR95 against
-    the Gaussian-noise validation OOD set, and select the tau minimizing the
-    mean validation FPR95 (ties break to the smaller tau). Writes
+    """Train one logit-norm model per (distinct tau, seed), evaluate MSP FPR95
+    against the Gaussian-noise validation OOD set, and select the tau minimizing
+    the mean validation FPR95 (ties break to the smaller tau). Writes
     sweep_tau.csv under cfg.output_dir."""
     if not tau_grid:
         raise ConfigError("tau grid must be nonempty")
-    cells = {tau: LossConfig(LOGIT_NORM, {"tau": tau}) for tau in tau_grid}
+    taus = sorted(set(tau_grid))
+    cells = [LossConfig(LOGIT_NORM, {"tau": tau}) for tau in taus]
     msp = ScoreConfig(kind="msp")
-    taus = sorted(cells)
     fprs: dict[float, list[float]] = {tau: [] for tau in taus}
     losses: dict[float, list[float]] = {tau: [] for tau in taus}
-    warnings: list[str] = []
-    for seed in cfg.seeds:
-        bundle = realize_data(cfg, seed)
-        for tau in taus:
-            cell = train_cell(cfg, bundle, seed, cells[tau], warnings, every_epoch=False)
-            if cell is None:
-                continue
-            model, history = cell
-            fprs[tau].append(fpr_at_tpr(score_batch(model, bundle.test.features, msp),
-                                        score_batch(model, bundle.validation_ood, msp),
-                                        cfg.metrics.tpr_target))
-            losses[tau].append(history[-1].train_loss)
+    for _, bundle, loss_cfg, model, history in trained_cells(cfg, [], cells,
+                                                             every_epoch=False):
+        tau = loss_cfg.params["tau"]
+        fprs[tau].append(fpr_at_tpr(score_batch(model, bundle.test.features, msp),
+                                    score_batch(model, bundle.validation_ood, msp),
+                                    cfg.metrics.tpr_target))
+        losses[tau].append(history[-1].train_loss)
     rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
             for tau in taus if fprs[tau]]
-    _record_warnings(cfg.output_dir, warnings, bool(rows))
     best = min(rows, key=lambda r: (r.val_fpr95_mean, r.tau))
     _write(os.path.join(cfg.output_dir, "sweep_tau.csv"), csv_table(
         [*field_names(TauSweepRow), "selected"],
@@ -561,16 +551,9 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
     under cfg.output_dir. Uses the first seed."""
     if cfg.data.val_fraction <= 0.0:
         raise ConfigError("run_calibration requires data.val_fraction > 0")
-    seed = cfg.seeds[0]
-    bundle = realize_data(cfg, seed)
-    assert bundle.val is not None
     rows = []
-    warnings: list[str] = []
-    for loss_cfg in cfg.losses:
-        cell = train_cell(cfg, bundle, seed, loss_cfg, warnings, every_epoch=False)
-        if cell is None:
-            continue
-        model, _ = cell
+    for _, bundle, loss_cfg, model, _ in trained_cells(cfg, [], seeds=cfg.seeds[:1],
+                                                       every_epoch=False):
         fitted = fit_temperature(forward(model, bundle.val.features)[1], bundle.val.labels)
         test_logits = forward(model, bundle.test.features)[1]
         correct = np.argmax(test_logits, axis=1) == bundle.test.labels
@@ -579,7 +562,6 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
         rows.append(CalibrationRow(loss_cfg.kind, fitted,
                                    ece(conf_pre, correct, cfg.metrics.ece_bins),
                                    ece(conf_post, correct, cfg.metrics.ece_bins)))
-    _record_warnings(cfg.output_dir, warnings, bool(rows))
     _write(os.path.join(cfg.output_dir, "calibration.csv"), csv_table(
         ["loss_name", "fitted_T", "ece_pre_ts", "ece_post_ts"],
         ((r.loss_name, r.fitted_T, r.pre.ece, r.post.ece) for r in rows)))

@@ -130,7 +130,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 inputs, logits = _forward(weights, biases, x_all[batch])
                 loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
                 if not math.isfinite(loss):
-                    raise DivergedError(epoch, step)
+                    raise DivergedError("loss", epoch, step)
                 loss_sum += loss
                 loss_batches += 1
                 if lr == 0.0:
@@ -142,7 +142,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 velocity += grads
                 params -= np.multiply(velocity, lr, out=scratch)
                 if not np.isfinite(params).all():
-                    raise DivergedError(epoch, step)
+                    raise DivergedError("parameters", epoch, step)
 
             if not every_epoch and epoch < optim_cfg.epochs - 1:
                 continue
@@ -152,7 +152,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
             for x in probes:  # each read before the next forward overwrites the buffers
                 logits = _forward(weights, biases, x, [b[:len(x)] for b in buffers])[1]
                 if not np.isfinite(logits).all():
-                    raise DivergedError(epoch, loss_batches - 1)
+                    raise DivergedError("epoch-end logits", epoch, loss_batches - 1)
                 if not norms:
                     train_acc = float((np.argmax(logits, axis=1) == y_all).mean())
                 norms.append(float(row_l2_norm(logits).mean()))

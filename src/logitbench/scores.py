@@ -51,32 +51,34 @@ class ScoreConfig:
                            kind_params(SCORE_PARAMS, "score", self.kind, self.params))
 
 
-def _odin_input(model: MlpModel, features: Matrix2D, T: float, eps: float) -> Matrix2D:
-    """Step every row against the sign of its input gradient of the
-    cross-entropy between softmax(f / T) and the predicted class; that
-    cross-entropy is -log S_pred, so the step raises the max softmax."""
-    inputs, f = forward(model, features)
+def _odin_input(model: MlpModel, inputs: list[np.ndarray], f: np.ndarray,
+                T: float, eps: float) -> Matrix2D:
+    """Step every row of inputs[0], whose forward pass gave `inputs` and logits f,
+    against the sign of its input gradient of the cross-entropy between softmax(f / T)
+    and the predicted class; that is -log S_pred, so the step raises the max softmax."""
     grad = np.exp(log_softmax(f * (1.0 / T)))
     grad[np.arange(f.shape[0]), f.argmax(axis=1)] -= 1.0
     grad *= 1.0 / T
     grad = input_gradient(model.weights, inputs, grad)
-    return Matrix2D(features.data - eps * np.sign(grad))
+    return Matrix2D(inputs[0] - eps * np.sign(grad))
 
 
 def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.ndarray:
-    """Score every row of `features` under `cfg`; one value per row."""
+    """Score every row of `features` under `cfg`; one value per row. Every detector reads
+    one forward pass over `features`; ODIN with eps > 0 adds one over the perturbed rows."""
+    inputs, logits = forward(model, features)
     if cfg.kind == MSP:
-        return rowwise_softmax(forward(model, features)[1]).max(axis=1)
+        return rowwise_softmax(logits).max(axis=1)
     T = cfg.params["T"]
     if cfg.kind == ODIN:
         if cfg.params["eps"] > 0.0:
-            features = _odin_input(model, features, T, cfg.params["eps"])
-        return rowwise_softmax(forward(model, features)[1] / T).max(axis=1)
+            logits = forward(model, _odin_input(model, inputs, logits, T,
+                                                cfg.params["eps"]))[1]
+        return rowwise_softmax(logits / T).max(axis=1)
     if cfg.kind == ENERGY:
-        f = forward(model, features)[1] / T
+        f = logits / T
         m = f.max(axis=1)
         return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
-    inputs, logits = forward(model, features)
     probs = np.exp(log_softmax(logits * (1.0 / T)))
     k = model.num_classes
     return np.abs(inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / k).sum(axis=1) / T

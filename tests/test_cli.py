@@ -187,8 +187,12 @@ def test_exit_code_diverged_run(command, tmp_path, capsys):
                "epochs": 20, "batch_size": 32, "lr_drops": []})
     assert main([command, "--config", str(cfg_path), "--quiet"]) == 3
     err = capsys.readouterr().err
+    # train forwards the training set after every epoch, where the logits
+    # overflow first; calibrate forwards it after the last epoch only, so
+    # the overflow surfaces at a later step's loss.
+    what = {"train": "epoch-end logits", "calibrate": "loss"}[command]
     assert err.startswith("all seeds diverged: loss=cross_entropy seed=0: diverged "
-                          "(non-finite loss at epoch ")
+                          f"(non-finite {what} at epoch ")
     assert err.count("\n") == 1
 
 
@@ -455,7 +459,8 @@ def test_quiet_is_quiet_when_a_division_by_zero_diverges(tmp_path):
         capture_output=True, text=True, env=env)
     assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
     assert (tmp_path / "out" / "warnings.txt").read_text() == (
-        "loss=logit_norm tau=1e-300 seed=0: diverged (non-finite loss at epoch 0, step 0)\n")
+        "loss=logit_norm tau=1e-300 seed=0: diverged "
+        "(non-finite parameters at epoch 0, step 0)\n")
 
 
 def test_main_runs_blas_on_one_thread(tmp_path):
@@ -537,7 +542,8 @@ def test_partly_diverged_sweep_keeps_what_trained(tmp_path, capsys):
     assert main(["sweep-tau", "--config", str(cfg_path), "--tau-grid", "0.01,100"]) == 0
     lines = (out / "sweep_tau.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["100"]
-    warning = "loss=logit_norm tau=0.01 seed=0: diverged (non-finite loss at epoch 19, step 2)\n"
+    warning = ("loss=logit_norm tau=0.01 seed=0: diverged "
+               "(non-finite epoch-end logits at epoch 19, step 2)\n")
     assert (out / "warnings.txt").read_text() == warning
     assert capsys.readouterr().err == "WARNING: " + warning
 

@@ -476,6 +476,19 @@ def test_sweep_tau_realizes_each_seed_once(monkeypatch, tmp_path):
     assert [r.tau for r in rows] == [0.05, 0.1, 0.5]
 
 
+def test_sweep_tau_trains_each_distinct_tau_once_per_seed(monkeypatch, tmp_path):
+    trained = []
+    real = harness.train
+    monkeypatch.setattr(harness, "train", lambda model, data, loss_cfg, *args, **kwargs:
+                        trained.append(loss_cfg.params["tau"])
+                        or real(model, data, loss_cfg, *args, **kwargs))
+    rows, _ = sweep_tau(config_from_dict(tiny_raw(output_dir=str(tmp_path))), [0.1, 0.1, 0.05])
+    assert trained == [0.05, 0.1] * 2
+    assert [r.tau for r in rows] == [0.05, 0.1]
+    _, cells = read_cells(tmp_path / "sweep_tau.csv")
+    assert [float(row[0]) for row in cells] == [0.05, 0.1]
+
+
 def test_sweep_tau_validation(tmp_path):
     cfg = config_from_dict(tiny_raw(output_dir=str(tmp_path)))
     with pytest.raises(ConfigError):
@@ -542,6 +555,16 @@ def test_run_calibration_requires_val_split(tmp_path):
     cfg = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, val_fraction=0.0))
     with pytest.raises(ConfigError):
         run_calibration(cfg)
+
+
+def test_run_calibration_realizes_the_first_seed_only(monkeypatch, tmp_path):
+    calls = []
+    real = harness.realize_data
+    monkeypatch.setattr(harness, "realize_data",
+                        lambda cfg, seed: calls.append(seed) or real(cfg, seed))
+    rows = run_calibration(config_from_dict(tiny_raw(seeds=[3, 1], output_dir=str(tmp_path))))
+    assert calls == [3]
+    assert [r.loss_name for r in rows] == ["cross_entropy", "logit_norm"]
 
 
 def test_run_calibration_outputs(tmp_path):

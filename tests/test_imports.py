@@ -3,6 +3,8 @@ and every function, class and method the package defines is used by the
 package itself or exported. No linter is configured for this repository,
 so `ast` walks check both. The package's __init__.py is left out of the
 first check: its imports are its exports.
+One function, harness.trained_cells, calls optimizer.train, so every
+training command trains its cells the same way.
 The package needs numpy only: scipy stays out of its imports and out of
 the process, because importing scipy.stats alone takes about a second."""
 
@@ -86,6 +88,63 @@ def test_every_package_definition_is_used_or_exported():
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     assert len(sources) > 10 and entry_points == {"main"}
     assert unreferenced(sources, exported | entry_points) == []
+
+
+def train_callers(sources: dict[str, str]) -> list[str]:
+    """"module.name" of every function or method in `sources` (module name
+    -> source) that calls optimizer.train: by a name `from .optimizer
+    import` binds to it, as an attribute of a module named optimizer, or,
+    in optimizer itself, by its own name."""
+    callers = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = {"train"} if module == "optimizer" else set()
+        names |= {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "optimizer"
+                  for alias in node.names if alias.name == "train"}
+        for node in definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            calls = [call.func for call in ast.walk(node) if isinstance(call, ast.Call)]
+            if any(isinstance(f, ast.Name) and f.id in names
+                   or isinstance(f, ast.Attribute) and f.attr == "train"
+                   and isinstance(f.value, ast.Name) and f.value.id == "optimizer"
+                   for f in calls):
+                callers.append(f"{module}.{node.name}")
+    return callers
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name `source` defines, imports, binds or reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+    return found
+
+
+def test_one_function_trains_a_cell():
+    sample = {"a": "from .optimizer import train as fit\ndef f():\n    return fit()\n\n\n"
+                   "def g():\n    return train()\n",
+              "b": "from . import optimizer\n\n\nclass K:\n    def m(self):\n"
+                   "        return optimizer.train()\n",
+              "optimizer": "def train():\n    return 1\n\n\ndef again():\n    return train()\n"}
+    assert train_callers(sample) == ["a.f", "b.m", "optimizer.again"]
+    assert {"fit", "train", "f"} <= identifiers(sample["a"])
+    package = sorted((ROOT / "src" / "logitbench").glob("*.py"))
+    assert len(package) > 10
+    assert train_callers({path.stem: path.read_text() for path in package}) == [
+        "harness.trained_cells"]
+    assert [path.name for path in package + MODULES
+            if "train_cell" in identifiers(path.read_text())] == []
 
 
 def imported_modules(source: str) -> set[str]:

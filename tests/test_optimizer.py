@@ -154,9 +154,23 @@ def test_weight_decay_shrinks_weights_only():
 def test_divergence_raises():
     ds = easy_dataset()
     model = init_model((4, 8, 2), seed=8)
-    with pytest.raises(DivergedError):
+    with pytest.raises(DivergedError) as exc:
         train(model, ds, LossConfig("cross_entropy"),
               small_optim(lr0=1e6, momentum=0.99, epochs=5, lr_drops=()), SGD_SEED)
+    assert exc.value.what == "loss"
+    assert str(exc.value) == "non-finite loss at epoch 4, step 6"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_divergence_names_non_finite_parameters():
+    """With tau 1e-300 the logit-norm gradient divides by a square that
+    underflows to zero: the first step's loss is finite, its update is not."""
+    ds = easy_dataset()
+    model = init_model((4, 8, 2), seed=8)
+    with pytest.raises(DivergedError) as exc:
+        train(model, ds, LossConfig("logit_norm", {"tau": 1e-300}), small_optim(), SGD_SEED)
+    assert (exc.value.what, exc.value.epoch, exc.value.step) == ("parameters", 0, 0)
+    assert str(exc.value) == "non-finite parameters at epoch 0, step 0"
 
 
 def per_array_train(model, dataset, loss_cfg, optim_cfg, seed, probe_ood):
@@ -280,11 +294,13 @@ def test_last_epoch_only_still_checks_the_final_forward():
     cfg = small_optim(epochs=5, lr_drops=())
     with pytest.raises(DivergedError) as full:
         train(model, ds, LossConfig("cross_entropy"), cfg, SGD_SEED, probe_ood=probe)
-    assert (full.value.epoch, full.value.step) == (0, 6)
+    assert (full.value.what, full.value.epoch, full.value.step) == ("epoch-end logits", 0, 6)
     with pytest.raises(DivergedError) as last:
         train(model, ds, LossConfig("cross_entropy"), cfg, SGD_SEED, probe_ood=probe,
               every_epoch=False)
-    assert (last.value.epoch, last.value.step) == (cfg.epochs - 1, 6)
+    assert (last.value.what, last.value.epoch, last.value.step) == (
+        "epoch-end logits", cfg.epochs - 1, 6)
+    assert str(last.value) == f"non-finite epoch-end logits at epoch {cfg.epochs - 1}, step 6"
 
 
 # ---------------------------------------------------------------------------
