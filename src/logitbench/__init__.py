@@ -11,8 +11,7 @@ from .harness import (BenchmarkRow, ExperimentConfig, config_from_dict,
                       config_hash, emit_histogram_data, load_config,
                       run_calibration, run_experiment, sweep_tau)
 from .losses import LossConfig, logitnorm_lower_bound, loss_and_grad
-from .metrics import (CalibrationReport, DetectionReport, aupr, auroc, ece,
-                      fit_temperature, fpr_at_tpr)
+from .metrics import DetectionReport, detection_report, ece, fit_temperature
 from .model import (MlpModel, forward, init_model, load_checkpoint,
                     save_checkpoint)
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train

@@ -101,9 +101,9 @@ def _cmd_score(args) -> int:
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     for seed in cfg.seeds:
         bundle = realize_data(cfg, seed)
-        for sname, tag, _ in dump_scores(cfg, model, bundle, stem, seed):
+        for name, *_ in dump_scores(cfg, model, bundle, stem, seed):
             if not args.quiet:
-                print(f"wrote scores_{stem}_{sname}_{tag}_{seed}.txt")
+                print(f"wrote {name}")
     return 0
 
 
@@ -152,7 +152,7 @@ def _cmd_calibrate(args) -> int:
     if not args.quiet:
         for r in rows:
             print(f"{r.loss_name}: T={r.fitted_T:.4f} "
-                  f"ECE {r.pre.ece:.4f} -> {r.post.ece:.4f}")
+                  f"ECE {r.ece_pre_ts:.4f} -> {r.ece_post_ts:.4f}")
     return _echo_warnings(args, cfg)
 
 

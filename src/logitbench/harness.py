@@ -25,8 +25,7 @@ from .data import (OOD_PARAMS, LabeledDataset, corrupt_labels, gen_blobs,
 from .errors import (AllSeedsDiverged, ConfigError, DataError, DivergedError,
                      kind_params, read_lines)
 from .losses import LOGIT_NORM, LossConfig
-from .metrics import (CalibrationReport, check_tpr_target, detection_report,
-                      ece, fit_temperature, fpr_at_tpr)
+from .metrics import check_tpr_target, detection_report, ece, fit_temperature
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, train
 from .scores import ScoreConfig, dump_records, score_batch, write_scores
@@ -39,6 +38,7 @@ from .tensor import Matrix2D, row_l2_norm, rowwise_softmax
 
 # Upper ends for sizes that would otherwise fail only deep into a run.
 MAX_ROWS = 1_000_000  # rows of a generated data set, ID or OOD
+MAX_WIDTH = 10_000  # features of a generated data set; units of a layer
 MAX_BINS = 10_000  # ECE bins and report histogram bins
 
 
@@ -59,8 +59,9 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("blobs", "file"):
             raise ConfigError(f"unknown data kind {self.kind!r}")
-        if self.kind == "blobs" and (self.k < 2 or self.d < 2):
-            raise ConfigError(f"need k >= 2 and d >= 2, got k={self.k}, d={self.d}")
+        if self.kind == "blobs" and not (self.k >= 2 and 2 <= self.d <= MAX_WIDTH):
+            raise ConfigError(f"need k >= 2 and 2 <= d <= {MAX_WIDTH}, "
+                              f"got k={self.k}, d={self.d}")
         if self.n_train_per_class < 1 or self.n_test_per_class < 1:
             raise ConfigError("n_train_per_class and n_test_per_class must be >= 1, got "
                               f"{self.n_train_per_class} and {self.n_test_per_class}")
@@ -127,6 +128,9 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(self.layer_dims) < 2 or min(self.layer_dims) < 1:
             raise ConfigError("layer_dims must be at least two positive sizes, "
+                              f"got {list(self.layer_dims)}")
+        if max(self.layer_dims) > MAX_WIDTH:
+            raise ConfigError(f"layer_dims must be at most {MAX_WIDTH} each, "
                               f"got {list(self.layer_dims)}")
         if self.data.kind == "blobs":
             if self.layer_dims[0] != self.data.d or self.layer_dims[-1] != self.data.k:
@@ -377,9 +381,9 @@ def save_cell(cfg: ExperimentConfig, seed: int, loss_name: str, model: MlpModel,
 def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
                 stem: str, seed: int):
     """Score the ID test set once per detector and each OOD set against it;
-    write each dump under cfg.output_dir and yield (detector name, OOD tag,
-    (ID scores, OOD scores)). A non-finite score raises DataError before
-    the dump that would hold it is written."""
+    write each dump under cfg.output_dir and yield (dump file name, detector
+    name, OOD tag, (ID scores, OOD scores)). A non-finite score raises
+    DataError before the dump that would hold it is written."""
     for score_cfg in cfg.scores:
         id_scores = score_batch(model, bundle.test.features, score_cfg)
         id_records = dump_records("ID", id_scores)
@@ -387,7 +391,7 @@ def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
             ood_scores = score_batch(model, ood, score_cfg)
             name = f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"
             write_scores(os.path.join(cfg.output_dir, name), id_records, ood_scores)
-            yield score_cfg.kind, tag, (id_scores, ood_scores)
+            yield name, score_cfg.kind, tag, (id_scores, ood_scores)
 
 
 def _record_warnings(out: str, warnings: list[str], trained: bool) -> None:
@@ -429,8 +433,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> ExperimentResul
             norms[tag] = float(row_l2_norm(forward(model, ood)[1]).mean())
         final_norms[(lname, seed)] = norms
 
-        for sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle,
-                                                                lname, seed):
+        for _, sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle,
+                                                                   lname, seed):
             report = detection_report(id_scores, ood_scores, cfg.metrics.tpr_target)
             seed_rows.append(SeedRow(lname, sname, tag, seed, report.fpr_at_95_tpr,
                                      report.auroc, report.aupr, id_acc))
@@ -490,9 +494,9 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float]
     for _, bundle, loss_cfg, model, history in trained_cells(cfg, [], cells,
                                                              every_epoch=False):
         tau = loss_cfg.params["tau"]
-        fprs[tau].append(fpr_at_tpr(score_batch(model, bundle.test.features, msp),
-                                    score_batch(model, bundle.validation_ood, msp),
-                                    cfg.metrics.tpr_target))
+        fprs[tau].append(detection_report(score_batch(model, bundle.test.features, msp),
+                                          score_batch(model, bundle.validation_ood, msp),
+                                          cfg.metrics.tpr_target).fpr_at_95_tpr)
         losses[tau].append(history[-1].train_loss)
     rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
             for tau in taus if fprs[tau]]
@@ -526,7 +530,11 @@ def emit_histogram_data(id_scores, ood_scores, bins: int
         raise DataError("ID and OOD scores must be finite")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
-        hi = lo + 1.0
+        if abs(lo) < 2.0 ** 53:
+            hi = lo + 1.0
+        else:  # a unit is below the spacing: one spacing a bin, toward zero,
+            # where the spacing is no wider, so every edge is exact
+            lo, hi = sorted((lo, lo - math.copysign(bins * math.ulp(lo), lo)))
     if math.isfinite(hi - lo):
         edges = np.linspace(lo, hi, bins + 1)
     else:  # the span overflows; halving is exact above the subnormals
@@ -541,8 +549,8 @@ def emit_histogram_data(id_scores, ood_scores, bins: int
 class CalibrationRow:
     loss_name: str
     fitted_T: float
-    pre: CalibrationReport
-    post: CalibrationReport
+    ece_pre_ts: float
+    ece_post_ts: float
 
 
 def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
@@ -562,7 +570,6 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
         rows.append(CalibrationRow(loss_cfg.kind, fitted,
                                    ece(conf_pre, correct, cfg.metrics.ece_bins),
                                    ece(conf_post, correct, cfg.metrics.ece_bins)))
-    _write(os.path.join(cfg.output_dir, "calibration.csv"), csv_table(
-        ["loss_name", "fitted_T", "ece_pre_ts", "ece_post_ts"],
-        ((r.loss_name, r.fitted_T, r.pre.ece, r.post.ece) for r in rows)))
+    _write(os.path.join(cfg.output_dir, "calibration.csv"),
+           csv_table(field_names(CalibrationRow), rows))
     return rows

@@ -23,19 +23,6 @@ class DetectionReport:
     n_ood: int
 
 
-@dataclass(frozen=True)
-class BinRecord:
-    conf_mean: float
-    accuracy: float
-    count: int
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    ece: float
-    bins: tuple[BinRecord, ...]
-
-
 def check_tpr_target(tpr_target: float, error: type[Exception] = DataError) -> None:
     """Raise `error` unless tpr_target lies in (0, 1]."""
     if not 0.0 < tpr_target <= 1.0:
@@ -79,25 +66,8 @@ def detection_report(id_scores, ood_scores, tpr_target: float = 0.95) -> Detecti
     return DetectionReport(float(fpr), float(u / (n * m)), float(area), n, m)
 
 
-def fpr_at_tpr(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
-    """OOD fraction admitted at the largest threshold that keeps at least
-    tpr_target of the ID examples (detection_report)."""
-    return detection_report(id_scores, ood_scores, tpr_target).fpr_at_95_tpr
-
-
-def auroc(id_scores, ood_scores) -> float:
-    """P(random ID score > random OOD score), ties counted half
-    (detection_report)."""
-    return detection_report(id_scores, ood_scores).auroc
-
-
-def aupr(id_scores, ood_scores) -> float:
-    """Area under precision-recall, ID positive (detection_report)."""
-    return detection_report(id_scores, ood_scores).aupr
-
-
 def ece(confidences: Sequence[float], correct: Sequence[bool],
-        M: int = 15) -> CalibrationReport:
+        M: int = 15) -> float:
     """Expected calibration error over M equal-width bins on [0, 1], which must hold every
     confidence; bins are right-closed except the first, which also contains 0."""
     conf = np.asarray(confidences, dtype=np.float64)
@@ -111,18 +81,15 @@ def ece(confidences: Sequence[float], correct: Sequence[bool],
     idx = np.clip(np.ceil(conf * M).astype(int) - 1, 0, M - 1)
     n = conf.size
     total = 0.0
-    bins = []
     for b in range(M):
         members = idx == b
         count = int(members.sum())
         if count == 0:
-            bins.append(BinRecord(0.0, 0.0, 0))
             continue
         conf_mean = float(conf[members].mean())
         acc = float(corr[members].mean())
         total += count / n * abs(acc - conf_mean)
-        bins.append(BinRecord(conf_mean, acc, count))
-    return CalibrationReport(float(total), tuple(bins))
+    return total
 
 
 # The temperature search range and tolerance, on log10 T.

@@ -16,8 +16,7 @@ import pytest
 
 from logitbench.harness import run_calibration, run_experiment, sweep_tau
 from logitbench.losses import LossConfig, logitnorm_lower_bound, loss_and_grad
-from logitbench.metrics import (aupr, auroc, fit_temperature, fpr_at_tpr,
-                                nll_at_temperature)
+from logitbench.metrics import detection_report, fit_temperature, nll_at_temperature
 from logitbench.model import forward, init_model, input_gradient
 from logitbench.scores import GRADNORM, ScoreConfig, score_batch
 from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
@@ -212,15 +211,15 @@ def test_criterion_3_metrics_match_brute_force_oracles():
         n, m = int(rng.integers(1, 51)), int(rng.integers(1, 51))
         id_s = np.round(rng.normal(0.4, 1.0, n), 1)
         ood_s = np.round(rng.normal(0.0, 1.0, m), 1)
-        assert fpr_at_tpr(id_s, ood_s, 0.95) == pytest.approx(
-            _brute_fpr(id_s, ood_s), abs=1e-12)
-        assert auroc(id_s, ood_s) == pytest.approx(_brute_auroc(id_s, ood_s), abs=1e-12)
-        assert aupr(id_s, ood_s) == pytest.approx(_brute_aupr(id_s, ood_s), abs=1e-12)
+        report = detection_report(id_s, ood_s, 0.95)
+        assert report.fpr_at_95_tpr == pytest.approx(_brute_fpr(id_s, ood_s), abs=1e-12)
+        assert report.auroc == pytest.approx(_brute_auroc(id_s, ood_s), abs=1e-12)
+        assert report.aupr == pytest.approx(_brute_aupr(id_s, ood_s), abs=1e-12)
         if trial % 100 == 0:
-            t_id, t_ood = np.arctan(id_s), np.arctan(ood_s)
-            assert fpr_at_tpr(t_id, t_ood, 0.95) == fpr_at_tpr(id_s, ood_s, 0.95)
-            assert auroc(t_id, t_ood) == auroc(id_s, ood_s)
-            assert aupr(t_id, t_ood) == aupr(id_s, ood_s)
+            t_report = detection_report(np.arctan(id_s), np.arctan(ood_s), 0.95)
+            assert t_report.fpr_at_95_tpr == report.fpr_at_95_tpr
+            assert t_report.auroc == report.auroc
+            assert t_report.aupr == report.aupr
     elapsed = time.time() - started
     assert elapsed < 30.0, f"metric oracle suite took {elapsed:.1f}s"
     _ok("criterion 3: 1,000 score sets match brute-force oracles",
@@ -354,12 +353,12 @@ def test_criterion_8_calibration(tmp_path):
     )
     rows = {r.loss_name: r for r in run_calibration(cfg)}
     ce, ln = rows["cross_entropy"], rows["logit_norm"]
-    assert ln.pre.ece > ce.pre.ece, \
-        f"logit_norm pre-TS ECE {ln.pre.ece:.3f} not above CE {ce.pre.ece:.3f}"
-    assert ln.post.ece < ce.pre.ece, \
-        f"logit_norm post-TS ECE {ln.post.ece:.3f} not below CE pre {ce.pre.ece:.3f}"
-    assert ln.post.ece <= ln.pre.ece / 10.0, \
-        f"post-TS {ln.post.ece:.4f} not a 10x drop from {ln.pre.ece:.4f}"
+    assert ln.ece_pre_ts > ce.ece_pre_ts, \
+        f"logit_norm pre-TS ECE {ln.ece_pre_ts:.3f} not above CE {ce.ece_pre_ts:.3f}"
+    assert ln.ece_post_ts < ce.ece_pre_ts, \
+        f"logit_norm post-TS ECE {ln.ece_post_ts:.3f} not below CE pre {ce.ece_pre_ts:.3f}"
+    assert ln.ece_post_ts <= ln.ece_pre_ts / 10.0, \
+        f"post-TS {ln.ece_post_ts:.4f} not a 10x drop from {ln.ece_pre_ts:.4f}"
 
     # temperature recovery on synthetically sharpened logits
     rng = np.random.default_rng(23)
@@ -372,7 +371,7 @@ def test_criterion_8_calibration(tmp_path):
     assert (nll_at_temperature(base * 3.0, labels, fitted)
             <= nll_at_temperature(base * 3.0, labels, 1.0) + 1e-9)
     _ok("criterion 8: calibration",
-        f"pre {ln.pre.ece:.3f} > {ce.pre.ece:.3f}, post {ln.post.ece:.4f}, "
+        f"pre {ln.ece_pre_ts:.3f} > {ce.ece_pre_ts:.3f}, post {ln.ece_post_ts:.4f}, "
         f"fitted T {fitted:.3f}")
 
 

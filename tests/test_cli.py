@@ -82,6 +82,19 @@ def test_score_two_checkpoints_into_one_directory(tmp_path):
     assert dumps[0].read_text() != dumps[1].read_text()
 
 
+def test_score_prints_the_name_of_each_dump_it_writes(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, scores=[{"kind": "msp"}, {"kind": "energy"}])
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["score", "--config", str(cfg_path),
+                 "--checkpoint", str(out / "checkpoint_cross_entropy_0.txt")]) == 0
+    names = ["scores_checkpoint_cross_entropy_0_msp_uniform_box_0.txt",
+             "scores_checkpoint_cross_entropy_0_energy_uniform_box_0.txt"]
+    assert capsys.readouterr().out == "".join(f"wrote {name}\n" for name in names)
+    assert sorted(path.name for path in out.glob("scores_*")) == sorted(names)
+
+
 def test_bench_subcommand(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 0
@@ -376,6 +389,8 @@ DESK = CONFIGS / "desk.json"
     (("layer_dims",), [], "config: layer_dims must be at least two positive sizes, got []"),
     (("layer_dims",), [16, 0, 10],
      "config: layer_dims must be at least two positive sizes, got [16, 0, 10]"),
+    (("layer_dims",), [16, 10**12, 10],
+     "config: layer_dims must be at most 10000 each, got [16, 1000000000000, 10]"),
     (("optim", "epochs"), 0, "config.optim: epochs must be >= 1, got 0"),
     (("ood_panel", 3, "params", "k"), 0,
      "config.ood_panel[3]: shifted_blobs param k must be an integer in [1, 10000], got 0"),
@@ -418,7 +433,7 @@ DESK = CONFIGS / "desk.json"
 ], ids=["lr0_str", "epochs_float", "batch_str", "drops_bad", "drops_negative", "bins_str",
         "dims_str", "losses_dict", "tau_str", "m_float", "params_str", "params_null", "bare",
         "data_list", "seed_float", "seed_bool", "outdir_num", "k_float", "dims_empty",
-        "dims_zero", "epochs0", "params_k0", "params_k_frac", "params_unknown",
+        "dims_zero", "dims_wide", "epochs0", "params_k0", "params_k_frac", "params_unknown",
         "params_hw_neg", "params_hw_big", "params_k_big", "loss_params_unread",
         "score_params_unread", "score_T_big", "score_eps_big", "ood_m_big", "ece_bins_big",
         "n_train0", "n_test0", "blobs_rows_big", "n_train_val1", "blob_spread_big",
@@ -438,6 +453,21 @@ def test_bad_config_value_is_one_line_naming_its_key(command, path, value, messa
     assert err.startswith("config error: " + message)
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_data_width_over_the_bound_is_a_config_error(tmp_path, capsys):
+    # With the layers to match, 1e12 features asked gen_blobs for 72.8 TiB: a
+    # numpy traceback, not a config error, until d had an upper bound.
+    raw = json.loads(DESK.read_text())
+    raw["data"]["d"] = raw["layer_dims"][0] = 10**12
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: config.data: need k >= 2 and 2 <= d <= 10000, "
+                   "got k=10, d=1000000000000\n")
     assert not out.exists()
 
 

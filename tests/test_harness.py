@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from logitbench import harness, optimizer
 from logitbench.cli import main
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
-from logitbench.harness import (DataConfig, config_from_dict, config_hash,
+from logitbench.harness import (MAX_BINS, DataConfig, config_from_dict, config_hash,
                                 config_to_dict, derive_seed, emit_histogram_data,
                                 load_config, realize_data, run_calibration,
                                 run_experiment, sweep_tau)
@@ -518,6 +519,26 @@ def test_histogram_degenerate_range():
     assert sum(r[2] + r[3] for r in rows) == 2
 
 
+def test_histogram_of_a_constant_is_one_unit_wide_below_2_53():
+    for value in (-1e15, -0.5, 0.0, 0.5, 2.0 ** 53 - 1):
+        rows = emit_histogram_data([value], [value], bins=4)
+        assert (rows[0][0], rows[-1][1]) == (value, value + 1.0)
+
+
+@pytest.mark.parametrize("magnitude", [2.0 ** 53, 1e17, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_histogram_edges_of_a_constant_increase_from_2_53_up(sign, magnitude):
+    # Here value + 1.0 rounds back to the value, which made every edge equal.
+    value = sign * magnitude
+    for bins in (2, 50, MAX_BINS):
+        rows = emit_histogram_data([value], [value], bins)
+        edges = [rows[0][0], *(row[1] for row in rows)]
+        assert all(map(math.isfinite, edges))
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert value in (edges[0], edges[-1])
+        assert (sum(row[2] for row in rows), sum(row[3] for row in rows)) == (1, 1)
+
+
 def test_histogram_validation():
     with pytest.raises(ConfigError):
         emit_histogram_data([1.0], [], bins=1)
@@ -573,11 +594,11 @@ def test_run_calibration_outputs(tmp_path):
     assert [r.loss_name for r in rows] == ["cross_entropy", "logit_norm"]
     for r in rows:
         assert r.fitted_T > 0
-        assert 0.0 <= r.pre.ece <= 1.0
-        assert 0.0 <= r.post.ece <= 1.0
+        assert 0.0 <= r.ece_pre_ts <= 1.0
+        assert 0.0 <= r.ece_post_ts <= 1.0
     text = (tmp_path / "calibration.csv").read_text()
     assert text.startswith("loss_name,fitted_T,ece_pre_ts,ece_post_ts\n")
     assert len(text.strip().split("\n")) == 3
     _, cells = read_cells(tmp_path / "calibration.csv")
     assert [[name, *map(float, values)] for name, *values in cells] == [
-        [r.loss_name, r.fitted_T, r.pre.ece, r.post.ece] for r in rows]
+        [r.loss_name, r.fitted_T, r.ece_pre_ts, r.ece_post_ts] for r in rows]

@@ -2,6 +2,7 @@
 and brute-force reference implementations."""
 
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logitbench.errors import DataError
-from logitbench.metrics import (aupr, auroc, detection_report, ece,
-                                fit_temperature, fpr_at_tpr,
+from logitbench.metrics import (detection_report, ece, fit_temperature,
                                 nll_at_temperature)
 
 
@@ -62,45 +62,47 @@ def brute_aupr(id_scores, ood_scores):
 def test_fpr_hand_example():
     # Threshold lands on the smallest ID score (1), which admits one of the
     # two OOD points.
-    assert fpr_at_tpr([4.0, 3.0, 2.0, 1.0], [2.5, 0.5], 0.95) == 0.5
+    assert detection_report([4.0, 3.0, 2.0, 1.0], [2.5, 0.5], 0.95).fpr_at_95_tpr == 0.5
 
 
 def test_fpr_perfect_separation():
-    assert fpr_at_tpr([10.0, 9.0, 8.0], [1.0, 2.0], 0.95) == 0.0
+    assert detection_report([10.0, 9.0, 8.0], [1.0, 2.0], 0.95).fpr_at_95_tpr == 0.0
 
 
 def test_fpr_total_overlap():
-    assert fpr_at_tpr([1.0, 1.0], [1.0, 1.0], 0.95) == 1.0
+    assert detection_report([1.0, 1.0], [1.0, 1.0], 0.95).fpr_at_95_tpr == 1.0
 
 
 def test_fpr_target_validation():
     with pytest.raises(DataError):
-        fpr_at_tpr([1.0], [0.0], 0.0)
+        detection_report([1.0], [0.0], 0.0)
     with pytest.raises(DataError):
-        fpr_at_tpr([1.0], [0.0], 1.5)
+        detection_report([1.0], [0.0], 1.5)
 
 
 def test_fpr_requires_both_origins():
     with pytest.raises(DataError):
-        fpr_at_tpr([1.0], [])
-    with pytest.raises(DataError):
-        auroc([], [1.0])
-    with pytest.raises(DataError):
-        aupr([], [])
-    with pytest.raises(DataError):
         detection_report([1.0], [])
+    with pytest.raises(DataError):
+        detection_report([], [1.0])
+    with pytest.raises(DataError):
+        detection_report([], [])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("side", ["ID", "OOD"])
-@pytest.mark.parametrize("metric", [detection_report, fpr_at_tpr, auroc, aupr])
-def test_non_finite_score_raises_data_error(metric, side, bad):
+# The report, and each field of it as a caller reads it; each id names the
+# one-field function that the reader replaced.
+@pytest.mark.parametrize("read", [lambda report: report, attrgetter("fpr_at_95_tpr"),
+                                  attrgetter("auroc"), attrgetter("aupr")],
+                         ids=["detection_report", "fpr_at_tpr", "auroc", "aupr"])
+def test_non_finite_score_raises_data_error(read, side, bad):
     # Where the sort put a NaN decided what these returned before.
     id_scores, ood_scores = [bad, 1.0], [0.5, 0.25]
     if side == "OOD":
         id_scores, ood_scores = ood_scores[::-1], id_scores
     with pytest.raises(DataError, match="^ID and OOD scores must be finite$"):
-        metric(id_scores, ood_scores)
+        read(detection_report(id_scores, ood_scores))
 
 
 # ---------------------------------------------------------------------------
@@ -108,30 +110,31 @@ def test_non_finite_score_raises_data_error(metric, side, bad):
 
 
 def test_auroc_perfect():
-    assert auroc([3.0, 2.0], [1.0, 0.0]) == 1.0
+    assert detection_report([3.0, 2.0], [1.0, 0.0]).auroc == 1.0
 
 
 def test_auroc_reversed():
-    assert auroc([1.0, 0.0], [3.0, 2.0]) == 0.0
+    assert detection_report([1.0, 0.0], [3.0, 2.0]).auroc == 0.0
 
 
 def test_auroc_all_tied():
-    assert auroc([1.0, 1.0], [1.0, 1.0]) == 0.5
+    assert detection_report([1.0, 1.0], [1.0, 1.0]).auroc == 0.5
 
 
 def test_auroc_interleaved():
     # Pairs: (2,3) loses, (2,1) wins, (0,3) loses, (0,1) loses -> 1/4.
-    assert auroc([2.0, 0.0], [3.0, 1.0]) == 0.25
+    assert detection_report([2.0, 0.0], [3.0, 1.0]).auroc == 0.25
 
 
 def test_auroc_identical_distributions():
     rng = np.random.default_rng(11)
     pool = rng.normal(size=4000)
-    assert auroc(pool[:2000], pool[2000:]) == pytest.approx(0.5, abs=0.03)
+    assert detection_report(pool[:2000], pool[2000:]).auroc == pytest.approx(0.5, abs=0.03)
 
 
 def rank_sum_auroc(id_scores, ood_scores):
-    """The rank-sum form `auroc` replaced: U from scipy's average ranks."""
+    """The rank-sum form the report's AUROC replaced: U from scipy's average
+    ranks."""
     rankdata = pytest.importorskip("scipy.stats").rankdata
     n, m = len(id_scores), len(ood_scores)
     ranks = rankdata(np.concatenate([id_scores, ood_scores]), method="average")
@@ -163,22 +166,22 @@ def test_auroc_matches_rank_sum_and_pairwise_bit_for_bit(seed, shape):
     rng = np.random.default_rng(seed)
     for _ in range(100):
         id_scores, ood_scores = auroc_draw(shape, rng)
-        got = auroc(id_scores, ood_scores)
+        got = detection_report(id_scores, ood_scores).auroc
         assert got.hex() == rank_sum_auroc(id_scores, ood_scores).hex()
         assert got.hex() == brute_auroc(id_scores, ood_scores).hex()
 
 
 def threshold_fpr(id_scores, ood_scores, tpr_target):
-    """The threshold form `fpr_at_tpr` replaced: the ceil(t * n)-th largest
-    ID score is the threshold, found by sorting the ID scores alone."""
+    """The threshold form the report's FPR replaced: the ceil(t * n)-th
+    largest ID score is the threshold, found by sorting the ID scores alone."""
     need = math.ceil(tpr_target * len(id_scores))
     threshold = np.sort(id_scores)[::-1][need - 1]
     return float((np.asarray(ood_scores) >= threshold).mean())
 
 
 def sweep_aupr(id_scores, ood_scores):
-    """The form `aupr` replaced: the stable descending sweep, precision from
-    the count of scores admitted."""
+    """The form the report's AUPR replaced: the stable descending sweep,
+    precision from the count of scores admitted."""
     values = np.concatenate([id_scores, ood_scores])
     order = np.argsort(-values, kind="stable")
     values = values[order]
@@ -198,13 +201,17 @@ def test_fpr_and_aupr_match_their_replaced_forms_bit_for_bit(seed, shape):
     for _ in range(100):
         id_scores, ood_scores = auroc_draw(shape, rng)
         for tpr_target in TPR_TARGETS:
-            assert (fpr_at_tpr(id_scores, ood_scores, tpr_target).hex()
+            report = detection_report(id_scores, ood_scores, tpr_target)
+            assert (report.fpr_at_95_tpr.hex()
                     == threshold_fpr(id_scores, ood_scores, tpr_target).hex())
-        assert aupr(id_scores, ood_scores).hex() == sweep_aupr(id_scores, ood_scores).hex()
+        assert (detection_report(id_scores, ood_scores).aupr.hex()
+                == sweep_aupr(id_scores, ood_scores).hex())
 
 
 @pytest.mark.parametrize("seed, shape", DRAW_SHAPES)
 def test_detection_report_is_the_three_metrics_bit_for_bit(seed, shape):
+    # One report holds all three metrics at any target: each field equals its
+    # reference computed alone, and AUROC and AUPR do not move with the target.
     rng = np.random.default_rng(seed)
     for _ in range(25):
         id_scores, ood_scores = auroc_draw(shape, rng)
@@ -212,9 +219,9 @@ def test_detection_report_is_the_three_metrics_bit_for_bit(seed, shape):
             report = detection_report(id_scores, ood_scores, tpr_target)
             assert ((report.fpr_at_95_tpr.hex(), report.auroc.hex(), report.aupr.hex(),
                      report.n_id, report.n_ood)
-                    == (fpr_at_tpr(id_scores, ood_scores, tpr_target).hex(),
-                        auroc(id_scores, ood_scores).hex(),
-                        aupr(id_scores, ood_scores).hex(),
+                    == (threshold_fpr(id_scores, ood_scores, tpr_target).hex(),
+                        brute_auroc(id_scores, ood_scores).hex(),
+                        sweep_aupr(id_scores, ood_scores).hex(),
                         len(id_scores), len(ood_scores)))
 
 
@@ -225,11 +232,11 @@ def test_detection_report_is_the_three_metrics_bit_for_bit(seed, shape):
 def test_aupr_all_equal_scores():
     # With every score tied the single sweep point has precision = ID
     # prevalence; 9 ID vs 1 OOD gives 0.9.
-    assert aupr([1.0] * 9, [1.0]) == pytest.approx(0.9, abs=1e-12)
+    assert detection_report([1.0] * 9, [1.0]).aupr == pytest.approx(0.9, abs=1e-12)
 
 
 def test_aupr_perfect():
-    assert aupr([2.0, 3.0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert detection_report([2.0, 3.0], [0.0, 1.0]).aupr == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +253,10 @@ def test_metrics_match_brute_force(data):
     # Quantize scores so ties are common.
     id_scores = np.round(rng.normal(0.5, 1.0, n), 1)
     ood_scores = np.round(rng.normal(0.0, 1.0, m), 1)
-    assert fpr_at_tpr(id_scores, ood_scores, 0.95) == pytest.approx(
-        brute_fpr(id_scores, ood_scores), abs=1e-12)
-    assert auroc(id_scores, ood_scores) == pytest.approx(
-        brute_auroc(id_scores, ood_scores), abs=1e-12)
-    assert aupr(id_scores, ood_scores) == pytest.approx(
-        brute_aupr(id_scores, ood_scores), abs=1e-12)
+    report = detection_report(id_scores, ood_scores, 0.95)
+    assert report.fpr_at_95_tpr == pytest.approx(brute_fpr(id_scores, ood_scores), abs=1e-12)
+    assert report.auroc == pytest.approx(brute_auroc(id_scores, ood_scores), abs=1e-12)
+    assert report.aupr == pytest.approx(brute_aupr(id_scores, ood_scores), abs=1e-12)
 
 
 def tied_scores(shape: str, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -275,19 +280,17 @@ def test_metrics_match_brute_force_on_heavy_ties(shape, n, m, rng_seed, tpr_targ
     rng = np.random.default_rng(rng_seed)
     id_scores = tied_scores(shape, n, rng)
     ood_scores = tied_scores(shape, m, rng)
-    assert fpr_at_tpr(id_scores, ood_scores, tpr_target) == pytest.approx(
+    report = detection_report(id_scores, ood_scores, tpr_target)
+    assert report.fpr_at_95_tpr == pytest.approx(
         brute_fpr(id_scores, ood_scores, tpr_target), abs=1e-12)
-    assert auroc(id_scores, ood_scores) == pytest.approx(
-        brute_auroc(id_scores, ood_scores), abs=1e-12)
-    assert aupr(id_scores, ood_scores) == pytest.approx(
-        brute_aupr(id_scores, ood_scores), abs=1e-12)
+    assert report.auroc == pytest.approx(brute_auroc(id_scores, ood_scores), abs=1e-12)
+    assert report.aupr == pytest.approx(brute_aupr(id_scores, ood_scores), abs=1e-12)
 
 
 def test_fpr_at_full_tpr_uses_min_id_threshold():
     # At 100% TPR every ID score must pass, so the threshold is the minimum
     # ID score (1.0) and OOD scores >= 1.0 are admitted: 2 of 4.
     id_scores, ood_scores = [3.0, 1.0, 2.0], [1.0, 0.5, 4.0, 0.9]
-    assert fpr_at_tpr(id_scores, ood_scores, 1.0) == 0.5
     assert detection_report(id_scores, ood_scores, 1.0).fpr_at_95_tpr == 0.5
 
 
@@ -317,40 +320,38 @@ def test_detection_report_counts():
 def test_ece_hand_example():
     # conf 0.6 (right) and 0.8 (wrong) land in distinct bins with M=15:
     # 0.5 * |1 - 0.6| + 0.5 * |0 - 0.8| = 0.2 + 0.4 = 0.6
-    report = ece([0.6, 0.8], [True, False], M=15)
-    assert report.ece == pytest.approx(0.6, abs=1e-12)
+    assert ece([0.6, 0.8], [True, False], M=15) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_ece_all_confident_all_correct():
-    assert ece([1.0] * 5, [True] * 5, M=15).ece == pytest.approx(0.0, abs=1e-12)
+    assert ece([1.0] * 5, [True] * 5, M=15) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ece_all_confident_half_correct():
-    report = ece([1.0] * 4, [True, True, False, False], M=15)
-    assert report.ece == pytest.approx(0.5, abs=1e-12)
+    assert ece([1.0] * 4, [True, True, False, False], M=15) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ece_single_bin_is_mean_gap():
     rng = np.random.default_rng(7)
     conf = rng.uniform(0.2, 0.9, 100)
     corr = rng.uniform(size=100) < conf
-    report = ece(conf, corr, M=1)
-    assert report.ece == pytest.approx(abs(corr.mean() - conf.mean()), abs=1e-12)
+    assert ece(conf, corr, M=1) == pytest.approx(abs(corr.mean() - conf.mean()), abs=1e-12)
 
 
 def test_ece_perfectly_calibrated_bins():
     # Build a bin where accuracy equals mean confidence exactly.
     conf = [0.5, 0.5, 0.5, 0.5]
     corr = [True, True, False, False]
-    assert ece(conf, corr, M=15).ece == pytest.approx(0.0, abs=1e-12)
+    assert ece(conf, corr, M=15) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ece_bin_assignment_boundaries():
     # With M=10, confidence 0.1 belongs to the first bin (right-closed) and
-    # 0.1000001 to the second.
-    report = ece([0.1, 0.10001], [True, True], M=10)
-    counts = [b.count for b in report.bins]
-    assert counts[0] == 1 and counts[1] == 1
+    # 0.10001 to the second. One right and one wrong: split, each bin's gap
+    # counts alone (0.5 * 0.9 + 0.5 * 0.10001); in one bin the ECE would be
+    # |0.5 - 0.100005| = 0.399995.
+    assert ece([0.1, 0.10001], [True, False], M=10) == pytest.approx(
+        0.5 * 0.9 + 0.5 * 0.10001, abs=1e-12)
 
 
 def test_ece_validation():
@@ -366,14 +367,6 @@ def test_ece_validation():
 def test_ece_rejects_a_confidence_outside_the_unit_interval(conf):
     with pytest.raises(DataError, match=r"^confidences must lie in \[0, 1\]$"):
         ece(conf, [True, False])
-
-
-def test_ece_bin_count_conserved():
-    rng = np.random.default_rng(3)
-    conf = rng.uniform(size=200)
-    corr = rng.uniform(size=200) < 0.5
-    report = ece(conf, corr, M=15)
-    assert sum(b.count for b in report.bins) == 200
 
 
 # ---------------------------------------------------------------------------
