@@ -87,7 +87,7 @@ def _echo_warnings(args, cfg) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load(args)
-    for seed, _, loss_cfg, model, history in trained_cells(cfg, []):
+    for seed, _, loss_cfg, model, history in trained_cells(cfg):
         save_cell(cfg, seed, loss_cfg.kind, model, history)
         if not args.quiet:
             print(f"trained {loss_cfg.kind}_{seed}: final acc {history[-1].train_acc:.4f}")
@@ -126,9 +126,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = _load(args)
-    result = run_experiment(cfg, quiet=args.quiet)
+    rows = run_experiment(cfg, quiet=args.quiet)
     if not args.quiet:
-        print(f"wrote {len(result.rows)} benchmark rows to {cfg.output_dir}/bench.csv")
+        print(f"wrote {len(rows)} benchmark rows to {cfg.output_dir}/bench.csv")
     return _echo_warnings(args, cfg)
 
 

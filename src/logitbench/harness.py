@@ -29,7 +29,7 @@ from .metrics import check_tpr_target, detection_report, ece, fit_temperature
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, train
 from .scores import ScoreConfig, dump_records, score_batch, write_scores
-from .tensor import Matrix2D, row_l2_norm, rowwise_softmax
+from .tensor import Matrix2D, rowwise_softmax
 
 
 # --------------------------------------------------------------------------
@@ -62,6 +62,8 @@ class DataConfig:
         if self.kind == "blobs" and not (self.k >= 2 and 2 <= self.d <= MAX_WIDTH):
             raise ConfigError(f"need k >= 2 and 2 <= d <= {MAX_WIDTH}, "
                               f"got k={self.k}, d={self.d}")
+        if self.k < 2:  # file data, whose width the config does not give
+            raise ConfigError(f"need k >= 2, got k={self.k}")
         if self.n_train_per_class < 1 or self.n_test_per_class < 1:
             raise ConfigError("n_train_per_class and n_test_per_class must be >= 1, got "
                               f"{self.n_train_per_class} and {self.n_test_per_class}")
@@ -132,11 +134,10 @@ class ExperimentConfig:
         if max(self.layer_dims) > MAX_WIDTH:
             raise ConfigError(f"layer_dims must be at most {MAX_WIDTH} each, "
                               f"got {list(self.layer_dims)}")
-        if self.data.kind == "blobs":
-            if self.layer_dims[0] != self.data.d or self.layer_dims[-1] != self.data.k:
-                raise ConfigError(
-                    f"layer_dims {self.layer_dims} inconsistent with data "
-                    f"(d={self.data.d}, k={self.data.k})")
+        blobs = self.data.kind == "blobs"
+        if self.layer_dims[-1] != self.data.k or (blobs and self.layer_dims[0] != self.data.d):
+            shape = f"d={self.data.d}, k={self.data.k}" if blobs else f"k={self.data.k}"
+            raise ConfigError(f"layer_dims {self.layer_dims} inconsistent with data ({shape})")
         # Output files and bench.csv rows are keyed by kind on every axis.
         for axis in ("losses", "scores", "ood_panel"):
             kinds = [c.kind for c in getattr(self, axis)]
@@ -247,7 +248,7 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
         train_ds, test_ds = split(full, (f_train, 1.0 - f_train),
                                   derive_seed(seed, "split"))
     else:
-        train_ds = load_delimited(dc.train_path, k=dc.k or None)
+        train_ds = load_delimited(dc.train_path, k=dc.k)
         test_ds = load_delimited(dc.test_path, k=train_ds.k)
         if test_ds.dim != train_ds.dim:
             raise DataError(f"{dc.test_path}: {test_ds.dim} features per row, "
@@ -301,16 +302,6 @@ class BenchmarkRow:
     seeds_used: tuple[int, ...]
 
 
-@dataclass
-class ExperimentResult:
-    rows: list[BenchmarkRow]
-    seed_rows: list[SeedRow]
-    telemetry: dict[tuple[str, int], list[EpochTelemetry]]
-    final_norms: dict[tuple[str, int], dict[str, float]]
-    warnings: list[str]
-    hash: str
-
-
 def _write(path, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
@@ -340,15 +331,17 @@ def csv_table(columns: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trained_cells(cfg: ExperimentConfig, warnings: list[str],
-                  losses: Sequence[LossConfig] = (), seeds: Sequence[int] = (), *,
-                  every_epoch: bool = True):
+def trained_cells(cfg: ExperimentConfig, losses: Sequence[LossConfig] = (),
+                  seeds: Sequence[int] = (), *, every_epoch: bool = True):
     """Make cfg.output_dir and train each (seed, loss) cell, cfg's seeds and losses
     unless given, on the seed's data, realised once, from its init and SGD streams.
     Yield (seed, data, loss config, model, telemetry): a record per epoch probing the
     validation OOD set, or without `every_epoch` the last epoch's alone, unprobed. A
-    diverged cell adds a line to `warnings`; after the last cell, _record_warnings runs."""
+    diverged cell is skipped. After the last cell, the diverged ones are listed in
+    warnings.txt (a stale one is removed when none diverged), and AllSeedsDiverged
+    is raised if no cell trained."""
     os.makedirs(cfg.output_dir, exist_ok=True)
+    warnings: list[str] = []
     trained = False
     for seed in seeds or cfg.seeds:
         bundle = realize_data(cfg, seed)
@@ -365,7 +358,13 @@ def trained_cells(cfg: ExperimentConfig, warnings: list[str],
                 continue
             trained = True
             yield seed, bundle, loss_cfg, model, history
-    _record_warnings(cfg.output_dir, warnings, trained)
+    path = os.path.join(cfg.output_dir, "warnings.txt")
+    if warnings:
+        _write(path, "\n".join(warnings) + "\n")
+    elif os.path.exists(path):
+        os.remove(path)
+    if not trained:
+        raise AllSeedsDiverged("; ".join(warnings))
 
 
 def save_cell(cfg: ExperimentConfig, seed: int, loss_name: str, model: MlpModel,
@@ -394,45 +393,23 @@ def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
             yield name, score_cfg.kind, tag, (id_scores, ood_scores)
 
 
-def _record_warnings(out: str, warnings: list[str], trained: bool) -> None:
-    """Write the diverged cells to out/warnings.txt (removing a stale one
-    when none diverged); raise AllSeedsDiverged if no cell trained."""
-    path = os.path.join(out, "warnings.txt")
-    if warnings:
-        _write(path, "\n".join(warnings) + "\n")
-    elif os.path.exists(path):
-        os.remove(path)
-    if not trained:
-        raise AllSeedsDiverged("; ".join(warnings))
-
-
-def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> list[BenchmarkRow]:
     """Train / score / evaluate the full loss x score x OOD-set grid over all
-    seeds, writing every artifact under cfg.output_dir. Diverged cells are
-    recorded and excluded; if every cell diverges, AllSeedsDiverged is raised."""
+    seeds, writing every artifact under cfg.output_dir, and return the rows
+    of bench.csv. Diverged cells are recorded and excluded; if every cell
+    diverges, AllSeedsDiverged is raised."""
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    chash = config_hash(cfg)
     _write(os.path.join(out, "config.json"),
            json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-    _write(os.path.join(out, "config.hash"), chash + "\n")
+    _write(os.path.join(out, "config.hash"), config_hash(cfg) + "\n")
 
     seed_rows: list[SeedRow] = []
-    telemetry: dict[tuple[str, int], list[EpochTelemetry]] = {}
-    final_norms: dict[tuple[str, int], dict[str, float]] = {}
-    warnings: list[str] = []
-
-    for seed, bundle, loss_cfg, model, history in trained_cells(cfg, warnings):
+    for seed, bundle, loss_cfg, model, history in trained_cells(cfg):
         lname = loss_cfg.kind
         save_cell(cfg, seed, lname, model, history)
-        telemetry[(lname, seed)] = history
         test_logits = forward(model, bundle.test.features)[1]
         id_acc = float((np.argmax(test_logits, axis=1) == bundle.test.labels).mean())
-        norms = {"ID": float(row_l2_norm(test_logits).mean())}
-        for tag, ood in bundle.ood_sets:
-            norms[tag] = float(row_l2_norm(forward(model, ood)[1]).mean())
-        final_norms[(lname, seed)] = norms
-
         for _, sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle,
                                                                    lname, seed):
             report = detection_report(id_scores, ood_scores, cfg.metrics.tpr_target)
@@ -445,7 +422,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> ExperimentResul
     _write(os.path.join(out, "bench.csv"), csv_table(field_names(BenchmarkRow), rows))
     _write(os.path.join(out, "bench_per_seed.csv"),
            csv_table(field_names(SeedRow), seed_rows))
-    return ExperimentResult(rows, seed_rows, telemetry, final_norms, warnings, chash)
+    return rows
 
 
 def aggregate_rows(cfg: ExperimentConfig, seed_rows: list[SeedRow]) -> list[BenchmarkRow]:
@@ -491,8 +468,7 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float]
     msp = ScoreConfig(kind="msp")
     fprs: dict[float, list[float]] = {tau: [] for tau in taus}
     losses: dict[float, list[float]] = {tau: [] for tau in taus}
-    for _, bundle, loss_cfg, model, history in trained_cells(cfg, [], cells,
-                                                             every_epoch=False):
+    for _, bundle, loss_cfg, model, history in trained_cells(cfg, cells, every_epoch=False):
         tau = loss_cfg.params["tau"]
         fprs[tau].append(detection_report(score_batch(model, bundle.test.features, msp),
                                           score_batch(model, bundle.validation_ood, msp),
@@ -530,10 +506,12 @@ def emit_histogram_data(id_scores, ood_scores, bins: int
         raise DataError("ID and OOD scores must be finite")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
-        if abs(lo) < 2.0 ** 53:
+        # One unit wide, unless 1/bins is below the spacing somewhere in
+        # [v, v + 1], which repeats edges: then one spacing a bin, toward
+        # zero, where the spacing is no wider, so every edge is exact.
+        if bins * max(math.ulp(lo), math.ulp(lo + 1.0)) <= 1.0:
             hi = lo + 1.0
-        else:  # a unit is below the spacing: one spacing a bin, toward zero,
-            # where the spacing is no wider, so every edge is exact
+        else:
             lo, hi = sorted((lo, lo - math.copysign(bins * math.ulp(lo), lo)))
     if math.isfinite(hi - lo):
         edges = np.linspace(lo, hi, bins + 1)
@@ -560,8 +538,8 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
     if cfg.data.val_fraction <= 0.0:
         raise ConfigError("run_calibration requires data.val_fraction > 0")
     rows = []
-    for _, bundle, loss_cfg, model, _ in trained_cells(cfg, [], seeds=cfg.seeds[:1],
-                                                       every_epoch=False):
+    for _, bundle, loss_cfg, model, _ in trained_cells(cfg, seeds=cfg.seeds[:1],
+                                                   every_epoch=False):
         fitted = fit_temperature(forward(model, bundle.val.features)[1], bundle.val.labels)
         test_logits = forward(model, bundle.test.features)[1]
         correct = np.argmax(test_logits, axis=1) == bundle.test.labels

@@ -54,9 +54,11 @@ def init_model(layer_dims, seed: int) -> MlpModel:
     return MlpModel(dims, tuple(weights), tuple(biases))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def forward(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], np.ndarray]:
     """The checked forward pass: (layer inputs, logits) of `_forward` as plain
-    arrays, after checking x's width; logits that overflow raise DataError."""
+    arrays, after checking x's width; logits that overflow raise DataError,
+    with no numpy warning before it."""
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
     inputs, logits = _forward(model.weights, model.biases, x.data)

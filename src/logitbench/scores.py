@@ -63,9 +63,12 @@ def _odin_input(model: MlpModel, inputs: list[np.ndarray], f: np.ndarray,
     return Matrix2D(inputs[0] - eps * np.sign(grad))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.ndarray:
     """Score every row of `features` under `cfg`; one value per row. Every detector reads
-    one forward pass over `features`; ODIN with eps > 0 adds one over the perturbed rows."""
+    one forward pass over `features`; ODIN with eps > 0 adds one over the perturbed rows.
+    A score that overflows is returned as it is, with no numpy warning: its readers
+    (dump_records, detection_report) reject it."""
     inputs, logits = forward(model, features)
     if cfg.kind == MSP:
         return rowwise_softmax(logits).max(axis=1)

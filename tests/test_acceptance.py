@@ -8,18 +8,21 @@ byte-compares every CSV.  This module does real training and takes a few
 minutes end to end.
 """
 
+import csv
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from logitbench.harness import run_calibration, run_experiment, sweep_tau
+from logitbench.harness import (realize_data, run_calibration, run_experiment,
+                                sweep_tau)
 from logitbench.losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from logitbench.metrics import detection_report, fit_temperature, nll_at_temperature
-from logitbench.model import forward, init_model, input_gradient
+from logitbench.model import forward, init_model, input_gradient, load_checkpoint
 from logitbench.scores import GRADNORM, ScoreConfig, score_batch
-from logitbench.tensor import Matrix2D, log_softmax, rowwise_softmax
+from logitbench.tensor import Matrix2D, log_softmax, row_l2_norm, rowwise_softmax
 
 from conftest import (assert_grad_close, central_difference, load_desk,
                       logitnorm_values)
@@ -42,12 +45,18 @@ def desk(tmp_path_factory):
     out = tmp_path_factory.mktemp("desk")
     cfg = load_desk(seeds=DESK_SEEDS, epochs=200, output_dir=str(out))
     started = time.time()
-    result = run_experiment(cfg)
-    return cfg, result, time.time() - started
+    rows = run_experiment(cfg)
+    return cfg, rows, time.time() - started
 
 
-def _panel_mean(result, loss, score, attr="fpr95_mean"):
-    rows = [r for r in result.rows
+def _telemetry_norms(cfg, loss):
+    """Seed 0's mean ID logit norm per epoch, from its telemetry file."""
+    with open(Path(cfg.output_dir) / f"telemetry_{loss}_0.csv", newline="") as fh:
+        return [float(r["mean_logit_norm_id"]) for r in csv.DictReader(fh)]
+
+
+def _panel_mean(bench_rows, loss, score, attr="fpr95_mean"):
+    rows = [r for r in bench_rows
             if r.loss_name == loss and r.score_name == score]
     assert len(rows) == 4, f"expected 4 OOD rows for {loss}/{score}"
     return float(np.mean([getattr(r, attr) for r in rows]))
@@ -235,19 +244,18 @@ def test_criterion_4_norm_growth_and_containment(desk):
     is nondecreasing across 20-epoch windows; the normalized loss ends with
     norms <= 0.5x the cross-entropy final norms. Single-seed telemetry from
     the shared 200-epoch run."""
-    _, result, elapsed = desk
+    cfg, _, elapsed = desk
     assert elapsed < 300 * len(DESK_SEEDS), f"desk run took {elapsed:.0f}s"
 
-    ce = result.telemetry[("cross_entropy", 0)]
-    norms = [t.mean_logit_norm_id for t in ce]
+    norms = _telemetry_norms(cfg, "cross_entropy")
     growth = norms[-1] / norms[9]
     assert growth >= 3.0, f"CE norm growth {growth:.2f}x < 3x"
     window_means = [np.mean(norms[i:i + 20]) for i in range(0, 200, 20)]
     assert all(b >= a for a, b in zip(window_means, window_means[1:])), \
         "CE norm not nondecreasing across 20-epoch windows"
 
-    ln = result.telemetry[("logit_norm", 0)]
-    ratio = ln[-1].mean_logit_norm_id / norms[-1]
+    ln = _telemetry_norms(cfg, "logit_norm")
+    ratio = ln[-1] / norms[-1]
     assert ratio <= 0.5, f"logit_norm/CE final norm ratio {ratio:.2f} > 0.5"
     _ok("criterion 4: CE norms grow, normalized loss contains them",
         f"growth {growth:.2f}x, ratio {ratio:.2f}")
@@ -261,18 +269,18 @@ def test_criterion_5_msp_detection_gap(desk):
     """logit_norm + MSP beats cross_entropy + MSP by >= 15 FPR95 points
     (panel mean over 5 seeds) with higher AUROC and ID accuracy within
     +/- 2 points."""
-    _, result, _ = desk
-    ce_fpr = _panel_mean(result, "cross_entropy", "msp")
-    ln_fpr = _panel_mean(result, "logit_norm", "msp")
+    _, rows, _ = desk
+    ce_fpr = _panel_mean(rows, "cross_entropy", "msp")
+    ln_fpr = _panel_mean(rows, "logit_norm", "msp")
     gap = (ce_fpr - ln_fpr) * 100
     assert gap >= 15.0, f"MSP FPR95 gap {gap:.1f} points < 15"
 
-    ce_roc = _panel_mean(result, "cross_entropy", "msp", "auroc_mean")
-    ln_roc = _panel_mean(result, "logit_norm", "msp", "auroc_mean")
+    ce_roc = _panel_mean(rows, "cross_entropy", "msp", "auroc_mean")
+    ln_roc = _panel_mean(rows, "logit_norm", "msp", "auroc_mean")
     assert ln_roc > ce_roc, f"AUROC {ln_roc:.3f} not above {ce_roc:.3f}"
 
-    ce_acc = _panel_mean(result, "cross_entropy", "msp", "id_accuracy_mean")
-    ln_acc = _panel_mean(result, "logit_norm", "msp", "id_accuracy_mean")
+    ce_acc = _panel_mean(rows, "cross_entropy", "msp", "id_accuracy_mean")
+    ln_acc = _panel_mean(rows, "logit_norm", "msp", "id_accuracy_mean")
     dacc = (ln_acc - ce_acc) * 100
     assert abs(dacc) <= 2.0, f"accuracy differs by {dacc:+.2f} points"
     _ok("criterion 5: MSP FPR95 gap with accuracy parity",
@@ -286,11 +294,11 @@ def test_criterion_5_msp_detection_gap(desk):
 def test_criterion_6_other_scores_improve(desk):
     """For ODIN, Energy and GradNorm, logit_norm decreases FPR95 or ties
     within 2 points of the cross-entropy counterpart."""
-    _, result, _ = desk
+    _, rows, _ = desk
     details = []
     for score in ("odin", "energy", "gradnorm"):
-        ce_fpr = _panel_mean(result, "cross_entropy", score)
-        ln_fpr = _panel_mean(result, "logit_norm", score)
+        ce_fpr = _panel_mean(rows, "cross_entropy", score)
+        ln_fpr = _panel_mean(rows, "logit_norm", score)
         delta = (ce_fpr - ln_fpr) * 100
         assert delta >= -2.0, f"{score}: logit_norm worse by {-delta:.1f} points"
         details.append(f"{score} {delta:+.1f}")
@@ -305,15 +313,26 @@ def test_criterion_7_logit_penalty_ablation(desk):
     """logit_penalty keeps ID norms small yet detects worse than logit_norm,
     because it shrinks OOD norms just as hard: its OOD/ID norm ratio exceeds
     logit_norm's, and its MSP FPR95 is higher."""
-    _, result, _ = desk
-    lp_fpr = _panel_mean(result, "logit_penalty", "msp")
-    ln_fpr = _panel_mean(result, "logit_norm", "msp")
+    cfg, rows, _ = desk
+    lp_fpr = _panel_mean(rows, "logit_penalty", "msp")
+    ln_fpr = _panel_mean(rows, "logit_norm", "msp")
     assert lp_fpr > ln_fpr, f"penalty FPR95 {lp_fpr:.3f} not above {ln_fpr:.3f}"
+
+    # Each cell's mean logit norm on the ID test set and each panel set,
+    # recomputed from its checkpoint.
+    final_norms = {}
+    for seed in DESK_SEEDS:
+        bundle = realize_data(cfg, seed)
+        sets = [("ID", bundle.test.features), *bundle.ood_sets]
+        for loss in ("cross_entropy", "logit_norm", "logit_penalty"):
+            model, _ = load_checkpoint(Path(cfg.output_dir) / f"checkpoint_{loss}_{seed}.txt")
+            final_norms[(loss, seed)] = {tag: float(row_l2_norm(forward(model, x)[1]).mean())
+                                         for tag, x in sets}
 
     def norm_ratio(loss):
         ratios = []
         for seed in DESK_SEEDS:
-            norms = result.final_norms[(loss, seed)]
+            norms = final_norms[(loss, seed)]
             ood = np.mean([v for tag, v in norms.items() if tag != "ID"])
             ratios.append(ood / norms["ID"])
         return float(np.mean(ratios))
@@ -323,9 +342,9 @@ def test_criterion_7_logit_penalty_ablation(desk):
     assert lp_ratio > ln_ratio, \
         f"penalty OOD/ID norm ratio {lp_ratio:.2f} not above {ln_ratio:.2f}"
 
-    ce_id = np.mean([result.final_norms[("cross_entropy", s)]["ID"]
+    ce_id = np.mean([final_norms[("cross_entropy", s)]["ID"]
                      for s in DESK_SEEDS])
-    lp_id = np.mean([result.final_norms[("logit_penalty", s)]["ID"]
+    lp_id = np.mean([final_norms[("logit_penalty", s)]["ID"]
                      for s in DESK_SEEDS])
     assert lp_id < ce_id, f"penalty ID norm {lp_id:.1f} not small vs CE {ce_id:.1f}"
     _ok("criterion 7: penalty ablation",

@@ -1,6 +1,7 @@
 """Command-line interface tests exercising every subcommand and exit code."""
 
 import ctypes
+import dataclasses
 import json
 import os
 import subprocess
@@ -491,6 +492,53 @@ def test_quiet_is_quiet_when_a_division_by_zero_diverges(tmp_path):
     assert (tmp_path / "out" / "warnings.txt").read_text() == (
         "loss=logit_norm tau=1e-300 seed=0: diverged "
         "(non-finite parameters at epoch 0, step 0)\n")
+
+
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter that shows every warning (-W default)."""
+    src = str(CONFIGS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "default", "-m", "logitbench.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_an_overflowing_score_is_one_data_error_line(tmp_path):
+    # T = 5e-324 lies in energy's range (0, 1e6]; logits / T overflow, and
+    # numpy's overflow and invalid-value warnings came before the data error.
+    cfg_path = write_config(tmp_path, scores=[{"kind": "energy", "params": {"T": 5e-324}}])
+    run = _run_cli("bench", "--config", str(cfg_path), "--quiet")
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "data error: score must be finite, got nan\n"
+
+
+def test_overflowing_logits_are_one_data_error_line(tmp_path):
+    # Weights scaled by 1e200 overflow the second layer's matmul, and numpy's
+    # warnings came before the data error.
+    model = init_model((4, 8, 3), seed=0)
+    ckpt = tmp_path / "ckpt.txt"
+    save_checkpoint(dataclasses.replace(model, weights=tuple(w * 1e200 for w in model.weights)),
+                    ckpt)
+    run = _run_cli("score", "--config", str(write_config(tmp_path)), "--checkpoint", str(ckpt),
+                   "--quiet")
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "data error: logits must be finite\n"
+
+
+@pytest.mark.parametrize("k, layer_dims, message", [
+    (-1, [4, 8, 3], "config.data: need k >= 2, got k=-1"),
+    (0, [4, 8, 3], "config.data: need k >= 2, got k=0"),
+    (3, [4, 8, 2], "config: layer_dims (4, 8, 2) inconsistent with data (k=3)"),
+], ids=["k_negative", "k_zero", "last_layer"])
+def test_file_data_k_is_checked_at_parse(k, layer_dims, message, tmp_path, capsys):
+    # k -1 failed only once the file was read, naming a label; k 0 inferred
+    # k from the labels; a last layer other than k failed when training began.
+    data = dict(write_file_data(tmp_path)[0], k=k)
+    cfg_path = write_config(tmp_path, data=data, layer_dims=layer_dims)
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_main_runs_blas_on_one_thread(tmp_path):

@@ -16,7 +16,7 @@ from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
 from logitbench.harness import (MAX_BINS, DataConfig, config_from_dict, config_hash,
                                 config_to_dict, derive_seed, emit_histogram_data,
                                 load_config, realize_data, run_calibration,
-                                run_experiment, sweep_tau)
+                                run_experiment, sweep_tau, trained_cells)
 from logitbench.scores import dump_records, read_scores, write_scores
 
 from conftest import CONFIGS, load_desk, write_file_data
@@ -51,6 +51,12 @@ def read_cells(path):
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
     return header, rows
+
+
+def read_records(path):
+    """Each data row of the CSV file at path as a dict from column to cell."""
+    header, rows = read_cells(path)
+    return [dict(zip(header, row)) for row in rows]
 
 
 def assert_cells_equal(path, records):
@@ -155,13 +161,14 @@ def test_config_full_tpr_target_uses_min_id_threshold(tmp_path):
                    output_dir=str(tmp_path))
     cfg = config_from_dict(raw)
     assert cfg.metrics.tpr_target == 1.0
-    result = run_experiment(cfg)
-    assert result.seed_rows
-    for r in result.seed_rows:
-        ids, ood = read_scores(tmp_path / f"scores_{r.loss_name}_{r.score_name}_"
-                                          f"{r.ood_dataset_tag}_{r.seed}.txt")
+    run_experiment(cfg)
+    seed_rows = read_records(tmp_path / "bench_per_seed.csv")
+    assert seed_rows
+    for r in seed_rows:
+        ids, ood = read_scores(tmp_path / f"scores_{r['loss_name']}_{r['score_name']}_"
+                                          f"{r['ood_dataset_tag']}_{r['seed']}.txt")
         min_id = min(ids)
-        assert r.fpr95 == sum(v >= min_id for v in ood) / len(ood)
+        assert float(r["fpr95"]) == sum(v >= min_id for v in ood) / len(ood)
 
 
 def test_config_hash_sensitive_to_content():
@@ -298,15 +305,15 @@ def tiny_run(tmp_path_factory):
 
 
 def test_run_experiment_row_cardinality(tiny_run):
-    cfg, result, _ = tiny_run
+    cfg, rows, out = tiny_run
     # 2 losses x 2 scores x 2 OOD sets aggregated over 2 seeds
-    assert len(result.rows) == 8
-    assert len(result.seed_rows) == 16
-    assert all(r.seeds_used == (0, 1) for r in result.rows)
+    assert len(rows) == 8
+    assert len(read_records(out / "bench_per_seed.csv")) == 16
+    assert all(r.seeds_used == (0, 1) for r in rows)
 
 
 def test_run_experiment_artifacts(tiny_run):
-    cfg, result, out = tiny_run
+    cfg, _, out = tiny_run
     names = {p.name for p in out.iterdir()}
     assert "bench.csv" in names
     assert "bench_per_seed.csv" in names
@@ -315,20 +322,20 @@ def test_run_experiment_artifacts(tiny_run):
     assert "telemetry_cross_entropy_0.csv" in names
     assert "checkpoint_logit_norm_1.txt" in names
     assert "scores_cross_entropy_msp_uniform_box_0.txt" in names
-    assert (out / "config.hash").read_text().strip() == result.hash
+    assert (out / "config.hash").read_text().strip() == config_hash(cfg)
 
 
 def test_run_experiment_metric_ranges(tiny_run):
-    _, result, _ = tiny_run
-    for r in result.seed_rows:
-        assert 0.0 <= r.fpr95 <= 1.0
-        assert 0.0 <= r.auroc <= 1.0
-        assert 0.0 <= r.aupr <= 1.0
-        assert 0.0 <= r.id_accuracy <= 1.0
+    _, _, out = tiny_run
+    for r in read_records(out / "bench_per_seed.csv"):
+        assert 0.0 <= float(r["fpr95"]) <= 1.0
+        assert 0.0 <= float(r["auroc"]) <= 1.0
+        assert 0.0 <= float(r["aupr"]) <= 1.0
+        assert 0.0 <= float(r["id_accuracy"]) <= 1.0
 
 
-def test_run_experiment_bench_csv_header(tiny_run):
-    _, result, out = tiny_run
+def test_run_experiment_bench_csv_header(tiny_run, tmp_path):
+    cfg, rows, out = tiny_run
     header = (out / "bench.csv").read_text().split("\n")[0]
     assert header == ("loss_name,score_name,ood_dataset_tag,fpr95_mean,fpr95_std,"
                       "auroc_mean,auroc_std,aupr_mean,aupr_std,"
@@ -338,11 +345,24 @@ def test_run_experiment_bench_csv_header(tiny_run):
         "id_accuracy"]
     assert read_cells(out / "telemetry_cross_entropy_0.csv")[0] == [
         "epoch", "train_loss", "train_acc", "mean_logit_norm_id", "mean_logit_norm_ood"]
-    # Every written cell reads back to the value the run returned.
-    assert_cells_equal(out / "bench.csv", result.rows)
-    assert_cells_equal(out / "bench_per_seed.csv", result.seed_rows)
-    assert_cells_equal(out / "telemetry_cross_entropy_0.csv",
-                       result.telemetry[("cross_entropy", 0)])
+    # Every cell of bench.csv reads back to the row the run returned.
+    assert_cells_equal(out / "bench.csv", rows)
+    # bench.csv is the mean and std of bench_per_seed.csv, taken in file row
+    # order, bit for bit.
+    groups = {}
+    for r in read_records(out / "bench_per_seed.csv"):
+        groups.setdefault((r["loss_name"], r["score_name"], r["ood_dataset_tag"]), []).append(r)
+    assert [(r.loss_name, r.score_name, r.ood_dataset_tag) for r in rows] == list(groups)
+    for row, group in zip(rows, groups.values()):
+        for attr in ("fpr95", "auroc", "aupr", "id_accuracy"):
+            values = np.array([float(r[attr]) for r in group])
+            assert getattr(row, f"{attr}_mean") == float(values.mean())
+            assert getattr(row, f"{attr}_std") == float(values.std())
+        assert row.seeds_used == tuple(sorted(int(r["seed"]) for r in group))
+    # The telemetry file is the history a fresh run of the same cell returns.
+    fresh = dataclasses.replace(cfg, output_dir=str(tmp_path))
+    [(*_, history)] = trained_cells(fresh, cfg.losses[:1], seeds=[0])
+    assert_cells_equal(out / "telemetry_cross_entropy_0.csv", history)
 
 
 def test_run_experiment_rerun_is_byte_identical(tiny_run, tmp_path):
@@ -373,15 +393,36 @@ def test_run_experiment_all_diverged(tmp_path):
 def test_run_experiment_partly_diverged(tmp_path):
     raw = tiny_raw(output_dir=str(tmp_path), seeds=[0])
     raw["optim"].update(lr0=1e9, weight_decay=0.0, epochs=20, lr_drops=[])
-    result = run_experiment(config_from_dict(raw))
-    assert result.warnings == ["loss=cross_entropy seed=0: diverged "
-                               "(non-finite loss at epoch 12, step 2)"]
-    assert list(result.telemetry) == [("logit_norm", 0)]
-    assert {r.loss_name for r in result.rows} == {"logit_norm"}
-    assert (tmp_path / "warnings.txt").exists()
+    rows = run_experiment(config_from_dict(raw))
+    assert (tmp_path / "warnings.txt").read_text() == (
+        "loss=cross_entropy seed=0: diverged (non-finite loss at epoch 12, step 2)\n")
+    assert [p.name for p in tmp_path.glob("telemetry_*")] == ["telemetry_logit_norm_0.csv"]
+    assert {r.loss_name for r in rows} == {"logit_norm"}
     # A clean rerun into the same directory leaves no stale warnings.
     run_experiment(config_from_dict(tiny_raw(output_dir=str(tmp_path), seeds=[0])))
     assert not (tmp_path / "warnings.txt").exists()
+
+
+@pytest.mark.parametrize("lr0, trained", [(0.05, ["cross_entropy", "logit_norm"]),
+                                          (1e9, ["logit_norm"])], ids=["all", "partly"])
+def test_run_experiment_forwards_the_test_set_once_per_trained_cell(lr0, trained, tmp_path,
+                                                                   monkeypatch):
+    # The accuracy reads one forward over the ID test set; the detectors run
+    # their own inside score_batch, which harness.forward does not count.
+    rows_forwarded = []
+    real = harness.forward
+
+    def counting_forward(model, x):
+        rows_forwarded.append(x.rows)
+        return real(model, x)
+
+    monkeypatch.setattr(harness, "forward", counting_forward)
+    raw = tiny_raw(seeds=[0], output_dir=str(tmp_path))
+    raw["optim"].update(lr0=lr0, weight_decay=0.0, epochs=20, lr_drops=[])
+    cfg = config_from_dict(raw)
+    rows = run_experiment(cfg)
+    assert sorted({r.loss_name for r in rows}) == trained
+    assert rows_forwarded == [realize_data(cfg, 0).test.n] * len(trained)
 
 
 def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeypatch):
@@ -520,12 +561,13 @@ def test_histogram_degenerate_range():
 
 
 def test_histogram_of_a_constant_is_one_unit_wide_below_2_53():
-    for value in (-1e15, -0.5, 0.0, 0.5, 2.0 ** 53 - 1):
+    for value in (-1e15, -0.5, 0.0, 0.5):
         rows = emit_histogram_data([value], [value], bins=4)
         assert (rows[0][0], rows[-1][1]) == (value, value + 1.0)
 
 
-@pytest.mark.parametrize("magnitude", [2.0 ** 53, 1e17, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("magnitude", [2.0 ** 53 - 1, 2.0 ** 53, 1e17, 1e300,
+                                       sys.float_info.max])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_histogram_edges_of_a_constant_increase_from_2_53_up(sign, magnitude):
     # Here value + 1.0 rounds back to the value, which made every edge equal.
@@ -537,6 +579,37 @@ def test_histogram_edges_of_a_constant_increase_from_2_53_up(sign, magnitude):
         assert all(a < b for a, b in zip(edges, edges[1:]))
         assert value in (edges[0], edges[-1])
         assert (sum(row[2] for row in rows), sum(row[3] for row in rows)) == (1, 1)
+
+
+def histogram_edges(value, bins):
+    rows = emit_histogram_data([value], [value], bins)
+    return [rows[0][0], *(row[1] for row in rows)]
+
+
+@pytest.mark.parametrize("magnitude", [1e12, 1e15, 2.0 ** 50, 2.0 ** 53 - 1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_histogram_edges_of_a_constant_increase_below_2_53(sign, magnitude):
+    # A bin of 1/50 is narrower than the spacing of 1e15 (1/8), 2**50 (1/4)
+    # and 2**53 - 1 (1): one unit gave them 9, 5 and 2 distinct edges of 51.
+    value = sign * magnitude
+    for bins in (2, 50):
+        edges = histogram_edges(value, bins)
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert value in (edges[0], edges[-1])
+        if bins * math.ulp(value) <= 1.0:  # the unit still fits: unchanged
+            assert (edges[0], edges[-1]) == (value, value + 1.0)
+
+
+@pytest.mark.parametrize("power, bins", [(40, 8192), (41, 4096), (43, 1000), (46, 66)])
+def test_histogram_edges_of_a_constant_increase_across_a_power_of_two(power, bins):
+    # [v, v + 1] crosses 2**power, above which the spacing doubles: a bin no
+    # narrower than v's spacing can be narrower than the spacing there. At
+    # 2**40 - 0.5 and 8192 bins, [v, v + 1] gave 6145 distinct edges of 8193.
+    for value in (2.0 ** power - 0.5, 2.0 ** power - 0.25):
+        assert bins * math.ulp(value) <= 1.0 < bins * math.ulp(value + 1.0)
+        edges = histogram_edges(value, bins)
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert edges[-1] == value
 
 
 def test_histogram_validation():

@@ -4,7 +4,8 @@ package itself or exported. No linter is configured for this repository,
 so `ast` walks check both. The package's __init__.py is left out of the
 first check: its imports are its exports.
 One function, harness.trained_cells, calls optimizer.train, so every
-training command trains its cells the same way.
+training command trains its cells the same way. It lists the diverged cells
+itself, and run_experiment returns only the rows of bench.csv.
 The package needs numpy only: scipy stays out of its imports and out of
 the process, because importing scipy.stats alone takes about a second."""
 
@@ -145,6 +146,20 @@ def test_one_function_trains_a_cell():
         "harness.trained_cells"]
     assert [path.name for path in package + MODULES
             if "train_cell" in identifiers(path.read_text())] == []
+
+
+def test_runs_return_what_their_callers_read():
+    # run_experiment returns the rows of bench.csv; everything else a run
+    # makes is in its output directory, and trained_cells keeps its own list
+    # of diverged cells for warnings.txt.
+    package = sorted((ROOT / "src" / "logitbench").glob("*.py"))
+    defined = {node.name: node for path in package
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"ExperimentResult", "_record_warnings"} & set(defined)
+    assert ast.unparse(defined["run_experiment"].returns) == "list[BenchmarkRow]"
+    args = defined["trained_cells"].args
+    assert "warnings" not in [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
 
 
 def imported_modules(source: str) -> set[str]:
