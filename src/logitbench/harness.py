@@ -249,6 +249,9 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
                                   derive_seed(seed, "split"))
     else:
         train_ds = load_delimited(dc.train_path, k=dc.k)
+        if train_ds.dim != cfg.layer_dims[0]:
+            raise ConfigError(f"{dc.train_path}: {train_ds.dim} features per row, "
+                              f"layer_dims[0] is {cfg.layer_dims[0]}")
         test_ds = load_delimited(dc.test_path, k=train_ds.k)
         if test_ds.dim != train_ds.dim:
             raise DataError(f"{dc.test_path}: {test_ds.dim} features per row, "
@@ -336,10 +339,11 @@ def trained_cells(cfg: ExperimentConfig, losses: Sequence[LossConfig] = (),
     """Make cfg.output_dir and train each (seed, loss) cell, cfg's seeds and losses
     unless given, on the seed's data, realised once, from its init and SGD streams.
     Yield (seed, data, loss config, model, telemetry): a record per epoch probing the
-    validation OOD set, or without `every_epoch` the last epoch's alone, unprobed. A
-    diverged cell is skipped. After the last cell, the diverged ones are listed in
-    warnings.txt (a stale one is removed when none diverged), and AllSeedsDiverged
-    is raised if no cell trained."""
+    validation OOD set, or without `every_epoch` one record of the last epoch's loss
+    alone, with no accuracy or norms and no full-set forward. A diverged cell is
+    skipped. After the last cell, the diverged ones are listed in warnings.txt (a
+    stale one is removed when none diverged), and AllSeedsDiverged is raised if no
+    cell trained."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     warnings: list[str] = []
     trained = False

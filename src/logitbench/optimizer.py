@@ -1,5 +1,5 @@
 """SGD with momentum, weight decay (weights only), and step learning-rate
-drops, with per-epoch logit-norm telemetry, or only the final epoch's record
+drops, with per-epoch logit-norm telemetry, or only the final epoch's loss
 for callers that read no other."""
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class OptimConfig:
 class EpochTelemetry:
     epoch: int
     train_loss: float
-    train_acc: float
-    mean_logit_norm_id: float
+    train_acc: Optional[float] = None
+    mean_logit_norm_id: Optional[float] = None
     mean_logit_norm_ood: Optional[float] = None
 
 
@@ -79,15 +79,17 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
           optim_cfg: OptimConfig, seed: int, probe_ood: Optional[Matrix2D] = None,
           *, every_epoch: bool = True) -> tuple[MlpModel, list[EpochTelemetry]]:
     """Train and return (new model, telemetry): one record per epoch, or with `every_epoch`
-    false the last epoch's record alone.
+    false the last epoch's loss alone.
 
     Deterministic in seed, which drives the minibatch order; raises DivergedError on a non-finite
     loss, parameter or epoch-end logit. Weight decay is applied to weights only, never biases.
-    Without `every_epoch`, the epoch-end forward over the training and probe sets runs after the
-    last epoch only, and the one record returned is bitwise the last record of a full run. Logits
-    that overflow in an epoch-end forward the run skips then surface later: as a non-finite loss
-    at a later step, or at the last epoch's forward, so a divergence may name a later epoch and
-    step than a full run would.
+    Without `every_epoch`, no epoch-end forward runs before the last epoch, and after it the
+    training and probe sets are only checked for finite logits, one batch of rows at a time, so
+    no full-set layer buffers are allocated. The one record returned has the epoch and train loss
+    of a full run's last record, bitwise, and None for the accuracy and the norms. Logits that
+    overflow in an epoch-end forward the run skips then surface later: as a non-finite loss at a
+    later step, or at the last epoch's check, so a divergence may name a later epoch and step
+    than a full run would.
 
     The weights, then the biases, are views of one flat parameter array, and the velocities and
     gradients are flat arrays laid out the same way, so one SGD update is a few whole-array
@@ -111,9 +113,12 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
     y_all = dataset.labels
     x_ood = probe_ood.data if probe_ood is not None else None
     probes = [x for x in (x_all, x_ood) if x is not None]
-    # Allocated once, for the larger set: the epoch-end forwards run in turn through row slices
-    # of it, and a fresh output per forward would fault in new pages each epoch.
-    buffers = [np.empty((max(map(len, probes)), w.shape[1])) for w in weights]
+    batch_size = optim_cfg.batch_size
+    # With every epoch recorded, allocated once, for the larger set: the epoch-end forwards run in
+    # turn through row slices of it, and a fresh output per forward would fault in new pages each
+    # epoch. The last-epoch check alone works in batches and needs none.
+    buffers = ([np.empty((max(map(len, probes)), w.shape[1])) for w in weights]
+               if every_epoch else [])
     n = dataset.n
     telemetry: list[EpochTelemetry] = []
 
@@ -125,8 +130,8 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
             order = rng.permutation(n)
             loss_sum = 0.0
             loss_batches = 0
-            for step, start in enumerate(range(0, n, optim_cfg.batch_size)):
-                batch = order[start:start + optim_cfg.batch_size]
+            for step, start in enumerate(range(0, n, batch_size)):
+                batch = order[start:start + batch_size]
                 inputs, logits = _forward(weights, biases, x_all[batch])
                 loss, grad = loss_and_grad(logits, y_all[batch], loss_cfg)
                 if not math.isfinite(loss):
@@ -144,10 +149,15 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 if not np.isfinite(params).all():
                     raise DivergedError("parameters", epoch, step)
 
-            if not every_epoch and epoch < optim_cfg.epochs - 1:
-                continue
             # Finite weights can still overflow the forward pass once the
             # parameters are large enough; that too is divergence.
+            if not every_epoch:
+                if epoch == optim_cfg.epochs - 1:
+                    if not all(np.isfinite(_forward(weights, biases, x[i:i + batch_size])[1]).all()
+                               for x in probes for i in range(0, len(x), batch_size)):
+                        raise DivergedError("epoch-end logits", epoch, loss_batches - 1)
+                    telemetry.append(EpochTelemetry(epoch + 1, loss_sum / loss_batches))
+                continue
             norms = []
             for x in probes:  # each read before the next forward overwrites the buffers
                 logits = _forward(weights, biases, x, [b[:len(x)] for b in buffers])[1]

@@ -569,6 +569,16 @@ def test_bench_rejects_mismatched_file_widths_before_training(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("checkpoint_*"))
 
 
+@pytest.mark.parametrize("command", ["bench", "train", "calibrate", "sweep-tau"])
+def test_file_data_width_is_checked_against_the_first_layer(command, tmp_path, capsys):
+    data = write_file_data(tmp_path)[0]
+    cfg_path = write_config(tmp_path, data=data, layer_dims=[5, 8, 3])
+    assert main([command, "--config", str(cfg_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {data['train_path']}: 4 features per row, layer_dims[0] is 5\n")
+    assert not list((tmp_path / "out").glob("checkpoint_*"))
+
+
 # ---------------------------------------------------------------------------
 # one divergence rule for every training command
 

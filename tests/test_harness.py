@@ -449,17 +449,17 @@ def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeyp
 
 
 def test_epoch_end_forward_runs_only_where_its_record_is_written(tmp_path, monkeypatch):
-    """Per training cell, the number of epoch-end forwards: the calls of
-    `_forward` that `optimizer.train` makes into its reused output buffers
-    (its steps call `_forward` without them).
-    `calibrate` and `sweep-tau` read only the last epoch's record and make
-    one. `bench` and `train` write every epoch's telemetry and make two per
-    epoch, over the training set and over the validation OOD probe."""
+    """Per training cell, the number of full-set forwards: the calls of
+    `_forward` that `optimizer.train` makes on more rows than one batch (its
+    steps, and the last-epoch check without every_epoch, take one batch at
+    most). `calibrate` and `sweep-tau` read only the last epoch's loss and
+    make none. `bench` and `train` write every epoch's telemetry and make two
+    per epoch, over the training set and over the validation OOD probe."""
     per_cell = []
     real_forward, real_train = optimizer._forward, harness.train
 
     def counting_forward(weights, biases, x, out=None):
-        per_cell[-1] += out is not None
+        per_cell[-1] += len(x) > cfg.optim.batch_size
         return real_forward(weights, biases, x, out)
 
     def counting_train(*args, **kwargs):
@@ -473,9 +473,11 @@ def test_epoch_end_forward_runs_only_where_its_record_is_written(tmp_path, monke
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(raw))
     every_epoch = [2 * cfg.optim.epochs] * len(cfg.losses)
+    bundle = realize_data(cfg, 0)
+    assert min(bundle.train.n, bundle.validation_ood.rows) > cfg.optim.batch_size
     for command, run, want in [
-            ("calibrate", lambda: run_calibration(cfg), [1] * len(cfg.losses)),
-            ("sweep-tau", lambda: sweep_tau(cfg, [0.05, 0.1, 0.5]), [1, 1, 1]),
+            ("calibrate", lambda: run_calibration(cfg), [0] * len(cfg.losses)),
+            ("sweep-tau", lambda: sweep_tau(cfg, [0.05, 0.1, 0.5]), [0, 0, 0]),
             ("bench", lambda: run_experiment(cfg), every_epoch),
             ("train", lambda: main(["train", "--config", str(path), "--quiet"]), every_epoch)]:
         per_cell.clear()
