@@ -96,11 +96,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_score(args) -> int:
     cfg = _load(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     model, _ = load_checkpoint(args.checkpoint)
     stem = os.path.splitext(os.path.basename(args.checkpoint))[0]
     for seed in cfg.seeds:
         bundle = realize_data(cfg, seed)
+        os.makedirs(cfg.output_dir, exist_ok=True)
         for name, *_ in dump_scores(cfg, model, bundle, stem, seed):
             if not args.quiet:
                 print(f"wrote {name}")

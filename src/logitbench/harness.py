@@ -335,20 +335,25 @@ def csv_table(columns: Sequence[str], rows) -> str:
 
 
 def trained_cells(cfg: ExperimentConfig, losses: Sequence[LossConfig] = (),
-                  seeds: Sequence[int] = (), *, every_epoch: bool = True):
-    """Make cfg.output_dir and train each (seed, loss) cell, cfg's seeds and losses
-    unless given, on the seed's data, realised once, from its init and SGD streams.
-    Yield (seed, data, loss config, model, telemetry): a record per epoch probing the
-    validation OOD set, or without `every_epoch` one record of the last epoch's loss
-    alone, with no accuracy or norms and no full-set forward. A diverged cell is
-    skipped. After the last cell, the diverged ones are listed in warnings.txt (a
-    stale one is removed when none diverged), and AllSeedsDiverged is raised if no
-    cell trained."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+                  seeds: Sequence[int] = (), *, every_epoch: bool = True,
+                  run_files: Sequence[tuple[str, str]] = ()):
+    """Train each (seed, loss) cell, cfg's seeds and losses unless given, on the
+    seed's data, realised once, from its init and SGD streams. Once the first seed's
+    data is realised, make cfg.output_dir and write each (file name, text) of
+    `run_files` into it, so a run whose data fails writes nothing. Yield (seed, data,
+    loss config, model, telemetry): a record per epoch probing the validation OOD
+    set, or without `every_epoch` the last epoch's record alone, with no probe. A
+    diverged cell is skipped. After the last cell, the diverged ones are listed in
+    warnings.txt (a stale one is removed when none diverged), and AllSeedsDiverged
+    is raised if no cell trained."""
     warnings: list[str] = []
     trained = False
-    for seed in seeds or cfg.seeds:
+    for i, seed in enumerate(seeds or cfg.seeds):
         bundle = realize_data(cfg, seed)
+        if i == 0:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+            for name, text in run_files:
+                _write(os.path.join(cfg.output_dir, name), text)
         model0 = init_model(cfg.layer_dims, derive_seed(seed, "init"))
         for loss_cfg in losses or cfg.losses:
             try:
@@ -403,16 +408,13 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> list[BenchmarkR
     of bench.csv. Diverged cells are recorded and excluded; if every cell
     diverges, AllSeedsDiverged is raised."""
     out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    _write(os.path.join(out, "config.json"),
-           json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
-    _write(os.path.join(out, "config.hash"), config_hash(cfg) + "\n")
-
+    config_text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    run_files = [("config.json", config_text), ("config.hash", config_hash(cfg) + "\n")]
     seed_rows: list[SeedRow] = []
-    for seed, bundle, loss_cfg, model, history in trained_cells(cfg):
+    for seed, bundle, loss_cfg, model, history in trained_cells(cfg, run_files=run_files):
         lname = loss_cfg.kind
         save_cell(cfg, seed, lname, model, history)
-        test_logits = forward(model, bundle.test.features)[1]
+        test_logits = forward(model, bundle.test.features)
         id_acc = float((np.argmax(test_logits, axis=1) == bundle.test.labels).mean())
         for _, sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle,
                                                                    lname, seed):
@@ -544,8 +546,8 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
     rows = []
     for _, bundle, loss_cfg, model, _ in trained_cells(cfg, seeds=cfg.seeds[:1],
                                                    every_epoch=False):
-        fitted = fit_temperature(forward(model, bundle.val.features)[1], bundle.val.labels)
-        test_logits = forward(model, bundle.test.features)[1]
+        fitted = fit_temperature(forward(model, bundle.val.features), bundle.val.labels)
+        test_logits = forward(model, bundle.test.features)
         correct = np.argmax(test_logits, axis=1) == bundle.test.labels
         conf_pre = rowwise_softmax(test_logits).max(axis=1)
         conf_post = rowwise_softmax(test_logits / fitted).max(axis=1)

@@ -1,11 +1,11 @@
-"""Fully-connected relu classifier: init, the forward pass, its backward
-pass to the parameters and to the input, and a decimal text checkpoint
-format."""
+"""Fully-connected relu classifier: init, the forward pass and the block loop
+that evaluates a data set with it, its backward pass to the parameters and
+to the input, and a decimal text checkpoint format."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,31 +54,54 @@ def init_model(layer_dims, seed: int) -> MlpModel:
     return MlpModel(dims, tuple(weights), tuple(biases))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def forward(model: MlpModel, x: Matrix2D) -> tuple[list[np.ndarray], np.ndarray]:
-    """The checked forward pass: (layer inputs, logits) of `_forward` as plain
-    arrays, after checking x's width; logits that overflow raise DataError,
-    with no numpy warning before it."""
+# Evaluation runs a data set through `_forward` this many rows at a time, so
+# its working set is bounded by a block's layer outputs, not by the set's size.
+# OpenBLAS picks its dgemm kernel by product size (M*N*K <= 1e6 on SkylakeX) and
+# runs the rows past a multiple of 4 through an edge kernel, so a block's logits
+# can differ in their last bits from one whole-set product's; a 512-row block
+# takes the small-product kernel, as the 128-row training steps do.
+BLOCK_ROWS = 512
+
+
+def forward_blocks(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
+                   x: np.ndarray) -> Iterator[tuple[int, list[np.ndarray], np.ndarray]]:
+    """`_forward` over consecutive blocks of BLOCK_ROWS rows of x, the last one
+    shorter: yields each block's first row, layer inputs and logits, unchecked.
+    The caller reduces a block before it asks for the next."""
+    for start in range(0, len(x), BLOCK_ROWS):
+        yield start, *_forward(weights, biases, x[start:start + BLOCK_ROWS])
+
+
+def check_width(model: MlpModel, x: Matrix2D) -> None:
+    """Raise ShapeError unless x has the model's input width."""
     if x.cols != model.input_dim:
         raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
-    inputs, logits = _forward(model.weights, model.biases, x.data)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def forward(model: MlpModel, x: Matrix2D) -> np.ndarray:
+    """The logits of every row of x, after checking x's width, computed in blocks
+    of BLOCK_ROWS rows; logits that overflow raise DataError, with no numpy
+    warning before it."""
+    check_width(model, x)
+    logits = np.empty((x.rows, model.num_classes))
+    for start, _, block in forward_blocks(model.weights, model.biases, x.data):
+        logits[start:start + len(block)] = block
     if not np.isfinite(logits).all():
         raise DataError("logits must be finite")
-    return inputs, logits
+    return logits
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-             x: np.ndarray, out: Optional[Sequence[np.ndarray]] = None
-             ) -> tuple[list[np.ndarray], np.ndarray]:
+             x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The forward pass: (each layer's input, logits). The inputs are x, then
-    each relu output, so the last is the penultimate activation. Layer i's
-    output goes into out[i] if given, else into a new array."""
+    each relu output, so the last is the penultimate activation."""
     inputs = []
     h = x
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
         inputs.append(h)
-        h = np.matmul(h, w, out=None if out is None else out[i])
+        h = h @ w
         h += b
         if i < last:
             np.maximum(h, 0.0, out=h)

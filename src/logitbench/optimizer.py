@@ -1,5 +1,5 @@
 """SGD with momentum, weight decay (weights only), and step learning-rate
-drops, with per-epoch logit-norm telemetry, or only the final epoch's loss
+drops, with per-epoch logit-norm telemetry, or only the final epoch's record
 for callers that read no other."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ConfigError, DivergedError
 from .losses import LossConfig, loss_and_grad
-from .model import MlpModel, _forward, backward
+from .model import MlpModel, _forward, backward, forward_blocks
 from .tensor import Matrix2D, row_l2_norm
 
 
@@ -49,8 +49,8 @@ class OptimConfig:
 class EpochTelemetry:
     epoch: int
     train_loss: float
-    train_acc: Optional[float] = None
-    mean_logit_norm_id: Optional[float] = None
+    train_acc: float
+    mean_logit_norm_id: float
     mean_logit_norm_ood: Optional[float] = None
 
 
@@ -75,21 +75,41 @@ def _layer_views(flat: np.ndarray, model: MlpModel
     return views[:len(model.weights)], views[len(model.weights):]
 
 
+def _epoch_end(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
+               labels: Optional[np.ndarray], epoch: int, step: int) -> tuple[int, float]:
+    """One block pass over the rows of x: how many rows' logits have their label
+    (0 without labels) as argmax, and the mean logit norm. Non-finite logits
+    raise DivergedError at `epoch` and `step`."""
+    correct = 0
+    norms = np.empty(len(x))
+    for start, _, logits in forward_blocks(weights, biases, x):
+        # Finite weights can still overflow the forward pass once the
+        # parameters are large enough; that too is divergence.
+        if not np.isfinite(logits).all():
+            raise DivergedError("epoch-end logits", epoch, step)
+        stop = start + len(logits)
+        norms[start:stop] = row_l2_norm(logits)[:, 0]
+        if labels is not None:
+            correct += np.count_nonzero(np.argmax(logits, axis=1) == labels[start:stop])
+    return correct, float(norms.mean())
+
+
 def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
           optim_cfg: OptimConfig, seed: int, probe_ood: Optional[Matrix2D] = None,
           *, every_epoch: bool = True) -> tuple[MlpModel, list[EpochTelemetry]]:
     """Train and return (new model, telemetry): one record per epoch, or with `every_epoch`
-    false the last epoch's loss alone.
+    false the last epoch's record alone.
 
     Deterministic in seed, which drives the minibatch order; raises DivergedError on a non-finite
     loss, parameter or epoch-end logit. Weight decay is applied to weights only, never biases.
-    Without `every_epoch`, no epoch-end forward runs before the last epoch, and after it the
-    training and probe sets are only checked for finite logits, one batch of rows at a time, so
-    no full-set layer buffers are allocated. The one record returned has the epoch and train loss
-    of a full run's last record, bitwise, and None for the accuracy and the norms. Logits that
-    overflow in an epoch-end forward the run skips then surface later: as a non-finite loss at a
-    later step, or at the last epoch's check, so a divergence may name a later epoch and step
-    than a full run would.
+    A record's accuracy and mean logit norms come from one epoch-end pass over the training set,
+    then the probe set, in blocks of BLOCK_ROWS rows: each block is checked for finite logits and
+    reduced (correct rows counted, row norms written into one vector per set) before the next
+    runs, so the working set is bounded by the block size, not by the sets' sizes. `every_epoch`
+    only chooses whether that pass runs after every epoch or after the last one alone; the
+    last-epoch record equals a full run's last record. Logits that overflow in an epoch-end pass the run skips then
+    surface later: as a non-finite loss at a later step, or at the last epoch's pass, so a
+    divergence may name a later epoch and step than a full run would.
 
     The weights, then the biases, are views of one flat parameter array, and the velocities and
     gradients are flat arrays laid out the same way, so one SGD update is a few whole-array
@@ -112,13 +132,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
     x_all = dataset.features.data
     y_all = dataset.labels
     x_ood = probe_ood.data if probe_ood is not None else None
-    probes = [x for x in (x_all, x_ood) if x is not None]
     batch_size = optim_cfg.batch_size
-    # With every epoch recorded, allocated once, for the larger set: the epoch-end forwards run in
-    # turn through row slices of it, and a fresh output per forward would fault in new pages each
-    # epoch. The last-epoch check alone works in batches and needs none.
-    buffers = ([np.empty((max(map(len, probes)), w.shape[1])) for w in weights]
-               if every_epoch else [])
     n = dataset.n
     telemetry: list[EpochTelemetry] = []
 
@@ -149,29 +163,17 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 if not np.isfinite(params).all():
                     raise DivergedError("parameters", epoch, step)
 
-            # Finite weights can still overflow the forward pass once the
-            # parameters are large enough; that too is divergence.
-            if not every_epoch:
-                if epoch == optim_cfg.epochs - 1:
-                    if not all(np.isfinite(_forward(weights, biases, x[i:i + batch_size])[1]).all()
-                               for x in probes for i in range(0, len(x), batch_size)):
-                        raise DivergedError("epoch-end logits", epoch, loss_batches - 1)
-                    telemetry.append(EpochTelemetry(epoch + 1, loss_sum / loss_batches))
+            if not every_epoch and epoch < optim_cfg.epochs - 1:
                 continue
-            norms = []
-            for x in probes:  # each read before the next forward overwrites the buffers
-                logits = _forward(weights, biases, x, [b[:len(x)] for b in buffers])[1]
-                if not np.isfinite(logits).all():
-                    raise DivergedError("epoch-end logits", epoch, loss_batches - 1)
-                if not norms:
-                    train_acc = float((np.argmax(logits, axis=1) == y_all).mean())
-                norms.append(float(row_l2_norm(logits).mean()))
+            step = loss_batches - 1
+            correct, norm_id = _epoch_end(weights, biases, x_all, y_all, epoch, step)
             telemetry.append(EpochTelemetry(
                 epoch=epoch + 1,
                 train_loss=loss_sum / loss_batches,
-                train_acc=train_acc,
-                mean_logit_norm_id=norms[0],
-                mean_logit_norm_ood=norms[1] if x_ood is not None else None,
+                train_acc=correct / n,
+                mean_logit_norm_id=norm_id,
+                mean_logit_norm_ood=(None if x_ood is None else
+                                     _epoch_end(weights, biases, x_ood, None, epoch, step)[1]),
             ))
 
     return MlpModel(model.layer_dims, tuple(weights), tuple(biases)), telemetry

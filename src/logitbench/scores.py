@@ -8,11 +8,11 @@ Energy:   T * logsumexp(f / T), the negated free energy.
 GradNorm: L1 norm of the last-layer weight gradient of the cross-entropy
           between softmax(f / T) and the uniform distribution.
 
-`score_batch` scores all rows of a batch at once. Rows are independent, so
-ODIN's input gradient for every row comes from one explicit backward pass,
-and GradNorm's last-layer gradient is the outer product of the penultimate
-activation h and (softmax(f / T) - 1/k) / T, whose L1 norm factorises into
-||h||_1 * ||softmax(f / T) - 1/k||_1 / T.
+`score_batch` scores a set block by block, all rows of a block at once. Rows
+are independent, so ODIN's input gradient for every row of a block comes from
+one explicit backward pass, and GradNorm's last-layer gradient is the outer
+product of the penultimate activation h and (softmax(f / T) - 1/k) / T, whose
+L1 norm factorises into ||h||_1 * ||softmax(f / T) - 1/k||_1 / T.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, kind_params, read_lines
-from .model import MlpModel, forward, input_gradient
+from .model import MlpModel, check_width, forward, forward_blocks, input_gradient
 from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
 MSP = "msp"
@@ -65,18 +65,30 @@ def _odin_input(model: MlpModel, inputs: list[np.ndarray], f: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.ndarray:
-    """Score every row of `features` under `cfg`; one value per row. Every detector reads
-    one forward pass over `features`; ODIN with eps > 0 adds one over the perturbed rows.
-    A score that overflows is returned as it is, with no numpy warning: its readers
-    (dump_records, detection_report) reject it."""
-    inputs, logits = forward(model, features)
+    """Score every row of `features` under `cfg`; one value per row. The rows run
+    through the model in blocks of BLOCK_ROWS, each scored before the next runs:
+    one forward per block, and for ODIN with eps > 0 one more over the block's
+    perturbed rows. Logits that overflow raise DataError. A score that overflows is
+    returned as it is, with no numpy warning: its readers (dump_records,
+    detection_report) reject it."""
+    check_width(model, features)
+    scores = np.empty(features.rows)
+    for start, inputs, logits in forward_blocks(model.weights, model.biases, features.data):
+        if not np.isfinite(logits).all():
+            raise DataError("logits must be finite")
+        scores[start:start + len(logits)] = _block_scores(model, inputs, logits, cfg)
+    return scores
+
+
+def _block_scores(model: MlpModel, inputs: list[np.ndarray], logits: np.ndarray,
+                  cfg: ScoreConfig) -> np.ndarray:
+    """`score_batch` of one block, from its layer inputs and finite logits."""
     if cfg.kind == MSP:
         return rowwise_softmax(logits).max(axis=1)
     T = cfg.params["T"]
     if cfg.kind == ODIN:
         if cfg.params["eps"] > 0.0:
-            logits = forward(model, _odin_input(model, inputs, logits, T,
-                                                cfg.params["eps"]))[1]
+            logits = forward(model, _odin_input(model, inputs, logits, T, cfg.params["eps"]))
         return rowwise_softmax(logits / T).max(axis=1)
     if cfg.kind == ENERGY:
         f = logits / T

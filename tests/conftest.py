@@ -1,9 +1,11 @@
 """Shared test helpers: finite-difference oracles, the MLP backward into new
-arrays, random instances, the per-sample logit-norm loss, file-backed data
-and the committed desk config."""
+arrays, random instances, the per-sample logit-norm loss, file-backed data,
+the committed desk config, and traced memory peaks against a set several
+evaluation blocks long."""
 
 import copy
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from logitbench.data import gen_blobs, split
 from logitbench.harness import load_config
 from logitbench.losses import LOGIT_NORM, LOSS_PARAMS, cross_entropy_values
-from logitbench.model import backward
+from logitbench.model import BLOCK_ROWS, MlpModel, backward, init_model
 from logitbench.tensor import use_one_blas_thread
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -57,6 +59,33 @@ def param_grads(weights, inputs, grad):
     grad_b = [np.empty((1, w.shape[1])) for w in weights]
     backward(weights, inputs, grad, grad_w, grad_b)
     return grad_w, grad_b
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def buffer_set_bytes(n: int, model: MlpModel) -> int:
+    """The bytes of one whole-set forward's layer outputs: n rows of every
+    layer's width, in float64."""
+    return n * sum(model.layer_dims[1:]) * 8
+
+
+def several_blocks() -> tuple[MlpModel, np.ndarray]:
+    """A desk-shaped model (16-64-64-10, nonzero biases) and a set of eight whole
+    evaluation blocks and a short ninth: more rows than the 1,562 at which a
+    whole-set 64 -> 10 product leaves OpenBLAS's small-product kernel."""
+    rng = np.random.default_rng(21)
+    model = init_model((16, 64, 64, 10), seed=20)
+    model = dataclasses.replace(model, biases=tuple(
+        rng.uniform(-0.5, 0.5, b.shape) for b in model.biases))
+    return model, rng.normal(0.0, 2.0, (8 * BLOCK_ROWS + 37, 16))
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from logitbench.harness import (realize_data, run_calibration, run_experiment,
                                 sweep_tau)
 from logitbench.losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from logitbench.metrics import detection_report, fit_temperature, nll_at_temperature
-from logitbench.model import forward, init_model, input_gradient, load_checkpoint
+from logitbench.model import _forward, forward, init_model, input_gradient, load_checkpoint
 from logitbench.scores import GRADNORM, ScoreConfig, score_batch
 from logitbench.tensor import Matrix2D, log_softmax, row_l2_norm, rowwise_softmax
 
@@ -102,10 +102,10 @@ def test_criterion_1_gradients_match_finite_differences():
         label = np.array([int(rng.integers(0, k))])
 
         def value(flat):
-            logits = forward(model, Matrix2D(flat.reshape(1, d)))[1]
+            logits = forward(model, Matrix2D(flat.reshape(1, d)))
             return loss_and_grad(logits * (1.0 / 3.0), label, nll)[0]
 
-        inputs, logits = forward(model, Matrix2D(x0))
+        inputs, logits = _forward(model.weights, model.biases, x0)
         grad = loss_and_grad(logits * (1.0 / 3.0), label, nll)[1] * (1.0 / 3.0)
         grad_x = input_gradient(model.weights, inputs, grad)
         numeric = central_difference(value, x0.ravel())
@@ -125,7 +125,7 @@ def test_criterion_1_gradients_match_finite_differences():
             w = flat.reshape(w0.shape)
             patched = dataclasses.replace(
                 model, weights=model.weights[:-1] + (w,))
-            return -log_softmax(forward(patched, x)[1]).mean()
+            return -log_softmax(forward(patched, x)).mean()
 
         score = score_batch(model, x, ScoreConfig(GRADNORM))
         numeric = np.abs(central_difference(value, w0.ravel())).sum()
@@ -326,7 +326,7 @@ def test_criterion_7_logit_penalty_ablation(desk):
         sets = [("ID", bundle.test.features), *bundle.ood_sets]
         for loss in ("cross_entropy", "logit_norm", "logit_penalty"):
             model, _ = load_checkpoint(Path(cfg.output_dir) / f"checkpoint_{loss}_{seed}.txt")
-            final_norms[(loss, seed)] = {tag: float(row_l2_norm(forward(model, x)[1]).mean())
+            final_norms[(loss, seed)] = {tag: float(row_l2_norm(forward(model, x)).mean())
                                          for tag, x in sets}
 
     def norm_ratio(loss):

@@ -190,6 +190,8 @@ def test_exit_code_all_diverged(tmp_path):
         optim={"lr0": 1e9, "momentum": 0.9, "weight_decay": 0.1,
                "epochs": 20, "batch_size": 32, "lr_drops": []})
     assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 3
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "config.hash", "config.json", "warnings.txt"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -577,6 +579,26 @@ def test_file_data_width_is_checked_against_the_first_layer(command, tmp_path, c
     assert capsys.readouterr().err == (
         f"config error: {data['train_path']}: 4 features per row, layer_dims[0] is 5\n")
     assert not list((tmp_path / "out").glob("checkpoint_*"))
+
+
+@pytest.mark.parametrize("command", ["bench", "train", "sweep-tau", "calibrate", "score"])
+@pytest.mark.parametrize("layer_dims, test_dim, code", [([5, 8, 3], 4, 1), ([4, 8, 3], 5, 2)],
+                         ids=["config_error", "data_error"])
+def test_a_run_whose_data_fails_writes_nothing(command, layer_dims, test_dim, code, tmp_path,
+                                               capsys):
+    # File data whose training set does not fit layer_dims[0], or whose test
+    # set is wider than its training set, fails as the first seed's data is
+    # realised: before the output directory is made.
+    data = write_file_data(tmp_path, test_dim=test_dim)[0]
+    cfg_path = write_config(tmp_path, data=data, layer_dims=layer_dims)
+    argv = [command, "--config", str(cfg_path), "--quiet"]
+    if command == "score":
+        checkpoint = tmp_path / "model.txt"
+        save_checkpoint(init_model(layer_dims, seed=0), checkpoint)
+        argv += ["--checkpoint", str(checkpoint)]
+    assert main(argv) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

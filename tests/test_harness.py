@@ -449,35 +449,34 @@ def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeyp
 
 
 def test_epoch_end_forward_runs_only_where_its_record_is_written(tmp_path, monkeypatch):
-    """Per training cell, the number of full-set forwards: the calls of
-    `_forward` that `optimizer.train` makes on more rows than one batch (its
-    steps, and the last-epoch check without every_epoch, take one batch at
-    most). `calibrate` and `sweep-tau` read only the last epoch's loss and
-    make none. `bench` and `train` write every epoch's telemetry and make two
-    per epoch, over the training set and over the validation OOD probe."""
+    """Per training cell, the rows of `optimizer.train`'s epoch-end block passes.
+    `calibrate` and `sweep-tau` record only the last epoch, with no probe set: one
+    pass over the training set. `bench` and `train` record every epoch: each runs
+    the training set, then the validation OOD probe."""
     per_cell = []
-    real_forward, real_train = optimizer._forward, harness.train
+    real_blocks, real_train = optimizer.forward_blocks, harness.train
 
-    def counting_forward(weights, biases, x, out=None):
-        per_cell[-1] += len(x) > cfg.optim.batch_size
-        return real_forward(weights, biases, x, out)
+    def counting_blocks(weights, biases, x):
+        per_cell[-1] += len(x)
+        return real_blocks(weights, biases, x)
 
     def counting_train(*args, **kwargs):
         per_cell.append(0)
         return real_train(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "_forward", counting_forward)
+    monkeypatch.setattr(optimizer, "forward_blocks", counting_blocks)
     monkeypatch.setattr(harness, "train", counting_train)
     raw = tiny_raw(seeds=[0], output_dir=str(tmp_path / "out"))
     cfg = config_from_dict(raw)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(raw))
-    every_epoch = [2 * cfg.optim.epochs] * len(cfg.losses)
     bundle = realize_data(cfg, 0)
-    assert min(bundle.train.n, bundle.validation_ood.rows) > cfg.optim.batch_size
+    last_only = [bundle.train.n] * len(cfg.losses)
+    every_epoch = [(bundle.train.n + bundle.validation_ood.rows) * cfg.optim.epochs
+                   ] * len(cfg.losses)
     for command, run, want in [
-            ("calibrate", lambda: run_calibration(cfg), [0] * len(cfg.losses)),
-            ("sweep-tau", lambda: sweep_tau(cfg, [0.05, 0.1, 0.5]), [0, 0, 0]),
+            ("calibrate", lambda: run_calibration(cfg), last_only),
+            ("sweep-tau", lambda: sweep_tau(cfg, [0.05, 0.1, 0.5]), [bundle.train.n] * 3),
             ("bench", lambda: run_experiment(cfg), every_epoch),
             ("train", lambda: main(["train", "--config", str(path), "--quiet"]), every_epoch)]:
         per_cell.clear()

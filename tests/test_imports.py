@@ -5,7 +5,9 @@ so `ast` walks check both. The package's __init__.py is left out of the
 first check: its imports are its exports.
 One function, harness.trained_cells, calls optimizer.train, so every
 training command trains its cells the same way. It lists the diverged cells
-itself, and run_experiment returns only the rows of bench.csv.
+itself, and run_experiment returns only the rows of bench.csv. Only the SGD
+step and the block loop call model._forward, so every evaluation runs in
+blocks.
 The package needs numpy only: scipy stays out of its imports and out of
 the process, because importing scipy.stats alone takes about a second."""
 
@@ -91,28 +93,27 @@ def test_every_package_definition_is_used_or_exported():
     assert unreferenced(sources, exported | entry_points) == []
 
 
-def train_callers(sources: dict[str, str]) -> list[str]:
-    """"module.name" of every function or method in `sources` (module name
-    -> source) that calls optimizer.train: by a name `from .optimizer
-    import` binds to it, as an attribute of a module named optimizer, or,
-    in optimizer itself, by its own name."""
-    callers = []
-    for module, source in sources.items():
+def call_sites(sources: dict[str, str], module: str, name: str) -> list[str]:
+    """"module.function" of every call in `sources` (module name -> source) of
+    `name` defined in `module`, made inside a function or method: by a name
+    `from .<module> import` binds to it, as an attribute of a module named
+    `module`, or, in `module` itself, by its own name. One entry per call."""
+    sites = []
+    for source_module, source in sources.items():
         tree = ast.parse(source)
-        names = {"train"} if module == "optimizer" else set()
+        names = {name} if source_module == module else set()
         names |= {alias.asname or alias.name for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.module == "optimizer"
-                  for alias in node.names if alias.name == "train"}
+                  if isinstance(node, ast.ImportFrom) and node.module == module
+                  for alias in node.names if alias.name == name}
         for node in definitions(tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
             calls = [call.func for call in ast.walk(node) if isinstance(call, ast.Call)]
-            if any(isinstance(f, ast.Name) and f.id in names
-                   or isinstance(f, ast.Attribute) and f.attr == "train"
-                   and isinstance(f.value, ast.Name) and f.value.id == "optimizer"
-                   for f in calls):
-                callers.append(f"{module}.{node.name}")
-    return callers
+            sites += [f"{source_module}.{node.name}" for f in calls
+                      if isinstance(f, ast.Name) and f.id in names
+                      or isinstance(f, ast.Attribute) and f.attr == name
+                      and isinstance(f.value, ast.Name) and f.value.id == module]
+    return sites
 
 
 def identifiers(source: str) -> set[str]:
@@ -138,14 +139,30 @@ def test_one_function_trains_a_cell():
               "b": "from . import optimizer\n\n\nclass K:\n    def m(self):\n"
                    "        return optimizer.train()\n",
               "optimizer": "def train():\n    return 1\n\n\ndef again():\n    return train()\n"}
-    assert train_callers(sample) == ["a.f", "b.m", "optimizer.again"]
+    assert call_sites(sample, "optimizer", "train") == ["a.f", "b.m", "optimizer.again"]
     assert {"fit", "train", "f"} <= identifiers(sample["a"])
     package = sorted((ROOT / "src" / "logitbench").glob("*.py"))
     assert len(package) > 10
-    assert train_callers({path.stem: path.read_text() for path in package}) == [
-        "harness.trained_cells"]
+    assert call_sites({path.stem: path.read_text() for path in package},
+                      "optimizer", "train") == ["harness.trained_cells"]
     assert [path.name for path in package + MODULES
             if "train_cell" in identifiers(path.read_text())] == []
+
+
+def test_only_the_sgd_step_and_the_block_loop_forward_a_whole_array():
+    # An evaluation that called model._forward itself could run a whole set
+    # through one product; it goes through model.forward_blocks instead.
+    sample = {"model": "def _forward():\n    return 1\n\n\ndef loop():\n"
+                       "    return _forward() + _forward()\n",
+              "c": "from .model import _forward as fw\n\n\ndef g():\n    return fw()\n"}
+    assert call_sites(sample, "model", "_forward") == ["model.loop", "model.loop", "c.g"]
+    package = sorted((ROOT / "src" / "logitbench").glob("*.py"))
+    sources = {path.stem: path.read_text() for path in package}
+    assert len(sources) > 10
+    assert sorted(call_sites(sources, "model", "_forward")) == [
+        "model.forward_blocks", "optimizer.train"]
+    assert sorted(module for module, source in sources.items()
+                  if "_forward" in identifiers(source)) == ["model", "optimizer"]
 
 
 def test_runs_return_what_their_callers_read():

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from logitbench.data import LabeledDataset
 from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
-from logitbench.model import (MlpModel, _forward, backward, forward, init_model,
+from logitbench.model import (BLOCK_ROWS, MlpModel, _forward, backward, forward, init_model,
                               input_gradient, load_checkpoint, save_checkpoint)
 from logitbench.optimizer import OptimConfig, train
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
 import tape_oracle
-from conftest import param_grads
+from conftest import buffer_set_bytes, param_grads, several_blocks, traced_peak
 from tape_oracle import apply_loss
 
 
@@ -49,19 +49,19 @@ def test_forward_zero_model_gives_zero_logits():
     m = MlpModel(dims,
                  tuple(np.zeros((a, b)) for a, b in zip(dims, dims[1:])),
                  tuple(np.zeros((1, b)) for b in dims[1:]))
-    _, logits = forward(m, Matrix2D(np.array([[1.0, -2.0, 3.0]])))
+    logits = forward(m, Matrix2D(np.array([[1.0, -2.0, 3.0]])))
     assert np.array_equal(logits, np.zeros((1, 2)))
 
 
 def test_forward_single_identity_layer():
     m = MlpModel((2, 2), (np.eye(2),), (np.zeros((1, 2)),))
-    _, logits = forward(m, Matrix2D(np.array([[1.0, 2.0]])))
+    logits = forward(m, Matrix2D(np.array([[1.0, 2.0]])))
     assert np.array_equal(logits, [[1.0, 2.0]])
 
 
 def test_forward_output_shape():
     m = init_model((2, 4, 3), seed=3)
-    _, logits = forward(m, Matrix2D(np.random.default_rng(0).standard_normal((5, 2))))
+    logits = forward(m, Matrix2D(np.random.default_rng(0).standard_normal((5, 2))))
     assert logits.shape == (5, 3)
 
 
@@ -72,34 +72,37 @@ def test_forward_rejects_wrong_width():
 
 
 def test_traced_forward_matches_plain():
-    """`forward` gives the logits of `_forward` bit for bit, and its layer
-    inputs as a list of plain arrays: x, then each relu output."""
+    """On a set of one block, `forward` gives the logits of `_forward` bit for
+    bit, as one plain array."""
     m = init_model((4, 8, 6, 3), seed=11)
     x = Matrix2D(np.random.default_rng(1).standard_normal((6, 4)))
     want_inputs, want_logits = _forward(m.weights, m.biases, x.data)
-    inputs, logits = forward(m, x)
+    logits = forward(m, x)
     assert type(logits) is np.ndarray and logits.tobytes() == want_logits.tobytes()
-    assert type(inputs) is list and len(inputs) == len(want_inputs) == 3
-    assert inputs[0] is x.data
-    for got, want in zip(inputs, want_inputs):
-        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+    assert len(want_inputs) == 3 and want_inputs[0] is x.data
 
 
-def test_forward_into_buffers_matches_new_arrays_bitwise():
-    """`_forward` with `out` writes each layer's output into out[i] and gives
-    the same bits as the forward that allocates, also on reused buffers."""
-    m = init_model((16, 64, 64, 10), seed=13)
-    weights = m.weights
-    biases = [np.random.default_rng(3).uniform(-0.5, 0.5, b.shape) for b in m.biases]
-    out = [np.full((300, d), np.nan) for d in m.layer_dims[1:]]
-    for seed in (4, 5):
-        x = np.random.default_rng(seed).standard_normal((300, 16))
-        inputs, logits = _forward(weights, biases, x, out)
-        new_inputs, new_logits = _forward(weights, biases, x)
-        assert all(got is buf for got, buf in zip((*inputs[1:], logits), out))
-        assert logits.tobytes() == new_logits.tobytes()
-        for got, want in zip(inputs, new_inputs):
-            assert got.tobytes() == want.tobytes()
+def test_forward_in_blocks_matches_one_whole_set_product():
+    """`forward` runs a set several blocks long, the last one short, in blocks;
+    its logits match one whole-set `_forward` within 1e-13 of the largest |logit|.
+    The two take different OpenBLAS kernels past 1,562 rows, so each logit is the
+    same dot products summed in another order: that moves a logit by a few ulps of
+    the terms summed (2 ulps of the largest logit here), while a row written into
+    the wrong place moves it by the logits' own size."""
+    model, x = several_blocks()
+    assert len(x) > 3 * BLOCK_ROWS and len(x) % BLOCK_ROWS
+    want = _forward(model.weights, model.biases, x)[1]
+    got = forward(model, Matrix2D(x))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_forward_works_in_blocks():
+    """`forward`'s traced peak on a set nine blocks long stays below half of one
+    whole-set forward's layer outputs."""
+    model, x = several_blocks()
+    features = Matrix2D(x)
+    assert traced_peak(lambda: forward(model, features)) < buffer_set_bytes(len(x), model) / 2
 
 
 def test_input_gradient_apart_from_parameter_gradients():

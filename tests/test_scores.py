@@ -13,13 +13,14 @@ from logitbench import scores
 from logitbench.data import gen_blobs, gen_ood
 from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LossConfig
-from logitbench.model import MlpModel, forward, init_model
+from logitbench.model import BLOCK_ROWS, MlpModel, _forward, forward, init_model
 from logitbench.optimizer import OptimConfig, train
 from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_PARAMS,
                                ScoreConfig, dump_records, read_scores,
                                score_batch, write_scores)
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
+from conftest import buffer_set_bytes, several_blocks, traced_peak
 from tape_oracle import forward_traced
 from test_readers_fuzz import LINE_ENDS, NUMBERS
 
@@ -212,7 +213,7 @@ def test_gradnorm_validation(small_model):
 def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
     x = Matrix2D(x.reshape(1, -1))
     if cfg.kind == MSP:
-        return float(rowwise_softmax(forward(model, x)[1])[0].max())
+        return float(rowwise_softmax(forward(model, x))[0].max())
     if cfg.kind == ODIN:
         T = cfg.params["T"]
         if cfg.params["eps"] > 0.0:
@@ -223,10 +224,10 @@ def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
             trace.tape.backward(nll)
             grad = trace.tape.grad(trace.input)
             x = Matrix2D(x.data - cfg.params["eps"] * np.sign(grad))
-        return float(rowwise_softmax(forward(model, x)[1] / T)[0].max())
+        return float(rowwise_softmax(forward(model, x) / T)[0].max())
     if cfg.kind == ENERGY:
         T = cfg.params["T"]
-        logits = forward(model, x)[1][0] / T
+        logits = forward(model, x)[0] / T
         m = logits.max()
         return float(T * (m + np.log(np.exp(logits - m).sum())))
     trace = forward_traced(model, x)
@@ -279,6 +280,68 @@ def test_score_batch_matches_oracle(trained_models):
             oracle = np.array([oracle_score(model, row, cfg) for row in rows])
             np.testing.assert_allclose(batch, oracle, rtol=1e-12, atol=1e-12,
                                        err_msg=f"{name}/{cfg.kind}")
+
+
+def _softmax(f: np.ndarray) -> np.ndarray:
+    e = np.exp(f - f.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def whole_set_scores(model: MlpModel, x: np.ndarray, cfg: ScoreConfig
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """A detector's scores recomputed in numpy from one whole-set `_forward`, and
+    which rows they are exact for: all but, for ODIN, the rows with an input
+    gradient component within 1e-12 of the row's largest, whose sign rounding
+    can flip."""
+    inputs, f = _forward(model.weights, model.biases, x)
+    exact = np.ones(len(x), bool)
+    if cfg.kind == MSP:
+        return _softmax(f).max(axis=1), exact
+    T = cfg.params["T"]
+    if cfg.kind == ENERGY:
+        m = (f / T).max(axis=1)
+        return T * (m + np.log(np.exp(f / T - m[:, None]).sum(axis=1))), exact
+    if cfg.kind == GRADNORM:
+        spread = np.abs(_softmax(f / T) - 1.0 / f.shape[1]).sum(axis=1)
+        return np.abs(inputs[-1]).sum(axis=1) * spread / T, exact
+    grad = _softmax(f / T)
+    grad[np.arange(len(f)), f.argmax(axis=1)] -= 1.0
+    grad /= T
+    for i in range(len(model.weights) - 1, -1, -1):
+        grad = grad @ model.weights[i].T
+        if i > 0:
+            grad = grad * (inputs[i] > 0.0)
+    exact = (np.abs(grad) > 1e-12 * np.abs(grad).max(axis=1, keepdims=True)).all(axis=1)
+    shifted = _forward(model.weights, model.biases, x - cfg.params["eps"] * np.sign(grad))[1]
+    return _softmax(shifted / T).max(axis=1), exact
+
+
+@pytest.mark.parametrize("kind", SCORE_PARAMS)
+def test_score_batch_in_blocks_matches_one_whole_set_pass(kind):
+    """Every detector scores a set several blocks long, the last one short, block
+    by block, within a relative 1e-12 of a whole-set numpy recomputation. The two
+    take different OpenBLAS kernels past 1,562 rows, so their logits differ by a
+    few ulps, and each score moves by a few ulps of itself (under 2e-15 here).
+    ODIN steps each input by eps against the sign of its gradient; where a
+    component is within rounding of 0 that sign can flip and move the score by far
+    more, so such rows are left out. They must be under 1% of the set."""
+    model, x = several_blocks()
+    assert len(x) > 3 * BLOCK_ROWS and len(x) % BLOCK_ROWS
+    cfg = ScoreConfig(kind)
+    got = score_batch(model, Matrix2D(x), cfg)
+    want, exact = whole_set_scores(model, x, cfg)
+    assert got.shape == want.shape and exact.mean() > 0.99
+    np.testing.assert_allclose(got[exact], want[exact], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", SCORE_PARAMS)
+def test_score_batch_works_in_blocks(kind):
+    """Each detector's traced peak on a set nine blocks long stays below half of
+    one whole-set forward's layer outputs."""
+    model, x = several_blocks()
+    features, cfg = Matrix2D(x), ScoreConfig(kind)
+    peak = traced_peak(lambda: score_batch(model, features, cfg))
+    assert peak < buffer_set_bytes(len(x), model) / 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
