@@ -60,17 +60,21 @@ def _class_means(k: int, d: int, radius: float, rng: np.random.Generator) -> np.
 
 def gen_blobs(k: int, d: int, n_per_class: int, cluster_spread: float,
               cluster_radius: float, seed: int) -> LabeledDataset:
-    """Isotropic Gaussian blobs with class means on a radius-r sphere."""
+    """Isotropic Gaussian blobs with class means on a radius-r sphere, the
+    classes in order, n_per_class rows each. The noise is scaled and shifted
+    by its class mean in place, which gives the bits of
+    repeat(means) + spread * noise, since IEEE + and * commute."""
     if k < 2 or d < 2:
         raise ConfigError(f"need k >= 2 and d >= 2, got k={k}, d={d}")
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     rng = np.random.default_rng(seed)
     means = _class_means(k, d, cluster_radius, rng)
-    features = np.repeat(means, n_per_class, axis=0)
-    features = features + cluster_spread * rng.standard_normal(features.shape)
+    features = rng.standard_normal((k, n_per_class, d))
+    features *= cluster_spread
+    features += means[:, None, :]
     labels = np.repeat(np.arange(k), n_per_class)
-    return LabeledDataset(Matrix2D(features), labels, k)
+    return LabeledDataset(Matrix2D(features.reshape(k * n_per_class, d)), labels, k)
 
 
 def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,

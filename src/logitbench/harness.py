@@ -10,13 +10,14 @@ printed with 17 significant digits, so repeated runs are byte identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
 import os
 from dataclasses import MISSING, dataclass, field
-from typing import Optional, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -231,14 +232,35 @@ def derive_seed(seed: int, tag: str) -> int:
 
 @dataclass
 class SeedData:
+    """One seed's data. The ID splits are realised with it; the OOD sets are
+    generated from the seed only where a command reads them: `ood_sets()`
+    generates the panel anew on every call, and `validation_ood` on its
+    first read, kept for the seed."""
     train: LabeledDataset
     test: LabeledDataset
     val: Optional[LabeledDataset]
-    ood_sets: list[tuple[str, Matrix2D]]
-    validation_ood: Matrix2D
+    cfg: ExperimentConfig
+    seed: int
+
+    def ood_sets(self) -> Iterator[tuple[str, Matrix2D]]:
+        """(tag, set) of each panel set in order, each generated when asked for:
+        a caller that drops a set before it asks for the next holds one at a time."""
+        for i, oc in enumerate(self.cfg.ood_panel):
+            yield oc.kind, gen_ood(oc.kind, self.train.dim, oc.m, oc.params,
+                                   derive_seed(self.seed, f"ood:{i}:{oc.kind}"))
+
+    @functools.cached_property
+    def validation_ood(self) -> Matrix2D:
+        voc = self.cfg.validation_ood
+        return gen_ood(voc.kind, self.train.dim, voc.m, voc.params,
+                       derive_seed(self.seed, "validation_ood"))
 
 
 def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
+    """The seed's ID splits: training (less a validation split when
+    val_fraction > 0, with label noise when label_noise > 0) and test, from
+    generated blobs or from cfg's files. A generated blob set is dropped once it
+    is split. No OOD set is generated here (see SeedData)."""
     dc = cfg.data
     if dc.kind == "blobs":
         n_total = dc.n_train_per_class + dc.n_test_per_class
@@ -247,6 +269,7 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
         f_train = dc.n_train_per_class / n_total
         train_ds, test_ds = split(full, (f_train, 1.0 - f_train),
                                   derive_seed(seed, "split"))
+        del full
     else:
         train_ds = load_delimited(dc.train_path, k=dc.k)
         if train_ds.dim != cfg.layer_dims[0]:
@@ -263,14 +286,7 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
     if dc.label_noise > 0.0:
         train_ds = corrupt_labels(train_ds, dc.label_noise,
                                   derive_seed(seed, "labelnoise"))
-    d = train_ds.dim
-    ood_sets = [(oc.kind, gen_ood(oc.kind, d, oc.m, oc.params,
-                                 derive_seed(seed, f"ood:{i}:{oc.kind}")))
-                for i, oc in enumerate(cfg.ood_panel)]
-    voc = cfg.validation_ood
-    validation_ood = gen_ood(voc.kind, d, voc.m, voc.params,
-                             derive_seed(seed, "validation_ood"))
-    return SeedData(train_ds, test_ds, val_ds, ood_sets, validation_ood)
+    return SeedData(train_ds, test_ds, val_ds, cfg, seed)
 
 
 # --------------------------------------------------------------------------
@@ -342,10 +358,12 @@ def trained_cells(cfg: ExperimentConfig, losses: Sequence[LossConfig] = (),
     data is realised, make cfg.output_dir and write each (file name, text) of
     `run_files` into it, so a run whose data fails writes nothing. Yield (seed, data,
     loss config, model, telemetry): a record per epoch probing the validation OOD
-    set, or without `every_epoch` the last epoch's record alone, with no probe. A
-    diverged cell is skipped. After the last cell, the diverged ones are listed in
-    warnings.txt (a stale one is removed when none diverged), and AllSeedsDiverged
-    is raised if no cell trained."""
+    set, generated at the seed's first cell, or without `every_epoch` the last
+    epoch's record alone, with no probe and no validation OOD set. The cell's model
+    and telemetry are dropped here before the next cell trains. A diverged cell is
+    skipped. After the last cell, the diverged ones are listed in warnings.txt (a
+    stale one is removed when none diverged), and AllSeedsDiverged is raised if no
+    cell trained."""
     warnings: list[str] = []
     trained = False
     for i, seed in enumerate(seeds or cfg.seeds):
@@ -367,6 +385,7 @@ def trained_cells(cfg: ExperimentConfig, losses: Sequence[LossConfig] = (),
                 continue
             trained = True
             yield seed, bundle, loss_cfg, model, history
+            del model, history
     path = os.path.join(cfg.output_dir, "warnings.txt")
     if warnings:
         _write(path, "\n".join(warnings) + "\n")
@@ -388,18 +407,22 @@ def save_cell(cfg: ExperimentConfig, seed: int, loss_name: str, model: MlpModel,
 
 def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
                 stem: str, seed: int):
-    """Score the ID test set once per detector and each OOD set against it;
-    write each dump under cfg.output_dir and yield (dump file name, detector
-    name, OOD tag, (ID scores, OOD scores)). A non-finite score raises
-    DataError before the dump that would hold it is written."""
-    for score_cfg in cfg.scores:
-        id_scores = score_batch(model, bundle.test.features, score_cfg)
-        id_records = dump_records("ID", id_scores)
-        for tag, ood in bundle.ood_sets:
+    """Score the ID test set once per detector; then generate each OOD set, score
+    it under every detector and drop it before the next set is generated. Write
+    each dump under cfg.output_dir and yield (dump file name, detector name, OOD
+    tag, (ID scores, OOD scores)), set by set and, within a set, detector by
+    detector. A non-finite score raises DataError before the dump that would
+    hold it is written."""
+    id_scores = [score_batch(model, bundle.test.features, score_cfg)
+                 for score_cfg in cfg.scores]
+    id_records = [dump_records("ID", scores) for scores in id_scores]
+    for tag, ood in bundle.ood_sets():
+        for score_cfg, ids, records in zip(cfg.scores, id_scores, id_records):
             ood_scores = score_batch(model, ood, score_cfg)
             name = f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"
-            write_scores(os.path.join(cfg.output_dir, name), id_records, ood_scores)
-            yield name, score_cfg.kind, tag, (id_scores, ood_scores)
+            write_scores(os.path.join(cfg.output_dir, name), records, ood_scores)
+            yield name, score_cfg.kind, tag, (ids, ood_scores)
+        del ood
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> list[BenchmarkRow]:
@@ -410,19 +433,24 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> list[BenchmarkR
     out = cfg.output_dir
     config_text = json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
     run_files = [("config.json", config_text), ("config.hash", config_hash(cfg) + "\n")]
+    detectors = [score_cfg.kind for score_cfg in cfg.scores]
     seed_rows: list[SeedRow] = []
     for seed, bundle, loss_cfg, model, history in trained_cells(cfg, run_files=run_files):
         lname = loss_cfg.kind
         save_cell(cfg, seed, lname, model, history)
         test_logits = forward(model, bundle.test.features)
         id_acc = float((np.argmax(test_logits, axis=1) == bundle.test.labels).mean())
+        cell = []
         for _, sname, tag, (id_scores, ood_scores) in dump_scores(cfg, model, bundle,
                                                                    lname, seed):
             report = detection_report(id_scores, ood_scores, cfg.metrics.tpr_target)
-            seed_rows.append(SeedRow(lname, sname, tag, seed, report.fpr_at_95_tpr,
-                                     report.auroc, report.aupr, id_acc))
+            cell.append(SeedRow(lname, sname, tag, seed, report.fpr_at_95_tpr,
+                                report.auroc, report.aupr, id_acc))
+        # dump_scores runs set by set; bench_per_seed.csv lists detector by detector.
+        seed_rows += sorted(cell, key=lambda row: detectors.index(row.score_name))
         if not quiet:
             print(f"[seed {seed}] {lname} done")
+        del test_logits, model, history
 
     rows = aggregate_rows(cfg, seed_rows)
     _write(os.path.join(out, "bench.csv"), csv_table(field_names(BenchmarkRow), rows))
@@ -554,6 +582,7 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
         rows.append(CalibrationRow(loss_cfg.kind, fitted,
                                    ece(conf_pre, correct, cfg.metrics.ece_bins),
                                    ece(conf_post, correct, cfg.metrics.ece_bins)))
+        del test_logits, model
     _write(os.path.join(cfg.output_dir, "calibration.csv"),
            csv_table(field_names(CalibrationRow), rows))
     return rows

@@ -67,7 +67,8 @@ def forward_blocks(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
                    x: np.ndarray) -> Iterator[tuple[int, list[np.ndarray], np.ndarray]]:
     """`_forward` over consecutive blocks of BLOCK_ROWS rows of x, the last one
     shorter: yields each block's first row, layer inputs and logits, unchecked.
-    The caller reduces a block before it asks for the next."""
+    The caller reduces a block and releases it before it asks for the next, so one
+    block's arrays are live at a time."""
     for start in range(0, len(x), BLOCK_ROWS):
         yield start, *_forward(weights, biases, x[start:start + BLOCK_ROWS])
 
@@ -85,8 +86,9 @@ def forward(model: MlpModel, x: Matrix2D) -> np.ndarray:
     warning before it."""
     check_width(model, x)
     logits = np.empty((x.rows, model.num_classes))
-    for start, _, block in forward_blocks(model.weights, model.biases, x.data):
+    for start, inputs, block in forward_blocks(model.weights, model.biases, x.data):
         logits[start:start + len(block)] = block
+        del inputs, block
     if not np.isfinite(logits).all():
         raise DataError("logits must be finite")
     return logits

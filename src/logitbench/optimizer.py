@@ -82,7 +82,7 @@ def _epoch_end(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarra
     raise DivergedError at `epoch` and `step`."""
     correct = 0
     norms = np.empty(len(x))
-    for start, _, logits in forward_blocks(weights, biases, x):
+    for start, inputs, logits in forward_blocks(weights, biases, x):
         # Finite weights can still overflow the forward pass once the
         # parameters are large enough; that too is divergence.
         if not np.isfinite(logits).all():
@@ -91,6 +91,7 @@ def _epoch_end(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarra
         norms[start:stop] = row_l2_norm(logits)[:, 0]
         if labels is not None:
             correct += np.count_nonzero(np.argmax(logits, axis=1) == labels[start:stop])
+        del inputs, logits
     return correct, float(norms.mean())
 
 

@@ -77,6 +77,7 @@ def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.nda
         if not np.isfinite(logits).all():
             raise DataError("logits must be finite")
         scores[start:start + len(logits)] = _block_scores(model, inputs, logits, cfg)
+        del inputs, logits
     return scores
 
 

@@ -1,7 +1,7 @@
 """Shared test helpers: finite-difference oracles, the MLP backward into new
 arrays, random instances, the per-sample logit-norm loss, file-backed data,
 the committed desk config, and traced memory peaks against a set several
-evaluation blocks long."""
+evaluation blocks long, with their bounds."""
 
 import copy
 import dataclasses
@@ -75,6 +75,15 @@ def buffer_set_bytes(n: int, model: MlpModel) -> int:
     """The bytes of one whole-set forward's layer outputs: n rows of every
     layer's width, in float64."""
     return n * sum(model.layer_dims[1:]) * 8
+
+
+def one_block_bytes(model: MlpModel, held: int) -> int:
+    """A traced peak bound for an evaluation that holds one block at a time: one
+    block's layer outputs, half as much again for the temporaries computing it
+    makes (numpy's ufunc buffer for `_forward`'s in-place bias add, a softmax's
+    arrays), and `held` bytes of the caller's own arrays. A second live block
+    exceeds it."""
+    return buffer_set_bytes(BLOCK_ROWS, model) * 3 // 2 + held
 
 
 def several_blocks() -> tuple[MlpModel, np.ndarray]:

@@ -323,7 +323,7 @@ def test_criterion_7_logit_penalty_ablation(desk):
     final_norms = {}
     for seed in DESK_SEEDS:
         bundle = realize_data(cfg, seed)
-        sets = [("ID", bundle.test.features), *bundle.ood_sets]
+        sets = [("ID", bundle.test.features), *bundle.ood_sets()]
         for loss in ("cross_entropy", "logit_norm", "logit_penalty"):
             model, _ = load_checkpoint(Path(cfg.output_dir) / f"checkpoint_{loss}_{seed}.txt")
             final_norms[(loss, seed)] = {tag: float(row_l2_norm(forward(model, x)).mean())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from logitbench.data import (OOD_PARAMS, LabeledDataset, corrupt_labels,
+from logitbench.data import (OOD_PARAMS, LabeledDataset, _class_means, corrupt_labels,
                              gen_blobs, gen_ood, load_delimited, split)
 from logitbench.errors import ConfigError, DataError
 from logitbench.tensor import Matrix2D
@@ -65,6 +65,20 @@ def test_gen_blobs_wide_separation_is_linearly_clusterable():
                       for c in range(3)])
     dists = np.linalg.norm(ds.features.data[:, None, :] - means[None], axis=2)
     assert (np.argmin(dists, axis=1) == ds.labels).all()
+
+
+@pytest.mark.parametrize("k, d, n, spread, radius", [
+    (2, 2, 1, 1.0, 3.0), (3, 5, 10, 0.3, 2.0), (10, 16, 700, 1.0, 3.5),
+    (4, 7, 33, 0.0, 1.0), (5, 3, 17, 1e6, 1e6), (7, 2, 9, 2.5e-3, 0.0)])
+def test_gen_blobs_matches_its_reference_bytes(k, d, n, spread, radius):
+    """gen_blobs scales its noise and adds the class means in place; the bytes
+    are those of repeat(means) + spread * noise from the same stream."""
+    rng = np.random.default_rng(11)
+    means = _class_means(k, d, radius, rng)
+    want = np.repeat(means, n, axis=0) + spread * rng.standard_normal((k * n, d))
+    got = gen_blobs(k, d, n, spread, radius, seed=11)
+    assert got.features.data.tobytes() == want.tobytes()
+    assert np.array_equal(got.labels, np.repeat(np.arange(k), n))
 
 
 def test_gen_blobs_validation():

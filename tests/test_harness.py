@@ -12,6 +12,7 @@ import pytest
 
 from logitbench import harness, optimizer
 from logitbench.cli import main
+from logitbench.data import OOD_PARAMS
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
 from logitbench.harness import (MAX_BINS, DataConfig, config_from_dict, config_hash,
                                 config_to_dict, derive_seed, emit_histogram_data,
@@ -19,7 +20,7 @@ from logitbench.harness import (MAX_BINS, DataConfig, config_from_dict, config_h
                                 run_experiment, sweep_tau, trained_cells)
 from logitbench.scores import dump_records, read_scores, write_scores
 
-from conftest import CONFIGS, load_desk, write_file_data
+from conftest import CONFIGS, load_desk, traced_peak, write_file_data
 
 
 def tiny_raw(**overrides):
@@ -244,8 +245,9 @@ def test_realize_data_shapes():
     assert bundle.train.n == 96
     assert bundle.val.n == 24
     assert bundle.test.n == 30
-    assert [tag for tag, _ in bundle.ood_sets] == ["uniform_box", "gaussian_noise"]
-    assert all(ood.cols == 4 for _, ood in bundle.ood_sets)
+    ood_sets = list(bundle.ood_sets())
+    assert [tag for tag, _ in ood_sets] == ["uniform_box", "gaussian_noise"]
+    assert all(ood.cols == 4 for _, ood in ood_sets)
     assert bundle.validation_ood.rows == 50
 
 
@@ -276,7 +278,7 @@ def test_realize_data_from_files(tmp_path):
     assert bundle.train.n + bundle.val.n == train_ds.n
     assert np.array_equal(bundle.test.features.data, test_ds.features.data)
     assert np.array_equal(bundle.test.labels, test_ds.labels)
-    assert all(ood.cols == 4 for _, ood in bundle.ood_sets)
+    assert all(ood.cols == 4 for _, ood in bundle.ood_sets())
 
 
 def test_realize_data_rejects_mismatched_file_widths(tmp_path):
@@ -290,7 +292,7 @@ def test_realize_data_deterministic():
     a = realize_data(cfg, 3)
     b = realize_data(cfg, 3)
     assert np.array_equal(a.train.features.data, b.train.features.data)
-    assert np.array_equal(a.ood_sets[0][1].data, b.ood_sets[0][1].data)
+    assert np.array_equal(next(a.ood_sets())[1].data, next(b.ood_sets())[1].data)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,16 @@ def test_run_experiment_row_cardinality(tiny_run):
     assert len(rows) == 8
     assert len(read_records(out / "bench_per_seed.csv")) == 16
     assert all(r.seeds_used == (0, 1) for r in rows)
+
+
+def test_bench_per_seed_rows_come_loss_then_detector_then_set(tiny_run):
+    # dump_scores runs set by set; each cell's rows still list detector by detector.
+    cfg, _, out = tiny_run
+    assert len(cfg.scores) == len(cfg.ood_panel) == 2
+    keys = [(int(r["seed"]), r["loss_name"], r["score_name"], r["ood_dataset_tag"])
+            for r in read_records(out / "bench_per_seed.csv")]
+    assert keys == [(seed, loss.kind, score.kind, ood.kind) for seed in cfg.seeds
+                    for loss in cfg.losses for score in cfg.scores for ood in cfg.ood_panel]
 
 
 def test_run_experiment_artifacts(tiny_run):
@@ -423,6 +435,33 @@ def test_run_experiment_forwards_the_test_set_once_per_trained_cell(lr0, trained
     rows = run_experiment(cfg)
     assert sorted({r.loss_name for r in rows}) == trained
     assert rows_forwarded == [realize_data(cfg, 0).test.n] * len(trained)
+
+
+def test_each_command_generates_only_the_ood_sets_it_reads(tmp_path, monkeypatch):
+    """gen_ood calls per command, on two seeds and a two-set panel: the validation
+    OOD set once per seed where it is read (the probe of `bench` and `train`, the
+    set `sweep-tau` scores), each panel set once per cell that scores it (`bench`
+    and `score`), and nothing for `calibrate`."""
+    calls = []
+    real = harness.gen_ood
+    monkeypatch.setattr(harness, "gen_ood",
+                        lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs))
+    raw = tiny_raw(output_dir=str(tmp_path / "out"))
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(raw))
+    common = ["--config", str(path), "--quiet"]
+    seeds, panel = len(raw["seeds"]), len(raw["ood_panel"])
+    cells = seeds * len(raw["losses"])
+    assert (seeds, panel, cells) == (2, 2, 4)
+    checkpoint = str(tmp_path / "out" / "checkpoint_cross_entropy_0.txt")
+    for argv, want in [(["calibrate", *common], 0),
+                       (["train", *common], seeds),
+                       (["sweep-tau", "--tau-grid", "0.05,0.1", *common], seeds),
+                       (["bench", *common], seeds + panel * cells),
+                       (["score", "--checkpoint", checkpoint, *common], panel * seeds)]:
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert len(calls) == want, argv[0]
 
 
 def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeypatch):
@@ -660,6 +699,15 @@ def test_run_calibration_realizes_the_first_seed_only(monkeypatch, tmp_path):
     rows = run_calibration(config_from_dict(tiny_raw(seeds=[3, 1], output_dir=str(tmp_path))))
     assert calls == [3]
     assert [r.loss_name for r in rows] == ["cross_entropy", "logit_norm"]
+
+
+def test_run_calibration_holds_no_ood_set(tmp_path):
+    """calibrate reads no OOD set, so it generates none: with four 50,000-row
+    panel sets its traced peak stays below the bytes of one of them."""
+    panel = [{"kind": kind, "m": 50_000} for kind in OOD_PARAMS]
+    cfg = config_from_dict(tiny_raw(ood_panel=panel, seeds=[0], output_dir=str(tmp_path)))
+    assert len(cfg.ood_panel) == 4
+    assert traced_peak(lambda: run_calibration(cfg)) < 50_000 * cfg.data.d * 8
 
 
 def test_run_calibration_outputs(tmp_path):

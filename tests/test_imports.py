@@ -7,7 +7,8 @@ One function, harness.trained_cells, calls optimizer.train, so every
 training command trains its cells the same way. It lists the diverged cells
 itself, and run_experiment returns only the rows of bench.csv. Only the SGD
 step and the block loop call model._forward, so every evaluation runs in
-blocks.
+blocks. Only SeedData's two on-demand realisers call data.gen_ood, so no
+command generates an OOD set it does not read.
 The package needs numpy only: scipy stays out of its imports and out of
 the process, because importing scipy.stats alone takes about a second."""
 
@@ -163,6 +164,20 @@ def test_only_the_sgd_step_and_the_block_loop_forward_a_whole_array():
         "model.forward_blocks", "optimizer.train"]
     assert sorted(module for module, source in sources.items()
                   if "_forward" in identifiers(source)) == ["model", "optimizer"]
+
+
+def test_only_seed_data_generates_ood_sets():
+    # A command that generated the OOD sets up front would hold sets it may
+    # never read; SeedData generates each set where a command reads it.
+    package = sorted((ROOT / "src" / "logitbench").glob("*.py"))
+    sources = {path.stem: path.read_text() for path in package}
+    assert len(sources) > 10
+    assert sorted(call_sites(sources, "data", "gen_ood")) == [
+        "harness.ood_sets", "harness.validation_ood"]
+    seed_data, = [node for node in ast.parse(sources["harness"]).body
+                  if isinstance(node, ast.ClassDef) and node.name == "SeedData"]
+    assert {node.name for node in seed_data.body if isinstance(node, ast.FunctionDef)} == {
+        "ood_sets", "validation_ood"}
 
 
 def test_runs_return_what_their_callers_read():

@@ -17,7 +17,8 @@ from logitbench.optimizer import OptimConfig, train
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
 import tape_oracle
-from conftest import buffer_set_bytes, param_grads, several_blocks, traced_peak
+from conftest import (buffer_set_bytes, one_block_bytes, param_grads, several_blocks,
+                      traced_peak)
 from tape_oracle import apply_loss
 
 
@@ -103,6 +104,15 @@ def test_forward_works_in_blocks():
     model, x = several_blocks()
     features = Matrix2D(x)
     assert traced_peak(lambda: forward(model, features)) < buffer_set_bytes(len(x), model) / 2
+
+
+def test_forward_holds_one_block_at_a_time():
+    """`forward` releases each block before the next is computed: its traced peak
+    stays within one block's working set and the logits it returns."""
+    model, x = several_blocks()
+    features = Matrix2D(x)
+    peak = traced_peak(lambda: forward(model, features))
+    assert peak < one_block_bytes(model, len(x) * model.num_classes * 8)
 
 
 def test_input_gradient_apart_from_parameter_gradients():

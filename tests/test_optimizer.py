@@ -14,7 +14,8 @@ from logitbench.model import BLOCK_ROWS, _forward, init_model
 from logitbench.optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from logitbench.tensor import Matrix2D, row_l2_norm
 
-from conftest import buffer_set_bytes, param_grads, traced_peak
+from conftest import (buffer_set_bytes, one_block_bytes, param_grads, several_blocks,
+                      traced_peak)
 from tape_oracle import apply_loss, forward_traced
 
 
@@ -246,6 +247,21 @@ def test_epoch_end_pass_works_in_blocks():
     peak = traced_peak(lambda: train(model, ds, LossConfig("cross_entropy"), cfg, SGD_SEED,
                                      probe_ood=ood))
     assert peak < buffer_set_bytes(ds.n, model) / 2
+
+
+def test_epoch_end_pass_holds_one_block_at_a_time():
+    """`train`'s epoch-end pass releases each block before the next is computed:
+    with every epoch recorded and a probe, its traced peak stays within one
+    block's working set and train's own arrays (the flat parameters, gradients,
+    velocities and scratch, the epoch's row order and the vector of row norms)."""
+    model, x = several_blocks()
+    features = Matrix2D(x)
+    ds = LabeledDataset(features, np.arange(len(x)) % model.num_classes, model.num_classes)
+    cfg = small_optim(lr0=0.01, epochs=2, batch_size=128, lr_drops=())
+    n_params = sum(p.size for p in (*model.weights, *model.biases))
+    peak = traced_peak(lambda: train(model, ds, LossConfig("cross_entropy"), cfg, SGD_SEED,
+                                     probe_ood=features, every_epoch=True))
+    assert peak < one_block_bytes(model, 4 * n_params * 8 + 2 * len(x) * 8)
 
 
 def test_last_epoch_only_works_in_one_batch_of_rows():

@@ -20,7 +20,7 @@ from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_PARAMS,
                                score_batch, write_scores)
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
-from conftest import buffer_set_bytes, several_blocks, traced_peak
+from conftest import buffer_set_bytes, one_block_bytes, several_blocks, traced_peak
 from tape_oracle import forward_traced
 from test_readers_fuzz import LINE_ENDS, NUMBERS
 
@@ -342,6 +342,15 @@ def test_score_batch_works_in_blocks(kind):
     features, cfg = Matrix2D(x), ScoreConfig(kind)
     peak = traced_peak(lambda: score_batch(model, features, cfg))
     assert peak < buffer_set_bytes(len(x), model) / 2
+
+
+def test_score_batch_holds_one_block_at_a_time():
+    """`score_batch` releases each block before the next is computed: MSP's traced
+    peak stays within one block's working set and the scores it returns."""
+    model, x = several_blocks()
+    features, cfg = Matrix2D(x), ScoreConfig(MSP)
+    peak = traced_peak(lambda: score_batch(model, features, cfg))
+    assert peak < one_block_bytes(model, len(x) * 8)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
