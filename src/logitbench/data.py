@@ -116,8 +116,7 @@ def split(dataset: LabeledDataset, fractions: tuple[float, float],
     if f_train <= 0 or f_test <= 0 or abs(f_train + f_test - 1.0) > 1e-9:
         raise ConfigError(f"fractions must be positive and sum to 1, got {fractions}")
     rng = np.random.default_rng(seed)
-    train_idx = []
-    test_idx = []
+    train_idx, test_idx = [], []
     for c in range(dataset.k):
         members = np.flatnonzero(dataset.labels == c)
         if len(members) < 2:
@@ -127,14 +126,11 @@ def split(dataset: LabeledDataset, fractions: tuple[float, float],
         n_train = min(max(n_train, 1), len(members) - 1)
         train_idx.append(members[:n_train])
         test_idx.append(members[n_train:])
-    train_idx = np.concatenate(train_idx)
-    test_idx = np.concatenate(test_idx)
-    return (
-        LabeledDataset(Matrix2D(dataset.features.data[train_idx]),
-                       dataset.labels[train_idx], dataset.k),
-        LabeledDataset(Matrix2D(dataset.features.data[test_idx]),
-                       dataset.labels[test_idx], dataset.k),
-    )
+    train_idx, test_idx = map(np.concatenate, (train_idx, test_idx))
+    return (LabeledDataset(Matrix2D(dataset.features.data[train_idx]),
+                           dataset.labels[train_idx], dataset.k),
+            LabeledDataset(Matrix2D(dataset.features.data[test_idx]),
+                           dataset.labels[test_idx], dataset.k))
 
 
 def corrupt_labels(dataset: LabeledDataset, fraction: float,

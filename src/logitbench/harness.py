@@ -139,6 +139,8 @@ class ExperimentConfig:
         if self.layer_dims[-1] != self.data.k or (blobs and self.layer_dims[0] != self.data.d):
             shape = f"d={self.data.d}, k={self.data.k}" if blobs else f"k={self.data.k}"
             raise ConfigError(f"layer_dims {self.layer_dims} inconsistent with data ({shape})")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         # Output files and bench.csv rows are keyed by kind on every axis.
         for axis in ("losses", "scores", "ood_panel"):
             kinds = [c.kind for c in getattr(self, axis)]
@@ -150,8 +152,9 @@ def _typed(tp, value, path: str):
     """Read the JSON value at key path `path` as type `tp`: a config
     dataclass (an object with every required key and no unknown one, read
     field by field from its annotations), a tuple (a list), a dict of
-    numbers, int (not a bool), float (any finite number) or str. Anything
-    else, and any check the dataclass makes, is a ConfigError naming path."""
+    numbers, int (not a bool), float (any finite number, read as a float) or
+    str. Anything else, and any check the dataclass makes, is a ConfigError
+    naming path."""
     def reject(expected):
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
@@ -180,10 +183,12 @@ def _typed(tp, value, path: str):
         types = args[:1] * len(value) if variadic else args
         return tuple(_typed(t, v, f"{path}[{i}]")
                      for i, (t, v) in enumerate(zip(types, value)))
-    if origin is dict:
+    if origin is dict:  # kind_params types the numbers: a count stays an int
         if not isinstance(value, dict):
             reject("object")
-        return {key: _typed(args[1], v, f"{path}.{key}") for key, v in value.items()}
+        for key, v in value.items():
+            _typed(args[1], v, f"{path}.{key}")
+        return dict(value)
     if tp is float:
         try:
             finite = type(value) in (int, float) and math.isfinite(value)
@@ -191,7 +196,8 @@ def _typed(tp, value, path: str):
             finite = False
         if not finite:
             reject("float")
-    elif type(value) is not tp:  # int or str; rejects a bool for an int
+        return float(value)  # so 1 and 1.0 give one config.json and hash
+    if type(value) is not tp:  # int or str; rejects a bool for an int
         reject(tp.__name__)
     return value
 
@@ -407,22 +413,22 @@ def save_cell(cfg: ExperimentConfig, seed: int, loss_name: str, model: MlpModel,
 
 def dump_scores(cfg: ExperimentConfig, model: MlpModel, bundle: SeedData,
                 stem: str, seed: int):
-    """Score the ID test set once per detector; then generate each OOD set, score
-    it under every detector and drop it before the next set is generated. Write
-    each dump under cfg.output_dir and yield (dump file name, detector name, OOD
-    tag, (ID scores, OOD scores)), set by set and, within a set, detector by
-    detector. A non-finite score raises DataError before the dump that would
-    hold it is written."""
-    id_scores = [score_batch(model, bundle.test.features, score_cfg)
-                 for score_cfg in cfg.scores]
+    """Score the ID test set under every detector in one pass; then generate each
+    OOD set, score it under every detector in one pass and drop it before the
+    next set is generated. Write each dump under cfg.output_dir and yield (dump
+    file name, detector name, OOD tag, (ID scores, OOD scores)), set by set and,
+    within a set, detector by detector. A non-finite score raises DataError
+    before the dump that would hold it is written."""
+    id_scores = score_batch(model, bundle.test.features, *cfg.scores)
     id_records = [dump_records("ID", scores) for scores in id_scores]
     for tag, ood in bundle.ood_sets():
-        for score_cfg, ids, records in zip(cfg.scores, id_scores, id_records):
-            ood_scores = score_batch(model, ood, score_cfg)
-            name = f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"
-            write_scores(os.path.join(cfg.output_dir, name), records, ood_scores)
-            yield name, score_cfg.kind, tag, (ids, ood_scores)
+        ood_scores = score_batch(model, ood, *cfg.scores)
         del ood
+        for score_cfg, ids, records, scores in zip(cfg.scores, id_scores, id_records,
+                                                   ood_scores):
+            name = f"scores_{stem}_{score_cfg.kind}_{tag}_{seed}.txt"
+            write_scores(os.path.join(cfg.output_dir, name), records, scores)
+            yield name, score_cfg.kind, tag, (ids, scores)
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> list[BenchmarkRow]:
@@ -463,10 +469,8 @@ def aggregate_rows(cfg: ExperimentConfig, seed_rows: list[SeedRow]) -> list[Benc
     rows = []
     for loss_cfg, score_cfg, ood_cfg in itertools.product(cfg.losses, cfg.scores,
                                                           cfg.ood_panel):
-        group = [r for r in seed_rows
-                 if r.loss_name == loss_cfg.kind
-                 and r.score_name == score_cfg.kind
-                 and r.ood_dataset_tag == ood_cfg.kind]
+        cell = (loss_cfg.kind, score_cfg.kind, ood_cfg.kind)
+        group = [r for r in seed_rows if (r.loss_name, r.score_name, r.ood_dataset_tag) == cell]
         if not group:
             continue
         stats = []
@@ -504,9 +508,9 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float]
     losses: dict[float, list[float]] = {tau: [] for tau in taus}
     for _, bundle, loss_cfg, model, history in trained_cells(cfg, cells, every_epoch=False):
         tau = loss_cfg.params["tau"]
-        fprs[tau].append(detection_report(score_batch(model, bundle.test.features, msp),
-                                          score_batch(model, bundle.validation_ood, msp),
-                                          cfg.metrics.tpr_target).fpr_at_95_tpr)
+        [id_msp], [ood_msp] = (score_batch(model, x, msp)
+                               for x in (bundle.test.features, bundle.validation_ood))
+        fprs[tau].append(detection_report(id_msp, ood_msp, cfg.metrics.tpr_target).fpr_at_95_tpr)
         losses[tau].append(history[-1].train_loss)
     rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
             for tau in taus if fprs[tau]]

@@ -144,7 +144,6 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
             lr = lr_at(optim_cfg, epoch)
             order = rng.permutation(n)
             loss_sum = 0.0
-            loss_batches = 0
             for step, start in enumerate(range(0, n, batch_size)):
                 batch = order[start:start + batch_size]
                 inputs, logits = _forward(weights, biases, x_all[batch])
@@ -152,7 +151,6 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 if not math.isfinite(loss):
                     raise DivergedError("loss", epoch, step)
                 loss_sum += loss
-                loss_batches += 1
                 if lr == 0.0:
                     continue
                 backward(weights, inputs, grad, *grad_out)
@@ -166,11 +164,11 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
 
             if not every_epoch and epoch < optim_cfg.epochs - 1:
                 continue
-            step = loss_batches - 1
+            # `step` is the epoch's last step; every step adds its loss.
             correct, norm_id = _epoch_end(weights, biases, x_all, y_all, epoch, step)
             telemetry.append(EpochTelemetry(
                 epoch=epoch + 1,
-                train_loss=loss_sum / loss_batches,
+                train_loss=loss_sum / (step + 1),
                 train_acc=correct / n,
                 mean_logit_norm_id=norm_id,
                 mean_logit_norm_ood=(None if x_ood is None else

@@ -8,11 +8,12 @@ Energy:   T * logsumexp(f / T), the negated free energy.
 GradNorm: L1 norm of the last-layer weight gradient of the cross-entropy
           between softmax(f / T) and the uniform distribution.
 
-`score_batch` scores a set block by block, all rows of a block at once. Rows
-are independent, so ODIN's input gradient for every row of a block comes from
-one explicit backward pass, and GradNorm's last-layer gradient is the outer
-product of the penultimate activation h and (softmax(f / T) - 1/k) / T, whose
-L1 norm factorises into ||h||_1 * ||softmax(f / T) - 1/k||_1 / T.
+`score_batch` scores a set block by block, every detector off a block's one
+forward, all rows of a block at once. Rows are independent, so ODIN's input
+gradient for every row of a block comes from one explicit backward pass, and
+GradNorm's last-layer gradient is the outer product of the penultimate
+activation h and (softmax(f / T) - 1/k) / T, whose L1 norm factorises into
+||h||_1 * ||softmax(f / T) - 1/k||_1 / T.
 """
 
 from __future__ import annotations
@@ -64,19 +65,21 @@ def _odin_input(model: MlpModel, inputs: list[np.ndarray], f: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def score_batch(model: MlpModel, features: Matrix2D, cfg: ScoreConfig) -> np.ndarray:
-    """Score every row of `features` under `cfg`; one value per row. The rows run
-    through the model in blocks of BLOCK_ROWS, each scored before the next runs:
-    one forward per block, and for ODIN with eps > 0 one more over the block's
-    perturbed rows. Logits that overflow raise DataError. A score that overflows is
+def score_batch(model: MlpModel, features: Matrix2D, *cfgs: ScoreConfig) -> list[np.ndarray]:
+    """Score every row of `features` under each of `cfgs`: one array per config, one
+    value per row. The rows run through the model in blocks of BLOCK_ROWS, each
+    scored by every detector before the next runs: one forward per block, and for
+    each ODIN with eps > 0 one more over the block's perturbed rows. Logits that
+    overflow raise DataError before any detector runs. A score that overflows is
     returned as it is, with no numpy warning: its readers (dump_records,
     detection_report) reject it."""
     check_width(model, features)
-    scores = np.empty(features.rows)
+    scores = [np.empty(features.rows) for _ in cfgs]
     for start, inputs, logits in forward_blocks(model.weights, model.biases, features.data):
         if not np.isfinite(logits).all():
             raise DataError("logits must be finite")
-        scores[start:start + len(logits)] = _block_scores(model, inputs, logits, cfg)
+        for out, cfg in zip(scores, cfgs):
+            out[start:start + len(logits)] = _block_scores(model, inputs, logits, cfg)
         del inputs, logits
     return scores
 
@@ -96,8 +99,7 @@ def _block_scores(model: MlpModel, inputs: list[np.ndarray], logits: np.ndarray,
         m = f.max(axis=1)
         return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
     probs = np.exp(log_softmax(logits * (1.0 / T)))
-    k = model.num_classes
-    return np.abs(inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / k).sum(axis=1) / T
+    return np.abs(inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / model.num_classes).sum(axis=1) / T
 
 
 # Score dump interchange: one "<origin>,<decimal>" record per line, origin

@@ -127,7 +127,7 @@ def test_criterion_1_gradients_match_finite_differences():
                 model, weights=model.weights[:-1] + (w,))
             return -log_softmax(forward(patched, x)).mean()
 
-        score = score_batch(model, x, ScoreConfig(GRADNORM))
+        [score] = score_batch(model, x, ScoreConfig(GRADNORM))
         numeric = np.abs(central_difference(value, w0.ravel())).sum()
         assert_grad_close(score, np.array([numeric]))
         checked += 1

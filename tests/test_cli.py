@@ -239,6 +239,15 @@ def test_exit_code_repeated_loss_kind(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_code_repeated_seed(tmp_path, capsys):
+    # A repeated seed would train its cells twice and write every
+    # bench_per_seed.csv row twice.
+    cfg_path = write_config(tmp_path, seeds=[0, 0])
+    assert main(["bench", "--config", str(cfg_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: config: seeds must be distinct, got [0, 0]\n"
+    assert not (tmp_path / "out").exists()
+
+
 NOT_UTF8 = b"\xff\xfe not text \x80\n"
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from logitbench import harness, optimizer
+from logitbench import model as model_module
 from logitbench.cli import main
 from logitbench.data import OOD_PARAMS
 from logitbench.errors import AllSeedsDiverged, ConfigError, DataError
@@ -118,6 +119,23 @@ def test_config_rejects_duplicate_ood_kinds():
              {"kind": "gaussian_noise", "m": 50, "params": {"std": 2.0}}]
     with pytest.raises(ConfigError, match="distinct"):
         config_from_dict(tiny_raw(ood_panel=panel))
+
+
+def test_an_integral_float_field_reads_as_a_float():
+    """A float field spelled as an int gives the config, config.json text and
+    hash of the same value spelled with a decimal point."""
+    spelled = []
+    for one, zero in [(1, 0), (1.0, 0.0)]:
+        raw = tiny_raw(metrics={"tpr_target": one, "ece_bins": 15})
+        raw["optim"].update(lr0=one, lr_drops=[[2, one]])
+        raw["data"].update(cluster_spread=one, label_noise=zero)
+        cfg = config_from_dict(raw)
+        spelled.append((cfg, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True),
+                        config_hash(cfg)))
+    assert spelled[0] == spelled[1]
+    cfg = spelled[0][0]
+    assert [type(v) for v in (cfg.optim.lr0, cfg.optim.lr_drops[0][1], cfg.metrics.tpr_target,
+                              cfg.data.cluster_spread, cfg.data.label_noise)] == [float] * 5
 
 
 @pytest.mark.parametrize("axis, entries", [
@@ -464,12 +482,29 @@ def test_each_command_generates_only_the_ood_sets_it_reads(tmp_path, monkeypatch
         assert len(calls) == want, argv[0]
 
 
+def test_dump_scores_runs_each_set_through_the_model_once(tmp_path, monkeypatch):
+    """Rows `dump_scores` sends through the model for one desk cell: the ID test
+    set and each of the four panel sets once for all four detectors, and ODIN's
+    perturbed rows of each, 2 x (2,000 + 4 x 2,000) = 20,000. A pass per
+    detector sent 50,000."""
+    cfg = load_desk([0], 20, str(tmp_path))
+    bundle = realize_data(cfg, 0)
+    rows = []
+    real = model_module._forward
+    monkeypatch.setattr(model_module, "_forward",
+                        lambda weights, biases, x: rows.append(len(x)) or real(weights, biases, x))
+    dumps = list(harness.dump_scores(cfg, harness.init_model(cfg.layer_dims, 0), bundle, "m", 0))
+    assert len(dumps) == len(cfg.scores) * len(cfg.ood_panel) == 16
+    assert sum(rows) == 20_000
+
+
 def test_dump_scores_rejects_a_non_finite_score_before_writing(tmp_path, monkeypatch):
     real = harness.score_batch
 
-    def with_inf(model, features, cfg):
-        scores = real(model, features, cfg).copy()
-        scores[1] = np.inf
+    def with_inf(model, features, *cfgs):
+        scores = [values.copy() for values in real(model, features, *cfgs)]
+        for values in scores:
+            values[1] = np.inf
         return scores
 
     monkeypatch.setattr(harness, "score_batch", with_inf)

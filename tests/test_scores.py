@@ -42,7 +42,7 @@ def small_model():
 def score_row(model, x, kind, **params) -> float:
     """One-row score_batch call."""
     row = Matrix2D(np.asarray(x, dtype=np.float64)[None])
-    return float(score_batch(model, row, ScoreConfig(kind, params))[0])
+    return float(score_batch(model, row, ScoreConfig(kind, params))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def trained_models():
                                    tuple(3.0 * w for w in ce.weights),
                                    ce.biases)
     ln = models["logit_norm"]
-    energies = np.sort(score_batch(ln, Matrix2D(oracle_rows()), ScoreConfig(kind=ENERGY)))
+    energies = np.sort(score_batch(ln, Matrix2D(oracle_rows()), ScoreConfig(kind=ENERGY))[0])
     shift = energies[len(energies) // 2]
     models["energy_near_zero"] = MlpModel(
         ln.layer_dims, ln.weights, (*ln.biases[:-1], ln.biases[-1] - shift))
@@ -276,7 +276,7 @@ def test_score_batch_matches_oracle(trained_models):
         ScoreConfig(GRADNORM, {"T": 2.0})]
     for name, model in trained_models.items():
         for cfg in cfgs:
-            batch = score_batch(model, Matrix2D(rows), cfg)
+            [batch] = score_batch(model, Matrix2D(rows), cfg)
             oracle = np.array([oracle_score(model, row, cfg) for row in rows])
             np.testing.assert_allclose(batch, oracle, rtol=1e-12, atol=1e-12,
                                        err_msg=f"{name}/{cfg.kind}")
@@ -328,7 +328,7 @@ def test_score_batch_in_blocks_matches_one_whole_set_pass(kind):
     model, x = several_blocks()
     assert len(x) > 3 * BLOCK_ROWS and len(x) % BLOCK_ROWS
     cfg = ScoreConfig(kind)
-    got = score_batch(model, Matrix2D(x), cfg)
+    [got] = score_batch(model, Matrix2D(x), cfg)
     want, exact = whole_set_scores(model, x, cfg)
     assert got.shape == want.shape and exact.mean() > 0.99
     np.testing.assert_allclose(got[exact], want[exact], rtol=1e-12, atol=0.0)
@@ -353,6 +353,34 @@ def test_score_batch_holds_one_block_at_a_time():
     assert peak < one_block_bytes(model, len(x) * 8)
 
 
+def test_one_pass_scores_every_detector_as_each_alone():
+    """Scoring every detector off each block's one forward gives each detector's
+    scores bit for bit as scoring it alone, on a set several blocks long whose last
+    block is short; ODIN at eps > 0 re-forwards its perturbed rows in both."""
+    model, x = several_blocks()
+    features = Matrix2D(x)
+    cfgs = [ScoreConfig(MSP), ScoreConfig(ODIN, {"T": 1000.0, "eps": 0.0014}),
+            ScoreConfig(ENERGY, {"T": 0.25}), ScoreConfig(GRADNORM, {"T": 2.0}),
+            ScoreConfig(ODIN, {"T": 2.0, "eps": 0.0})]
+    together = score_batch(model, features, *cfgs)
+    assert len(together) == len(cfgs)
+    for cfg, got in zip(cfgs, together):
+        [alone] = score_batch(model, features, cfg)
+        assert got.shape == (len(x),) and got.tobytes() == alone.tobytes(), cfg
+
+
+def test_score_batch_of_every_detector_works_in_blocks():
+    """All four detectors scored in one pass stay within one block's working set,
+    the layer outputs of ODIN's perturbed re-forward of that block, and the four
+    score arrays returned. ODIN's re-forward is as large as a second block, so
+    the `del` of each block is checked by the MSP test above, not here."""
+    model, x = several_blocks()
+    features, cfgs = Matrix2D(x), [ScoreConfig(kind) for kind in SCORE_PARAMS]
+    peak = traced_peak(lambda: score_batch(model, features, *cfgs))
+    perturbed = buffer_set_bytes(BLOCK_ROWS, model)
+    assert peak < one_block_bytes(model, len(cfgs) * len(x) * 8) + perturbed
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_raise_data_error():
     model = MlpModel((2, 2), (1e300 * np.eye(2),), (np.zeros((1, 2)),))
@@ -371,7 +399,7 @@ def test_all_scores_finite(small_model):
     rng = np.random.default_rng(6)
     feats = Matrix2D(rng.normal(size=(5, 4)))
     for kind in ("msp", "odin", "energy", "gradnorm"):
-        values = score_batch(small_model, feats, ScoreConfig(kind=kind))
+        [values] = score_batch(small_model, feats, ScoreConfig(kind=kind))
         assert np.isfinite(values).all()
 
 
