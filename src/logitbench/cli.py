@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", "train one model per configured loss, write checkpoints and telemetry"),
         ("score", "score ID test and OOD panel with a trained checkpoint"),
         ("bench", "run the full loss x score x OOD benchmark grid"),
-        ("sweep-tau", "train per tau and select the best against Gaussian-noise validation"),
+        ("sweep-tau", "train per tau, select the best on the validation split vs Gaussian noise"),
         ("calibrate", "fit temperature scaling and report pre/post ECE"),
     ]:
         p = sub.add_parser(name, help=helptext)

@@ -337,7 +337,10 @@ def _cell(value) -> str:
         return f"{value:.17g}"
     if isinstance(value, tuple):
         return ";".join(map(_cell, value))
-    return "" if value is None else str(value)
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def field_names(row_type) -> list[str]:
@@ -345,10 +348,10 @@ def field_names(row_type) -> list[str]:
 
 
 def csv_table(columns: Sequence[str], rows) -> str:
-    """CSV text: a header of columns, then one line per row, a sequence of
-    cells or a dataclass instance (its field values in order). Every cell
-    follows one rule: a float has 17 significant digits, so it reads back
-    exactly; None is empty; a tuple is joined with ';'; anything else is str."""
+    """CSV text: a header of columns, then one line per row, a sequence of cells or a
+    dataclass instance (its field values in order). Every cell follows one rule: a float
+    has 17 significant digits, so it reads back exactly; None is empty; a tuple is joined
+    with ';'; anything else is str, quoted as RFC 4180 says if it holds `,`, `"`, CR or LF."""
     lines = [",".join(columns)]
     for row in rows:
         cells = dataclasses.astuple(row) if dataclasses.is_dataclass(row) else row
@@ -356,23 +359,21 @@ def csv_table(columns: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trained_cells(cfg: ExperimentConfig, losses: Sequence[LossConfig] = (),
-                  seeds: Sequence[int] = (), *, every_epoch: bool = True,
-                  run_files: Sequence[tuple[str, str]] = ()):
-    """Train each (seed, loss) cell, cfg's seeds and losses unless given, on the
-    seed's data, realised once, from its init and SGD streams. Once the first seed's
-    data is realised, make cfg.output_dir and write each (file name, text) of
-    `run_files` into it, so a run whose data fails writes nothing. Yield (seed, data,
-    loss config, model, telemetry): a record per epoch probing the validation OOD
-    set, generated at the seed's first cell, or without `every_epoch` the last
-    epoch's record alone, with no probe and no validation OOD set. The cell's model
-    and telemetry are dropped here before the next cell trains. A diverged cell is
-    skipped. After the last cell, the diverged ones are listed in warnings.txt (a
-    stale one is removed when none diverged), and AllSeedsDiverged is raised if no
-    cell trained."""
+def trained_cells(cfg: ExperimentConfig, losses: Sequence[LossConfig] = (), *,
+                  every_epoch: bool = True, run_files: Sequence[tuple[str, str]] = ()):
+    """Train each cell of cfg's seeds by `losses` (cfg's if empty) on the seed's data,
+    realised once, from its init and SGD streams. Once the first seed's data is
+    realised, make cfg.output_dir and write each (file name, text) of `run_files`
+    into it, so a run whose data fails writes nothing. Yield (seed, data, loss config,
+    model, telemetry): a record per epoch probing the validation OOD set, generated at
+    the seed's first cell, or without `every_epoch` the last epoch's record alone, with
+    no probe and no validation OOD set. The cell's model and telemetry are dropped here
+    before the next cell trains. A diverged cell is skipped. After the last cell, the
+    diverged ones are listed in warnings.txt (a stale one is removed when none
+    diverged), and AllSeedsDiverged is raised if no cell trained."""
     warnings: list[str] = []
     trained = False
-    for i, seed in enumerate(seeds or cfg.seeds):
+    for i, seed in enumerate(cfg.seeds):
         bundle = realize_data(cfg, seed)
         if i == 0:
             os.makedirs(cfg.output_dir, exist_ok=True)
@@ -495,10 +496,12 @@ class TauSweepRow:
 
 def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float]
               ) -> tuple[list[TauSweepRow], float]:
-    """Train one logit-norm model per (distinct tau, seed), evaluate MSP FPR95
-    against the Gaussian-noise validation OOD set, and select the tau minimizing
-    the mean validation FPR95 (ties break to the smaller tau). Writes
-    sweep_tau.csv under cfg.output_dir."""
+    """Train one logit-norm model per (distinct tau, seed), evaluate MSP FPR95 of the
+    validation split (never the test rows `bench` reports) against the Gaussian-noise
+    validation OOD set, and select the tau minimizing the mean validation FPR95 (ties
+    break to the smaller tau). Writes sweep_tau.csv under cfg.output_dir."""
+    if cfg.data.val_fraction <= 0.0:
+        raise ConfigError("sweep_tau requires data.val_fraction > 0")
     if not tau_grid:
         raise ConfigError("tau grid must be nonempty")
     taus = sorted(set(tau_grid))
@@ -509,7 +512,7 @@ def sweep_tau(cfg: ExperimentConfig, tau_grid: Sequence[float]
     for _, bundle, loss_cfg, model, history in trained_cells(cfg, cells, every_epoch=False):
         tau = loss_cfg.params["tau"]
         [id_msp], [ood_msp] = (score_batch(model, x, msp)
-                               for x in (bundle.test.features, bundle.validation_ood))
+                               for x in (bundle.val.features, bundle.validation_ood))
         fprs[tau].append(detection_report(id_msp, ood_msp, cfg.metrics.tpr_target).fpr_at_95_tpr)
         losses[tau].append(history[-1].train_loss)
     rows = [TauSweepRow(tau, float(np.mean(fprs[tau])), float(np.mean(losses[tau])))
@@ -576,8 +579,8 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
     if cfg.data.val_fraction <= 0.0:
         raise ConfigError("run_calibration requires data.val_fraction > 0")
     rows = []
-    for _, bundle, loss_cfg, model, _ in trained_cells(cfg, seeds=cfg.seeds[:1],
-                                                   every_epoch=False):
+    first_seed = dataclasses.replace(cfg, seeds=cfg.seeds[:1])
+    for _, bundle, loss_cfg, model, _ in trained_cells(first_seed, every_epoch=False):
         fitted = fit_temperature(forward(model, bundle.val.features), bundle.val.labels)
         test_logits = forward(model, bundle.test.features)
         correct = np.argmax(test_logits, axis=1) == bundle.test.labels

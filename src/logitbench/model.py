@@ -65,32 +65,28 @@ BLOCK_ROWS = 512
 
 def forward_blocks(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
                    x: np.ndarray) -> Iterator[tuple[int, list[np.ndarray], np.ndarray]]:
-    """`_forward` over consecutive blocks of BLOCK_ROWS rows of x, the last one
-    shorter: yields each block's first row, layer inputs and logits, unchecked.
-    The caller reduces a block and releases it before it asks for the next, so one
-    block's arrays are live at a time."""
+    """`_forward` over consecutive blocks of BLOCK_ROWS rows of x, the last one shorter:
+    yields each block's first row, layer inputs and logits. ShapeError unless x has the
+    input width; DataError at the first block whose logits overflow. The caller reduces
+    a block and releases it before it asks for the next: one block is live at a time."""
+    if x.shape[1] != len(weights[0]):
+        raise ShapeError(f"input has {x.shape[1]} features, model expects {len(weights[0])}")
     for start in range(0, len(x), BLOCK_ROWS):
-        yield start, *_forward(weights, biases, x[start:start + BLOCK_ROWS])
-
-
-def check_width(model: MlpModel, x: Matrix2D) -> None:
-    """Raise ShapeError unless x has the model's input width."""
-    if x.cols != model.input_dim:
-        raise ShapeError(f"input has {x.cols} features, model expects {model.input_dim}")
+        inputs, logits = _forward(weights, biases, x[start:start + BLOCK_ROWS])
+        if not np.isfinite(logits).all():
+            raise DataError("logits must be finite")
+        yield start, inputs, logits
+        del inputs, logits
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def forward(model: MlpModel, x: Matrix2D) -> np.ndarray:
-    """The logits of every row of x, after checking x's width, computed in blocks
-    of BLOCK_ROWS rows; logits that overflow raise DataError, with no numpy
-    warning before it."""
-    check_width(model, x)
+    """The logits of every row of x, computed block by block by `forward_blocks`, which
+    raises ShapeError on a wrong width and DataError, with no numpy warning, on overflow."""
     logits = np.empty((x.rows, model.num_classes))
     for start, inputs, block in forward_blocks(model.weights, model.biases, x.data):
         logits[start:start + len(block)] = block
         del inputs, block
-    if not np.isfinite(logits).all():
-        raise DataError("logits must be finite")
     return logits
 
 

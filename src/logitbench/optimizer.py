@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ConfigError, DivergedError
+from .errors import ConfigError, DataError, DivergedError
 from .losses import LossConfig, loss_and_grad
 from .model import MlpModel, _forward, backward, forward_blocks
 from .tensor import Matrix2D, row_l2_norm
@@ -76,17 +76,12 @@ def _layer_views(flat: np.ndarray, model: MlpModel
 
 
 def _epoch_end(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray,
-               labels: Optional[np.ndarray], epoch: int, step: int) -> tuple[int, float]:
-    """One block pass over the rows of x: how many rows' logits have their label
-    (0 without labels) as argmax, and the mean logit norm. Non-finite logits
-    raise DivergedError at `epoch` and `step`."""
+               labels: Optional[np.ndarray]) -> tuple[int, float]:
+    """One block pass over the rows of x: how many rows' logits have their label (0 without
+    labels) as argmax, and the mean logit norm. `forward_blocks` rejects non-finite logits."""
     correct = 0
     norms = np.empty(len(x))
     for start, inputs, logits in forward_blocks(weights, biases, x):
-        # Finite weights can still overflow the forward pass once the
-        # parameters are large enough; that too is divergence.
-        if not np.isfinite(logits).all():
-            raise DivergedError("epoch-end logits", epoch, step)
         stop = start + len(logits)
         norms[start:stop] = row_l2_norm(logits)[:, 0]
         if labels is not None:
@@ -120,6 +115,9 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
         raise ConfigError(
             f"dataset (d={dataset.dim}, k={dataset.k}) does not match model "
             f"(d={model.input_dim}, k={model.num_classes})")
+    if probe_ood is not None and probe_ood.cols != model.input_dim:
+        raise ConfigError(f"probe set (d={probe_ood.cols}) does not match model "
+                          f"(d={model.input_dim})")
     rng = np.random.default_rng(seed)
     params = np.concatenate([p.ravel() for p in (*model.weights, *model.biases)])
     weights, biases = _layer_views(params, model)
@@ -164,15 +162,19 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
 
             if not every_epoch and epoch < optim_cfg.epochs - 1:
                 continue
-            # `step` is the epoch's last step; every step adds its loss.
-            correct, norm_id = _epoch_end(weights, biases, x_all, y_all, epoch, step)
+            # `step` is the epoch's last step; every step adds its loss. Finite weights
+            # can still overflow the epoch-end logits: that too is divergence.
+            try:
+                correct, norm_id = _epoch_end(weights, biases, x_all, y_all)
+                norm_ood = None if x_ood is None else _epoch_end(weights, biases, x_ood, None)[1]
+            except DataError:
+                raise DivergedError("epoch-end logits", epoch, step) from None
             telemetry.append(EpochTelemetry(
                 epoch=epoch + 1,
                 train_loss=loss_sum / (step + 1),
                 train_acc=correct / n,
                 mean_logit_norm_id=norm_id,
-                mean_logit_norm_ood=(None if x_ood is None else
-                                     _epoch_end(weights, biases, x_ood, None, epoch, step)[1]),
+                mean_logit_norm_ood=norm_ood,
             ))
 
     return MlpModel(model.layer_dims, tuple(weights), tuple(biases)), telemetry

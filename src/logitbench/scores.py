@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, kind_params, read_lines
-from .model import MlpModel, check_width, forward, forward_blocks, input_gradient
+from .model import MlpModel, forward_blocks, input_gradient
 from .tensor import Matrix2D, log_softmax, rowwise_softmax
 
 MSP = "msp"
@@ -53,7 +53,7 @@ class ScoreConfig:
 
 
 def _odin_input(model: MlpModel, inputs: list[np.ndarray], f: np.ndarray,
-                T: float, eps: float) -> Matrix2D:
+                T: float, eps: float) -> np.ndarray:
     """Step every row of inputs[0], whose forward pass gave `inputs` and logits f,
     against the sign of its input gradient of the cross-entropy between softmax(f / T)
     and the predicted class; that is -log S_pred, so the step raises the max softmax."""
@@ -61,7 +61,7 @@ def _odin_input(model: MlpModel, inputs: list[np.ndarray], f: np.ndarray,
     grad[np.arange(f.shape[0]), f.argmax(axis=1)] -= 1.0
     grad *= 1.0 / T
     grad = input_gradient(model.weights, inputs, grad)
-    return Matrix2D(inputs[0] - eps * np.sign(grad))
+    return inputs[0] - eps * np.sign(grad)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -69,15 +69,12 @@ def score_batch(model: MlpModel, features: Matrix2D, *cfgs: ScoreConfig) -> list
     """Score every row of `features` under each of `cfgs`: one array per config, one
     value per row. The rows run through the model in blocks of BLOCK_ROWS, each
     scored by every detector before the next runs: one forward per block, and for
-    each ODIN with eps > 0 one more over the block's perturbed rows. Logits that
-    overflow raise DataError before any detector runs. A score that overflows is
-    returned as it is, with no numpy warning: its readers (dump_records,
-    detection_report) reject it."""
-    check_width(model, features)
+    each ODIN with eps > 0 one more over the block's perturbed rows. `forward_blocks`
+    checks the width, and logits that overflow raise DataError before any detector
+    runs. A score that overflows is returned as it is, with no numpy warning: its
+    readers (dump_records, detection_report) reject it."""
     scores = [np.empty(features.rows) for _ in cfgs]
     for start, inputs, logits in forward_blocks(model.weights, model.biases, features.data):
-        if not np.isfinite(logits).all():
-            raise DataError("logits must be finite")
         for out, cfg in zip(scores, cfgs):
             out[start:start + len(logits)] = _block_scores(model, inputs, logits, cfg)
         del inputs, logits
@@ -92,7 +89,8 @@ def _block_scores(model: MlpModel, inputs: list[np.ndarray], logits: np.ndarray,
     T = cfg.params["T"]
     if cfg.kind == ODIN:
         if cfg.params["eps"] > 0.0:
-            logits = forward(model, _odin_input(model, inputs, logits, T, cfg.params["eps"]))
+            x = _odin_input(model, inputs, logits, T, cfg.params["eps"])
+            [(_, _, logits)] = forward_blocks(model.weights, model.biases, x)  # one block
         return rowwise_softmax(logits / T).max(axis=1)
     if cfg.kind == ENERGY:
         f = logits / T

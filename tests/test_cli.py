@@ -1,5 +1,6 @@
 """Command-line interface tests exercising every subcommand and exit code."""
 
+import csv
 import ctypes
 import dataclasses
 import json
@@ -715,3 +716,29 @@ def test_eval_writes_file(tmp_path):
     out = tmp_path / "metrics.csv"
     assert main(["eval", "--scores", str(scores), "--out", str(out)]) == 0
     assert out.read_text().startswith("name,")
+
+
+def test_eval_quotes_a_name_that_holds_a_delimiter(tmp_path, monkeypatch):
+    # A dump path with a comma and quotes is one cell, quoted as RFC 4180 says, so
+    # a CSV reader reads the name and every metric back under its own column.
+    monkeypatch.chdir(tmp_path)
+    name = 'a,b "c".txt'
+    (tmp_path / name).write_text("ID,0.9\nID,0.8\nOOD,0.1\n")
+    assert main(["eval", "--scores", name, "--out", "metrics.csv"]) == 0
+    text = (tmp_path / "metrics.csv").read_text()
+    assert text.splitlines()[1].startswith('"a,b ""c"".txt",')
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        assert list(csv.DictReader(fh)) == [{"name": name, "fpr_at_95_tpr": "0", "auroc": "1",
+                                             "aupr": "1", "n_id": "2", "n_ood": "1"}]
+
+
+def test_sweep_tau_without_a_validation_split_is_a_config_error(tmp_path, capsys):
+    # The tau is chosen on the validation split, never on the test rows bench
+    # reports: without one, sweep-tau fails before it trains or writes anything.
+    data = {"kind": "blobs", "k": 3, "d": 4, "n_train_per_class": 40, "n_test_per_class": 10,
+            "cluster_spread": 0.5, "cluster_radius": 3.0, "val_fraction": 0.0}
+    cfg_path = write_config(tmp_path, data=data)
+    assert main(["sweep-tau", "--config", str(cfg_path), "--tau-grid", "0.1"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: sweep_tau requires data.val_fraction > 0\n")
+    assert not (tmp_path / "out").exists()

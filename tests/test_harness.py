@@ -391,7 +391,7 @@ def test_run_experiment_bench_csv_header(tiny_run, tmp_path):
         assert row.seeds_used == tuple(sorted(int(r["seed"]) for r in group))
     # The telemetry file is the history a fresh run of the same cell returns.
     fresh = dataclasses.replace(cfg, output_dir=str(tmp_path))
-    [(*_, history)] = trained_cells(fresh, cfg.losses[:1], seeds=[0])
+    [(*_, history)] = trained_cells(dataclasses.replace(fresh, seeds=(0,)), cfg.losses[:1])
     assert_cells_equal(out / "telemetry_cross_entropy_0.csv", history)
 
 
@@ -604,6 +604,32 @@ def test_sweep_tau_trains_each_distinct_tau_once_per_seed(monkeypatch, tmp_path)
     assert [r.tau for r in rows] == [0.05, 0.1]
     _, cells = read_cells(tmp_path / "sweep_tau.csv")
     assert [float(row[0]) for row in cells] == [0.05, 0.1]
+
+
+def test_sweep_tau_scores_the_validation_split_never_the_test_set(tmp_path, monkeypatch):
+    """Per cell, sweep_tau scores the seed's validation split (the ID side) and its
+    validation OOD set with MSP: no test row is scored, so the selected tau has seen
+    none of the rows bench reports."""
+    scored = []
+    real = harness.score_batch
+
+    def recording(model, features, *cfgs):
+        scored.append((features, [cfg.kind for cfg in cfgs]))
+        return real(model, features, *cfgs)
+
+    monkeypatch.setattr(harness, "score_batch", recording)
+    cfg = config_from_dict(tiny_raw(output_dir=str(tmp_path)))
+    rows, _ = sweep_tau(cfg, [0.05, 0.1])
+    assert len(rows) == 2
+    bundles = [realize_data(cfg, seed) for seed in cfg.seeds]
+    want = [x for bundle in bundles for _ in rows
+            for x in (bundle.val.features, bundle.validation_ood)]
+    assert [kinds for _, kinds in scored] == [["msp"]] * 8
+    assert [features.data.tobytes() for features, _ in scored] == [
+        x.data.tobytes() for x in want]
+    test_rows = {row.tobytes() for bundle in bundles for row in bundle.test.features.data}
+    assert not any(row.tobytes() in test_rows
+                   for features, _ in scored for row in features.data)
 
 
 def test_sweep_tau_validation(tmp_path):

@@ -7,7 +7,7 @@ One function, harness.trained_cells, calls optimizer.train, so every
 training command trains its cells the same way. It lists the diverged cells
 itself, and run_experiment returns only the rows of bench.csv. Only the SGD
 step and the block loop call model._forward, so every evaluation runs in
-blocks. Only SeedData's two on-demand realisers call data.gen_ood, so no
+blocks, and only the block loop checks a forward's width and logits. Only SeedData's two on-demand realisers call data.gen_ood, so no
 command generates an OOD set it does not read.
 The package needs numpy only: scipy stays out of its imports and out of
 the process, because importing scipy.stats alone takes about a second."""
@@ -164,6 +164,43 @@ def test_only_the_sgd_step_and_the_block_loop_forward_a_whole_array():
         "model.forward_blocks", "optimizer.train"]
     assert sorted(module for module, source in sources.items()
                   if "_forward" in identifiers(source)) == ["model", "optimizer"]
+
+
+def finiteness_checks(source: str, name: str) -> list[str]:
+    """The name of the function or method that makes each `np.isfinite(<name>)`
+    call in `source`, one entry per call."""
+    sites = []
+    for node in definitions(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            sites += [node.name for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and ast.unparse(call.func) == "np.isfinite"
+                      and [ast.unparse(arg) for arg in call.args] == [name]]
+    return sites
+
+
+def test_one_block_loop_checks_the_logits():
+    # Every evaluation's width and finite-logit checks live in model.forward_blocks:
+    # forward, score_batch and the epoch-end pass keep only their reductions, and
+    # ODIN's perturbed block is one more forward_blocks block, not a Matrix2D sent
+    # through forward. metrics.fit_temperature checks the logits its caller hands
+    # it, as every metric entry point checks its input.
+    sample = "def f(logits):\n    return np.isfinite(logits).all() and np.isfinite(x)\n"
+    assert finiteness_checks(sample, "logits") == ["f"]
+    package = sorted((ROOT / "src" / "logitbench").glob("*.py"))
+    sources = {path.stem: path.read_text() for path in package}
+    assert len(sources) > 10
+    assert sorted(f"{module}.{site}" for module, source in sources.items()
+                  for site in finiteness_checks(source, "logits")) == [
+        "metrics.fit_temperature", "model.forward_blocks"]
+    assert [module for module, source in sources.items()
+            if "check_width" in identifiers(source)] == []
+    assert [site for site in call_sites(sources, "model", "forward")
+            if site.startswith("scores.")] == []
+    assert [site for site in call_sites(sources, "tensor", "Matrix2D")
+            if site.startswith("scores.")] == []
+    assert sorted(call_sites(sources, "model", "forward_blocks")) == [
+        "model.forward", "optimizer._epoch_end", "scores._block_scores",
+        "scores.score_batch"]
 
 
 def test_only_seed_data_generates_ood_sets():

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from logitbench.data import LabeledDataset
 from logitbench.errors import ConfigError, DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
-from logitbench.model import (BLOCK_ROWS, MlpModel, _forward, backward, forward, init_model,
-                              input_gradient, load_checkpoint, save_checkpoint)
+from logitbench.model import (BLOCK_ROWS, MlpModel, _forward, backward, forward,
+                              forward_blocks, init_model, input_gradient, load_checkpoint,
+                              save_checkpoint)
 from logitbench.optimizer import OptimConfig, train
 from logitbench.tensor import Matrix2D, rowwise_softmax
 
@@ -70,6 +71,22 @@ def test_forward_rejects_wrong_width():
     m = init_model((2, 4, 3), seed=3)
     with pytest.raises(ShapeError):
         forward(m, Matrix2D(np.zeros((5, 3))))
+
+
+def test_forward_blocks_checks_the_width_and_every_block():
+    """`forward_blocks` raises ShapeError before its first block on a wrong width,
+    and DataError at the first block whose logits overflow, after the finite
+    blocks before it."""
+    model, x = several_blocks()
+    with pytest.raises(ShapeError, match="^input has 15 features, model expects 16$"):
+        next(forward_blocks(model.weights, model.biases, x[:, :15]))
+    x = x.copy()
+    x[2 * BLOCK_ROWS + 5] = np.finfo(np.float64).max
+    blocks = forward_blocks(model.weights, model.biases, x)
+    assert [next(blocks)[0] for _ in range(2)] == [0, BLOCK_ROWS]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DataError, match="^logits must be finite$"):
+        next(blocks)
 
 
 def test_traced_forward_matches_plain():

@@ -80,6 +80,19 @@ def test_train_rejects_mismatched_model():
         train(model, ds, LossConfig("cross_entropy"), small_optim(), SGD_SEED)
 
 
+def test_train_rejects_a_probe_set_of_the_wrong_width():
+    """A probe set of another width than the model's input is a ConfigError before
+    the first step, as a dataset of the wrong width is: not the ShapeError of the
+    epoch-end forward, reported as a divergence."""
+    ds = easy_dataset()
+    model = init_model((4, 8, 2), seed=0)
+    probe = gen_ood("gaussian_noise", d=5, m=10, seed=1)
+    for every_epoch in (True, False):
+        with pytest.raises(ConfigError, match=r"^probe set \(d=5\) does not match model \(d=4\)$"):
+            train(model, ds, LossConfig("cross_entropy"), small_optim(), SGD_SEED,
+                  probe_ood=probe, every_epoch=every_epoch)
+
+
 def test_train_learns_separable_problem():
     ds = easy_dataset()
     model = init_model((4, 16, 2), seed=1)
