@@ -17,7 +17,6 @@ from .model import (MlpModel, forward, init_model, load_checkpoint,
 from .optimizer import EpochTelemetry, OptimConfig, lr_at, train
 from .scores import (ScoreConfig, dump_records, read_scores, score_batch,
                      write_scores)
-from .tensor import (Matrix2D, row_l2_norm, rowwise_softmax,
-                     use_one_blas_thread)
+from .tensor import Matrix2D, row_l2_norm, use_one_blas_thread
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, kind_params, read_lines
-from .tensor import Matrix2D
+from .tensor import Matrix2D, row_l2_norm
 
 # Each OOD kind's parameters: name -> (default, accepted range). Scales and
 # offsets stop at 1e6 and counts at 10,000, far past any useful desk value,
@@ -54,7 +54,7 @@ class LabeledDataset:
 def _class_means(k: int, d: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """k deterministic (given rng state) directions scaled to the given radius."""
     dirs = rng.standard_normal((k, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= row_l2_norm(dirs)
     return dirs * radius
 
 
@@ -96,13 +96,13 @@ def gen_ood(kind: str, d: int, m: int, params: Optional[dict] = None,
         feats = p["mean"] + p["std"] * rng.standard_normal((m, d))
     elif kind == "ring":
         dirs = rng.standard_normal((m, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs /= row_l2_norm(dirs)
         feats = dirs * (p["radius"] + p["jitter"] * rng.standard_normal((m, 1)))
     else:  # shifted_blobs
         k = p["k"]
         means = _class_means(k, d, p["cluster_radius"], rng)
         offsets = rng.standard_normal((k, d))
-        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+        offsets /= row_l2_norm(offsets)
         means = means + p["shift"] * offsets
         idx = np.arange(m) % k
         feats = means[idx] + p["cluster_spread"] * rng.standard_normal((m, d))
@@ -126,11 +126,8 @@ def split(dataset: LabeledDataset, fractions: tuple[float, float],
         n_train = min(max(n_train, 1), len(members) - 1)
         train_idx.append(members[:n_train])
         test_idx.append(members[n_train:])
-    train_idx, test_idx = map(np.concatenate, (train_idx, test_idx))
-    return (LabeledDataset(Matrix2D(dataset.features.data[train_idx]),
-                           dataset.labels[train_idx], dataset.k),
-            LabeledDataset(Matrix2D(dataset.features.data[test_idx]),
-                           dataset.labels[test_idx], dataset.k))
+    return tuple(LabeledDataset(Matrix2D(dataset.features.data[idx]), dataset.labels[idx],
+                                dataset.k) for idx in map(np.concatenate, (train_idx, test_idx)))
 
 
 def corrupt_labels(dataset: LabeledDataset, fraction: float,

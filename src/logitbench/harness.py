@@ -30,7 +30,7 @@ from .metrics import check_tpr_target, detection_report, ece, fit_temperature
 from .model import MlpModel, forward, init_model, save_checkpoint
 from .optimizer import EpochTelemetry, OptimConfig, train
 from .scores import ScoreConfig, dump_records, score_batch, write_scores
-from .tensor import Matrix2D, rowwise_softmax
+from .tensor import Matrix2D, max_softmax
 
 
 # --------------------------------------------------------------------------
@@ -41,6 +41,7 @@ from .tensor import Matrix2D, rowwise_softmax
 MAX_ROWS = 1_000_000  # rows of a generated data set, ID or OOD
 MAX_WIDTH = 10_000  # features of a generated data set; units of a layer
 MAX_BINS = 10_000  # ECE bins and report histogram bins
+MAX_VALUES = 25_000_000  # float64 values of one data set or of a model: 200 MB
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,16 @@ class ExperimentConfig:
             kinds = [c.kind for c in getattr(self, axis)]
             if len(set(kinds)) != len(kinds):
                 raise ConfigError(f"{axis} kinds must be distinct, got {kinds}")
+        # Sizes within their bounds one by one can still multiply past memory.
+        dc, dims = self.data, self.layer_dims
+        rows = [("data", dc.k * (dc.n_train_per_class + dc.n_test_per_class))] if blobs else []
+        rows += [(f"ood_panel[{i}]", oc.m) for i, oc in enumerate(self.ood_panel)]
+        rows.append(("validation_ood", self.validation_ood.m))
+        sizes = [(f"{key} ({n} rows of {dims[0]})", n * dims[0]) for key, n in rows]
+        sizes.append((f"layer_dims {list(dims)}", sum((a + 1) * b for a, b in zip(dims, dims[1:]))))
+        for what, values in sizes:
+            if values > MAX_VALUES:
+                raise ConfigError(f"{what} needs {values} float64 values, at most {MAX_VALUES}")
 
 
 def _typed(tp, value, path: str):
@@ -273,8 +284,7 @@ def realize_data(cfg: ExperimentConfig, seed: int) -> SeedData:
         full = gen_blobs(dc.k, dc.d, n_total, dc.cluster_spread,
                          dc.cluster_radius, derive_seed(seed, "data"))
         f_train = dc.n_train_per_class / n_total
-        train_ds, test_ds = split(full, (f_train, 1.0 - f_train),
-                                  derive_seed(seed, "split"))
+        train_ds, test_ds = split(full, (f_train, 1.0 - f_train), derive_seed(seed, "split"))
         del full
     else:
         train_ds = load_delimited(dc.train_path, k=dc.k)
@@ -584,8 +594,8 @@ def run_calibration(cfg: ExperimentConfig) -> list[CalibrationRow]:
         fitted = fit_temperature(forward(model, bundle.val.features), bundle.val.labels)
         test_logits = forward(model, bundle.test.features)
         correct = np.argmax(test_logits, axis=1) == bundle.test.labels
-        conf_pre = rowwise_softmax(test_logits).max(axis=1)
-        conf_post = rowwise_softmax(test_logits / fitted).max(axis=1)
+        conf_pre = max_softmax(test_logits)
+        conf_post = max_softmax(test_logits / fitted)
         rows.append(CalibrationRow(loss_cfg.kind, fitted,
                                    ece(conf_pre, correct, cfg.metrics.ece_bins),
                                    ece(conf_post, correct, cfg.metrics.ece_bins)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, kind_params
-from .tensor import log_softmax
+from .tensor import log_softmax, row_l2_norm
 
 CROSS_ENTROPY = "cross_entropy"
 LOGIT_NORM = "logit_norm"
@@ -75,13 +75,13 @@ def loss_and_grad(logits: np.ndarray, labels: np.ndarray,
     Every expression repeats the reference tape's operations in the tape's
     order (tests/tape_oracle.py), so training gives bitwise the same weights;
     test_gradients_match_tape_oracle_bitwise holds that in place. The
-    reductions call the ufunc kernels (`np.add.reduce`) that the tape's
-    `np.linalg.norm`, `.sum()` and `.mean()` call, without those wrappers'
+    reductions (`row_l2_norm` among them) call the ufunc kernels that the
+    tape's row norm, `.sum()` and `.mean()` call, without those wrappers'
     per-call Python overhead; the values are the same bits.
     """
     if cfg.kind == CROSS_ENTROPY:
         return _softmax_cross_entropy(logits, labels)
-    norms = np.sqrt(np.add.reduce(logits * logits, axis=1, keepdims=True))
+    norms = row_l2_norm(logits)
     if cfg.kind == LOGIT_NORM:
         tau = cfg.params["tau"]
         denom = norms * tau + tau * cfg.params["stability_eps"]

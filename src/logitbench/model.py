@@ -40,10 +40,8 @@ class MlpModel:
 def init_model(layer_dims, seed: int) -> MlpModel:
     """He-style fan-in scaled uniform weights, zero biases, deterministic in seed."""
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2:
-        raise ConfigError(f"need at least input and output dims, got {dims}")
-    if any(d <= 0 for d in dims):
-        raise ConfigError(f"layer dims must be positive, got {dims}")
+    if len(dims) < 2 or min(dims) < 1:
+        raise ConfigError(f"layer dims must be at least two positive sizes, got {dims}")
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -141,15 +139,10 @@ def _fmt(values: np.ndarray) -> str:
 
 
 def save_checkpoint(model: MlpModel, path, config_hash: str = "") -> None:
-    lines = [
-        "logitbench-checkpoint v1",
-        f"config_hash {config_hash}",
-        f"activation {ACTIVATION}",
-        "layer_dims " + " ".join(str(d) for d in model.layer_dims),
-    ]
+    lines = ["logitbench-checkpoint v1", f"config_hash {config_hash}", f"activation {ACTIVATION}",
+             "layer_dims " + " ".join(str(d) for d in model.layer_dims)]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"weight {i} " + _fmt(w))
-        lines.append(f"bias {i} " + _fmt(b))
+        lines += [f"weight {i} " + _fmt(w), f"bias {i} " + _fmt(b)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -169,12 +169,7 @@ def train(model: MlpModel, dataset: LabeledDataset, loss_cfg: LossConfig,
                 norm_ood = None if x_ood is None else _epoch_end(weights, biases, x_ood, None)[1]
             except DataError:
                 raise DivergedError("epoch-end logits", epoch, step) from None
-            telemetry.append(EpochTelemetry(
-                epoch=epoch + 1,
-                train_loss=loss_sum / (step + 1),
-                train_acc=correct / n,
-                mean_logit_norm_id=norm_id,
-                mean_logit_norm_ood=norm_ood,
-            ))
+            telemetry.append(EpochTelemetry(epoch + 1, loss_sum / (step + 1), correct / n,
+                                            norm_id, norm_ood))
 
     return MlpModel(model.layer_dims, tuple(weights), tuple(biases)), telemetry

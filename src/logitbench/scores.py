@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, kind_params, read_lines
 from .model import MlpModel, forward_blocks, input_gradient
-from .tensor import Matrix2D, log_softmax, rowwise_softmax
+from .tensor import Matrix2D, log_softmax, max_softmax, softmax_stats
 
 MSP = "msp"
 ODIN = "odin"
@@ -85,17 +85,16 @@ def _block_scores(model: MlpModel, inputs: list[np.ndarray], logits: np.ndarray,
                   cfg: ScoreConfig) -> np.ndarray:
     """`score_batch` of one block, from its layer inputs and finite logits."""
     if cfg.kind == MSP:
-        return rowwise_softmax(logits).max(axis=1)
+        return max_softmax(logits)
     T = cfg.params["T"]
     if cfg.kind == ODIN:
         if cfg.params["eps"] > 0.0:
             x = _odin_input(model, inputs, logits, T, cfg.params["eps"])
             [(_, _, logits)] = forward_blocks(model.weights, model.biases, x)  # one block
-        return rowwise_softmax(logits / T).max(axis=1)
+        return max_softmax(logits / T)
     if cfg.kind == ENERGY:
-        f = logits / T
-        m = f.max(axis=1)
-        return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
+        m, _, total = softmax_stats(logits / T)
+        return T * (m + np.log(total))[:, 0]
     probs = np.exp(log_softmax(logits * (1.0 / T)))
     return np.abs(inputs[-1]).sum(axis=1) * np.abs(probs - 1.0 / model.num_classes).sum(axis=1) / T
 

@@ -1,5 +1,5 @@
-"""Dense 64-bit matrices, the row-wise softmax and norm helpers, and the
-BLAS thread count."""
+"""Dense 64-bit matrices, the one stable softmax pass and what reads it, the
+row norm, and the BLAS thread count."""
 
 from __future__ import annotations
 
@@ -38,21 +38,28 @@ class Matrix2D:
         return self.data.shape[1]
 
 
-def rowwise_softmax(arr: np.ndarray) -> np.ndarray:
-    """Row-stable softmax (max-subtraction)."""
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def row_l2_norm(arr: np.ndarray) -> np.ndarray:
-    """Per-row Euclidean norm as a (rows, 1) column."""
-    return np.linalg.norm(arr, axis=1, keepdims=True)
+def softmax_stats(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one stable softmax pass over the rows of arr: the row max m, arr - m,
+    and the row sum of exp(arr - m); m and the sum are (rows, 1) columns."""
+    m = np.maximum.reduce(arr, axis=1, keepdims=True)
+    shifted = arr - m
+    return m, shifted, np.add.reduce(np.exp(shifted), axis=1, keepdims=True)
 
 
 def log_softmax(arr: np.ndarray) -> np.ndarray:
-    shifted = arr - np.maximum.reduce(arr, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    _, shifted, total = softmax_stats(arr)
+    return shifted - np.log(total)
+
+
+def max_softmax(arr: np.ndarray) -> np.ndarray:
+    """The max softmax probability of each row: exp(0) / total, the bits of the
+    full softmax's row max, whose other entries are exp(x - m) / total <= it."""
+    return 1.0 / softmax_stats(arr)[2][:, 0]
+
+
+def row_l2_norm(arr: np.ndarray) -> np.ndarray:
+    """Per-row Euclidean norm as a (rows, 1) column, by numpy's own norm kernels."""
+    return np.sqrt(np.add.reduce(arr * arr, axis=1, keepdims=True))
 
 
 def _openblas_libraries() -> list[str]:

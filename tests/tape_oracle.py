@@ -6,6 +6,11 @@ The tape records matrix-level operations (matmul, bias add, relu, fused
 softmax cross-entropy, row norms, scaling); one reverse sweep gives every
 adjoint.  `forward_traced` records an MLP forward pass on a fresh tape and
 `apply_loss` builds one of the three training losses on top of it.
+
+It also keeps the textbook forms of the full softmax and its row max, the row
+norm and Energy's log-sum-exp, which the package's one-pass helpers
+(`tensor.softmax_stats` and its readers, `tensor.row_l2_norm`) are checked
+against bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,29 @@ def log_softmax(arr: np.ndarray) -> np.ndarray:
     package against itself."""
     shifted = arr - arr.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def softmax(arr: np.ndarray) -> np.ndarray:
+    """The full row-stable softmax (max-subtraction)."""
+    shifted = arr - arr.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def max_softmax(arr: np.ndarray) -> np.ndarray:
+    """The max softmax probability of each row, as the max of the full softmax."""
+    return softmax(arr).max(axis=1)
+
+
+def row_l2_norm(arr: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(arr, axis=1, keepdims=True)
+
+
+def energy(logits: np.ndarray, T: float) -> np.ndarray:
+    """T * logsumexp(logits / T) of each row."""
+    f = logits / T
+    m = f.max(axis=1)
+    return T * (m + np.log(np.exp(f - m[:, None]).sum(axis=1)))
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +137,7 @@ class GradTape:
 
     def row_l2_norm(self, a: TapeNode) -> TapeNode:
         av = a.value
-        norms = np.linalg.norm(av, axis=1, keepdims=True)
+        norms = row_l2_norm(av)
         # Zero rows get a zero subgradient.
         safe = np.where(norms > 0.0, norms, 1.0)
         return self._op("row_l2_norm", norms, (a,),

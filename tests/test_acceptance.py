@@ -22,7 +22,7 @@ from logitbench.losses import LossConfig, logitnorm_lower_bound, loss_and_grad
 from logitbench.metrics import detection_report, fit_temperature, nll_at_temperature
 from logitbench.model import _forward, forward, init_model, input_gradient, load_checkpoint
 from logitbench.scores import GRADNORM, ScoreConfig, score_batch
-from logitbench.tensor import Matrix2D, log_softmax, row_l2_norm, rowwise_softmax
+from logitbench.tensor import Matrix2D, log_softmax, max_softmax, row_l2_norm
 
 from conftest import (assert_grad_close, central_difference, load_desk,
                       logitnorm_values)
@@ -157,8 +157,8 @@ def test_criterion_2_softmax_propositions_and_lower_bound():
     assert (np.argmax(logits, axis=1) == np.argmax(logits * scales, axis=1)).all()
 
     # Prop 2: scaling up by s >= 1 never lowers the max softmax.
-    base_conf = rowwise_softmax(logits).max(axis=1)
-    scaled_conf = rowwise_softmax(logits * scales).max(axis=1)
+    base_conf = max_softmax(logits)
+    scaled_conf = max_softmax(logits * scales)
     assert (scaled_conf >= base_conf - 1e-12).all()
 
     # Prop 3: per-sample normalized loss >= log(1 + (k-1) e^{-2/tau}).

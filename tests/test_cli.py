@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from logitbench.cli import build_parser, main
+from logitbench.harness import MAX_VALUES, config_from_dict
 from logitbench.model import init_model, save_checkpoint
 from logitbench.tensor import _openblas_libraries
 
@@ -482,6 +483,67 @@ def test_a_data_width_over_the_bound_is_a_config_error(tmp_path, capsys):
     assert err == ("config error: config.data: need k >= 2 and 2 <= d <= 10000, "
                    "got k=10, d=1000000000000\n")
     assert not out.exists()
+
+
+# 2,500 ID rows of 10,000 features: MAX_VALUES exactly.
+WIDE = ((("data", "d"), 10_000), (("data", "n_train_per_class"), 200),
+        (("data", "n_test_per_class"), 50), (("layer_dims",), [10_000, 64, 64, 10]))
+
+
+def _desk_with(changes):
+    """The desk config with each (key path, value) of `changes` set in turn."""
+    raw = json.loads(DESK.read_text())
+    for path, value in changes:
+        raw = replaced(raw, path, value)
+    return raw
+
+
+@pytest.mark.parametrize("changes, message", [
+    (WIDE + ((("data", "n_train_per_class"), 50_000), (("data", "n_test_per_class"), 50_000)),
+     "data (1000000 rows of 10000) needs 10000000000 float64 values, at most 25000000"),
+    (((("layer_dims",), [16] + [10_000] * 6 + [10]),),
+     f"layer_dims {[16] + [10_000] * 6 + [10]} needs 500320010 float64 values, "
+     "at most 25000000"),
+    (WIDE + ((("ood_panel", 0, "m"), 1_000_000),),
+     "ood_panel[0] (1000000 rows of 10000) needs 10000000000 float64 values, "
+     "at most 25000000"),
+    (WIDE + ((("validation_ood", "m"), 2_501),),
+     "validation_ood (2501 rows of 10000) needs 25010000 float64 values, "
+     "at most 25000000"),
+], ids=["data_80GB", "model_4GB", "panel_set_80GB", "validation_ood"])
+@pytest.mark.parametrize("command", ["train", "bench", "sweep-tau", "calibrate", "score"])
+def test_a_config_past_max_values_fails_at_parse(command, changes, message, tmp_path, capsys,
+                                                 monkeypatch):
+    # Each size is within its own bound, and their product asked numpy for
+    # gigabytes: a MemoryError traceback partway through a run, until the
+    # parse bounded the values of each set and of the model.
+    def nothing_past_parse(*args, **kwargs):
+        raise AssertionError("a config over MAX_VALUES was run past its parse")
+
+    for target in ("harness.gen_blobs", "harness.gen_ood", "harness.init_model",
+                   "cli.load_checkpoint"):
+        monkeypatch.setattr(f"logitbench.{target}", nothing_past_parse)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_desk_with(changes)))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "score":
+        argv += ["--checkpoint", "model.txt"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: config: {message}\n"
+    assert not out.exists()
+
+
+def test_the_largest_sets_within_max_values_still_parse():
+    # Parsed only, never run: 1,000,000 rows of the desk's 16 features, the
+    # largest blob set and OOD sets MAX_ROWS allows, and 2,500 rows of 10,000.
+    cfg = config_from_dict(_desk_with((
+        (("data", "n_train_per_class"), 50_000), (("data", "n_test_per_class"), 50_000),
+        (("ood_panel", 0, "m"), 1_000_000), (("validation_ood", "m"), 1_000_000))))
+    assert (cfg.data.n_train_per_class, cfg.ood_panel[0].m, cfg.validation_ood.m) == (
+        50_000, 1_000_000, 1_000_000)
+    dc = config_from_dict(_desk_with(WIDE)).data
+    assert dc.k * (dc.n_train_per_class + dc.n_test_per_class) * dc.d == MAX_VALUES
 
 
 def test_quiet_is_quiet_when_a_division_by_zero_diverges(tmp_path):

@@ -203,6 +203,47 @@ def test_one_block_loop_checks_the_logits():
         "scores.score_batch"]
 
 
+def row_max_subtractions(source: str) -> list[str]:
+    """The name of each function or method in `source` that takes a row max
+    (`.max`, `np.max`, `np.amax` or `np.maximum.reduce` with axis 1 or -1) and
+    subtracts something."""
+    sites = []
+    for node in definitions(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        row_max = any(isinstance(call, ast.Call)
+                      and ast.unparse(call.func).endswith((".max", ".amax", "maximum.reduce"))
+                      and any(kw.arg == "axis" and ast.unparse(kw.value) in ("1", "-1")
+                              for kw in call.keywords)
+                      for call in ast.walk(node))
+        if row_max and any(isinstance(op, ast.BinOp) and isinstance(op.op, ast.Sub)
+                           for op in ast.walk(node)):
+            sites.append(node.name)
+    return sites
+
+
+def test_one_stable_softmax_pass_and_one_row_norm():
+    # The shift, exp and sum of a stable softmax are written once, in
+    # tensor.softmax_stats; log_softmax, max_softmax and Energy read it. Every
+    # row norm is tensor.row_l2_norm, the kernels of np.linalg.norm without
+    # its wrapper, so the package names no np.linalg function.
+    sample = ("def energy(f):\n    m = f.max(axis=1)\n    return m + (f - m[:, None])\n\n\n"
+              "def peak(v):\n    return v.max() - v.min()\n\n\n"
+              "def stats(a):\n    return a - np.maximum.reduce(a, axis=1, keepdims=True)\n")
+    assert row_max_subtractions(sample) == ["energy", "stats"]
+    package = sorted((ROOT / "src" / "logitbench").glob("*.py"))
+    sources = {path.stem: path.read_text() for path in package}
+    assert len(sources) > 10
+    assert [module for module, source in sources.items() if "linalg" in source] == []
+    assert sorted(f"{module}.{site}" for module, source in sources.items()
+                  for site in row_max_subtractions(source)) == ["tensor.softmax_stats"]
+    assert [node.name for node in definitions(ast.parse(sources["tensor"]))
+            if any(isinstance(call, ast.Call) and ast.unparse(call.func) == "np.exp"
+                   for call in ast.walk(node))] == ["softmax_stats"]
+    assert sorted(call_sites(sources, "tensor", "softmax_stats")) == [
+        "scores._block_scores", "tensor.log_softmax", "tensor.max_softmax"]
+
+
 def test_only_seed_data_generates_ood_sets():
     # A command that generated the OOD sets up front would hold sets it may
     # never read; SeedData generates each set where a command reads it.

@@ -18,10 +18,10 @@ from logitbench.optimizer import OptimConfig, train
 from logitbench.scores import (ENERGY, GRADNORM, MSP, ODIN, SCORE_PARAMS,
                                ScoreConfig, dump_records, read_scores,
                                score_batch, write_scores)
-from logitbench.tensor import Matrix2D, rowwise_softmax
+from logitbench.tensor import Matrix2D
 
 from conftest import buffer_set_bytes, one_block_bytes, several_blocks, traced_peak
-from tape_oracle import forward_traced
+from tape_oracle import forward_traced, max_softmax
 from test_readers_fuzz import LINE_ENDS, NUMBERS
 
 
@@ -213,7 +213,7 @@ def test_gradnorm_validation(small_model):
 def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
     x = Matrix2D(x.reshape(1, -1))
     if cfg.kind == MSP:
-        return float(rowwise_softmax(forward(model, x))[0].max())
+        return float(max_softmax(forward(model, x))[0])
     if cfg.kind == ODIN:
         T = cfg.params["T"]
         if cfg.params["eps"] > 0.0:
@@ -224,7 +224,7 @@ def oracle_score(model: MlpModel, x: np.ndarray, cfg: ScoreConfig) -> float:
             trace.tape.backward(nll)
             grad = trace.tape.grad(trace.input)
             x = Matrix2D(x.data - cfg.params["eps"] * np.sign(grad))
-        return float(rowwise_softmax(forward(model, x) / T)[0].max())
+        return float(max_softmax(forward(model, x) / T)[0])
     if cfg.kind == ENERGY:
         T = cfg.params["T"]
         logits = forward(model, x)[0] / T

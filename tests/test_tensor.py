@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from logitbench import tensor
+from logitbench import scores, tensor
 from logitbench.data import LabeledDataset
 from logitbench.errors import DataError, ShapeError
 from logitbench.losses import LossConfig, loss_and_grad
-from logitbench.model import _forward, backward, input_gradient
-from logitbench.tensor import (Matrix2D, log_softmax, row_l2_norm,
-                               rowwise_softmax, use_one_blas_thread)
+from logitbench.model import MlpModel, _forward, backward, forward, input_gradient
+from logitbench.scores import ScoreConfig
+from logitbench.tensor import (Matrix2D, log_softmax, max_softmax, row_l2_norm,
+                               use_one_blas_thread)
 
 from conftest import assert_grad_close, central_difference, param_grads
 from tape_oracle import GradTape as OracleTape
+import tape_oracle
 from tape_oracle import NonScalarLoss
 from tape_oracle import log_softmax as oracle_log_softmax
 
@@ -50,36 +52,45 @@ def test_matrix_is_immutable():
 # Softmax and norms
 # --------------------------------------------------------------------------
 
+def softmax(z):
+    return np.exp(log_softmax(z))
+
+
 def test_softmax_symmetric_pair():
-    out = rowwise_softmax(np.array([[0.0, 0.0]]))
+    out = softmax(np.array([[0.0, 0.0]]))
     assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
+    assert np.allclose(max_softmax(np.array([[0.0, 0.0]])), [0.5], atol=1e-15)
 
 
 def test_softmax_large_equal_entries_no_overflow():
-    out = rowwise_softmax(np.array([[1000.0, 1000.0, 1000.0]]))
+    out = softmax(np.array([[1000.0, 1000.0, 1000.0]]))
     assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+    assert np.allclose(max_softmax(np.array([[1000.0, 1000.0, 1000.0]])), [1 / 3], atol=1e-15)
 
 
 def test_softmax_two_class_value():
-    out = rowwise_softmax(np.array([[2.0, 1.0]]))
+    out = softmax(np.array([[2.0, 1.0]]))
     e2, e1 = np.exp(2.0), np.exp(1.0)
     assert np.allclose(out, [[e2 / (e2 + e1), e1 / (e2 + e1)]], atol=1e-12)
     assert abs(out[0, 0] - 0.7311) < 5e-5 and abs(out[0, 1] - 0.2689) < 5e-5
+    assert np.allclose(max_softmax(np.array([[2.0, 1.0]])), [e2 / (e2 + e1)], atol=1e-12)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
        st.floats(-1e6, 1e6))
 def test_softmax_shift_invariance(row, c):
     z = np.array([row])
-    assert np.allclose(rowwise_softmax(z + c), rowwise_softmax(z), atol=1e-12)
+    assert np.allclose(softmax(z + c), softmax(z), atol=1e-12)
+    assert np.allclose(max_softmax(z + c), max_softmax(z), atol=1e-12)
 
 
 @given(st.lists(st.lists(st.floats(-30, 30), min_size=2, max_size=6),
                 min_size=1, max_size=5).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_softmax_rows_sum_to_one(rows):
-    out = rowwise_softmax(np.array(rows))
+    out = softmax(np.array(rows))
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(max_softmax(np.array(rows)), out.max(axis=1), atol=1e-12)
 
 
 def test_row_l2_norm_examples():
@@ -90,7 +101,7 @@ def test_row_l2_norm_examples():
 
 def test_log_softmax_matches_log_of_softmax():
     z = np.array([[1.0, -2.0, 0.5], [3.0, 3.0, -1.0]])
-    assert np.allclose(log_softmax(z), np.log(rowwise_softmax(z)), atol=1e-12)
+    assert np.allclose(log_softmax(z), np.log(tape_oracle.softmax(z)), atol=1e-12)
 
 
 def reduction_draws(seed):
@@ -117,15 +128,15 @@ def same_bytes(a, b):
 @pytest.mark.parametrize("seed", range(4))
 def test_direct_reduction_kernels_match_numpy_wrappers_bitwise(seed):
     """The training step calls the ufunc reduction kernels directly; each
-    call gives the bytes of the numpy wrapper it stands for: np.linalg.norm,
-    ndarray.mean (over the picked log-probabilities and over the (rows, 1)
-    norms), ndarray.sum, np.sum into `out` (the backward's bias gradient,
+    call gives the bytes of the numpy wrapper it stands for: np.linalg.norm
+    (through row_l2_norm), ndarray.mean (over the picked log-probabilities and
+    over the (rows, 1) norms), ndarray.sum, np.sum into `out` (the backward's bias gradient,
     checked through model.backward) and ndarray.max (through log_softmax,
     against the oracle's copy written with the wrappers)."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for x in reduction_draws(seed):
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-            assert same_bytes(np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True)), norms)
+            norms = tape_oracle.row_l2_norm(x)
+            assert same_bytes(row_l2_norm(x), norms)
             picked = x[np.arange(len(x)), np.argmin(x, axis=1)]
             assert same_bytes(np.add.reduce(picked) / len(picked), picked.mean())
             assert same_bytes(np.add.reduce(norms, axis=None) / norms.size, norms.mean())
@@ -136,6 +147,48 @@ def test_direct_reduction_kernels_match_numpy_wrappers_bitwise(seed):
             _, (grad_b,) = param_grads([np.ones((1, x.shape[1]))], [np.ones((len(x), 1))], x)
             assert same_bytes(grad_b, np.sum(x, axis=0, keepdims=True))
             assert same_bytes(log_softmax(x), oracle_log_softmax(x))
+
+
+def softmax_draws(k, rng):
+    """Logit arrays of k columns at every decade of scale from 1e-3 to 1e5: rows
+    with the row max tied exactly, rows of one repeated value and rows on a
+    coarse grid, where many entries tie, among rows of normal draws."""
+    for scale in 10.0 ** np.arange(-3, 6):
+        for _ in range(8):
+            x = rng.standard_normal((64, k)) * scale
+            x[::4, 1] = x[::4].max(axis=1)
+            x[1::4] = x[1::4, :1]
+            x[2::4] = np.round(x[2::4] / scale * 2.0) * (scale / 2.0)
+            yield x
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_one_pass_softmax_readers_match_their_textbook_forms_bitwise(k):
+    # MSP (1 / total), ODIN's tempered MSP and Energy (T * (m + log total)) read
+    # one softmax_stats pass; each gives the bits of the full softmax's row max
+    # or of the old log-sum-exp, and row_l2_norm those of np.linalg.norm.
+    # score_batch runs the detectors themselves, at the desk's ODIN T = 1000 and
+    # Energy T = 0.25, on a one-layer identity model, whose logits are its inputs
+    # up to the sign of a zero.
+    model = MlpModel((k, k), (np.eye(k),), (np.zeros((1, k)),))
+    detectors = (ScoreConfig("msp"), ScoreConfig("odin", {"T": 1000.0, "eps": 0.0}),
+                 ScoreConfig("energy", {"T": 0.25}))
+    rng = np.random.default_rng(k)
+    draws = list(softmax_draws(k, rng))
+    assert len(draws) == 72
+    for x in draws:
+        assert np.array_equal(bits(max_softmax(x)), bits(tape_oracle.max_softmax(x)))
+        assert np.array_equal(bits(row_l2_norm(x)), bits(tape_oracle.row_l2_norm(x)))
+        logits = forward(model, Matrix2D(x))
+        assert np.array_equal(logits, x)
+        msp, odin, energy = scores.score_batch(model, Matrix2D(x), *detectors)
+        assert np.array_equal(bits(msp), bits(tape_oracle.max_softmax(logits)))
+        assert np.array_equal(bits(odin), bits(tape_oracle.max_softmax(logits / 1000.0)))
+        assert np.array_equal(bits(energy), bits(tape_oracle.energy(logits, 0.25)))
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +246,7 @@ def test_uniform_ce_gradient_closed_form():
     tape = OracleTape()
     logits = tape.leaf(logits_val)
     tape.backward(tape.uniform_cross_entropy(logits))
-    expected = rowwise_softmax(logits_val) - 1.0 / 3.0
+    expected = tape_oracle.softmax(logits_val) - 1.0 / 3.0
     assert np.allclose(tape.grad(logits), expected, atol=1e-12)
 
 
@@ -226,7 +279,7 @@ def test_softmax_ce_gradient_closed_form():
     logits_val = np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -0.4]])
     labels = np.array([2, 0])
     grad = loss_and_grad(logits_val, labels, LossConfig("cross_entropy"))[1]
-    probs = rowwise_softmax(logits_val)
+    probs = tape_oracle.softmax(logits_val)
     expected = probs.copy()
     expected[np.arange(2), labels] -= 1.0
     assert np.allclose(grad, expected / 2.0, atol=1e-12)
@@ -348,7 +401,7 @@ def test_fd_uniform_ce(seed):
         return -log_softmax(f).mean(axis=1).mean()
 
     inputs, logits = _forward(weights, biases, x_val)
-    upstream = (rowwise_softmax(logits) - 1.0 / 3) / 4
+    upstream = (tape_oracle.softmax(logits) - 1.0 / 3) / 4
     grad_w, _ = param_grads(weights, inputs, upstream)
     assert_grad_close(grad_w[-1], central_difference(
         lambda w: _mlp_scalar([weights[0], w], biases, x_val, uniform_ce), weights[-1]))
